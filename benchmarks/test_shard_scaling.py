@@ -85,8 +85,7 @@ def _measure(size: int) -> dict:
     near_spec, __ = _specs()
     features = make_features(near_spec)
 
-    index = store.match_index()
-    index.ensure_fresh()
+    view = store.match_index().view()
     matcher = ProfileMatcher(store, registry=MetricsRegistry())
     scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
 
@@ -103,7 +102,7 @@ def _measure(size: int) -> dict:
         samples.append(time.perf_counter() - start)
     return {
         "jobs": size,
-        "partitions": index.partition_count,
+        "partitions": view.partition_count,
         "splits": int(registry.counter("hbase_region_splits_total").value),
         "p50_ms": round(statistics.median(samples) * 1e3, 3),
         "scan_identical": True,

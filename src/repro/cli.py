@@ -126,9 +126,17 @@ def _maybe_emit_metrics(args: argparse.Namespace) -> None:
         return
     from .observability import export
 
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(export.to_json())
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(export.to_json())
+            handle.write("\n")
+    except OSError as error:
+        # Same exit status as an argparse usage error, without a traceback.
+        print(
+            f"repro: cannot write metrics to {path}: {error.strerror or error}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
     print(f"metrics written to {path}", file=sys.stderr)
 
 
@@ -305,7 +313,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         replication=args.replication,
         split_threshold=args.split_threshold,
         shard_index=args.shard_index,
-        probe_workers=args.probe_workers,
         tuner=args.tuner,
     )
     print(
@@ -354,7 +361,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replication=args.replication,
             split_threshold=args.split_threshold,
             shard_index=args.shard_index,
-            probe_workers=args.probe_workers,
             tuner=args.tuner,
         ),
         seed=args.seed,
@@ -652,16 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--shard-index",
             action="store_true",
             help="probe per-region match-index partitions (scatter-gather)",
-        )
-        subparser.add_argument(
-            "--probe-workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help=(
-                "threads fanning out a sharded probe's partition scans "
-                "(bit-identical at any width; default: 1)"
-            ),
         )
 
     def add_tuner(subparser: argparse.ArgumentParser) -> None:

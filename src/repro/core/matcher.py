@@ -51,7 +51,7 @@ from .similarity import (
 from .store import DYNAMIC_PREFIX, STATIC_PREFIX, ProfileStore
 
 if TYPE_CHECKING:
-    from .match_index import MatchIndex
+    from .match_index import IndexView
 
 __all__ = [
     "ProfileMatcher",
@@ -106,14 +106,14 @@ class Stage1Batch:
 
     Produced by :meth:`ProfileMatcher.precompute_stage1`; consumed by
     :meth:`ProfileMatcher.match_side`, which discards it the moment the
-    index generation no longer matches — a store write between the
+    view generation no longer matches — a store write between the
     broadcast and an item's match invalidates the whole batch, keeping
     batched results byte-identical to sequential ones.
     """
 
     def __init__(
         self,
-        generation: int | None,
+        generation: int,
         by_probe: dict[int, dict[str, list[str]]],
     ) -> None:
         self.generation = generation
@@ -130,8 +130,9 @@ class ProfileMatcher:
 
     Two execution paths answer the same workflow:
 
-    - **indexed** (default) — stages probe the store's columnar
-      :class:`~repro.core.match_index.MatchIndex`: one vectorized
+    - **indexed** (default) — each side takes one immutable
+      :class:`~repro.core.match_index.IndexView` from the store's match
+      index and runs every stage on it: one vectorized
       normalized-Euclidean/Jaccard pass over the candidate block, with
       memoized CFG verdicts.
     - **scan** — the original filtered range scans; the property-tested
@@ -246,13 +247,14 @@ class ProfileMatcher:
             labels={"reason": reason},
         ).inc()
 
-    def _probe_index(self) -> "MatchIndex | None":
-        """The store's match index, refreshed — or None with a miss reason.
+    def _probe_view(self) -> "IndexView | None":
+        """A fresh view of the store's match index — or None with a miss
+        reason.
 
         The fallback ladder: *disabled* (matcher or store opted out) →
         *unavailable* (store object has no index accessor — duck-typed
-        test doubles) → *poisoned* (refreshing it faulted; the scan path
-        behind ``ResilientProfileStore`` retries instead).
+        test doubles) → *poisoned* (publishing the view faulted; the scan
+        path behind ``ResilientProfileStore`` retries instead).
         """
         if not (self.use_index and self._index_capable):
             self._count_index_miss("disabled")
@@ -266,11 +268,10 @@ class ProfileMatcher:
             self._count_index_miss("disabled")
             return None
         try:
-            index.ensure_fresh()
+            return index.view()
         except Exception:
             self._count_index_miss("poisoned")
             return None
-        return index
 
     def _index_stage(
         self, stage: str, prefix: str, call: Callable[[], list[str]]
@@ -304,12 +305,12 @@ class ProfileMatcher:
 
     def _match_side_indexed(
         self,
-        index: "MatchIndex",
+        view: "IndexView",
         features: JobFeatures,
         side: str,
         stage1: list[str] | None = None,
     ) -> SideMatch:
-        """The Fig 4.4 workflow over the columnar index.
+        """The Fig 4.4 workflow over one index view.
 
         Stage-for-stage mirror of :meth:`_match_side_inner` — same
         thresholds, same funnel keys, same terminal stages — with the
@@ -328,7 +329,7 @@ class ProfileMatcher:
             survivors = self._index_stage(
                 f"euclidean-{side}-flow",
                 DYNAMIC_PREFIX,
-                lambda: index.euclidean_stage(
+                lambda: view.euclidean_stage(
                     side, "flow", list(flow), self._theta_eucl(len(flow))
                 ),
             )
@@ -341,7 +342,7 @@ class ProfileMatcher:
             survivors = self._index_stage(
                 f"cfg-{side}",
                 STATIC_PREFIX,
-                lambda: index.cfg_stage(side, cfg, survivors),
+                lambda: view.cfg_stage(side, cfg, survivors),
             )
         funnel["cfg"] = len(survivors)
 
@@ -349,7 +350,7 @@ class ProfileMatcher:
             survivors = self._index_stage(
                 "jaccard",
                 STATIC_PREFIX,
-                lambda: index.jaccard_stage(
+                lambda: view.jaccard_stage(
                     statics, self.jaccard_threshold, survivors
                 ),
             )
@@ -362,7 +363,7 @@ class ProfileMatcher:
             buckets=DEFAULT_BUCKETS,
         )
         if survivors:
-            winner = index.tie_break(
+            winner = view.tie_break(
                 survivors,
                 features.input_bytes,
                 statics,
@@ -374,7 +375,7 @@ class ProfileMatcher:
         fallback = self._index_stage(
             f"euclidean-{side}-cost",
             DYNAMIC_PREFIX,
-            lambda: index.euclidean_stage(
+            lambda: view.euclidean_stage(
                 side,
                 "cost",
                 list(costs),
@@ -384,7 +385,7 @@ class ProfileMatcher:
         )
         funnel["cost-fallback"] = len(fallback)
         if fallback:
-            winner = index.tie_break(
+            winner = view.tie_break(
                 fallback,
                 features.input_bytes,
                 statics,
@@ -407,28 +408,28 @@ class ProfileMatcher:
         with tracer.span(
             "pstorm.match_side", side=side, job=features.job_name
         ) as span:
-            index = self._probe_index()
+            view = self._probe_view()
             precomputed: list[str] | None = None
-            if index is not None and stage1 is not None:
-                # The broadcast survivors are only valid against the exact
-                # generation they were priced at; any write (or republish)
-                # since then re-runs the scalar stage instead.
-                if (
-                    stage1.generation is not None
-                    and getattr(index, "generation", None) == stage1.generation
-                ):
-                    precomputed = stage1.survivors_for(features, side)
+            # The broadcast survivors are only valid against the exact
+            # generation they were priced at; any write (or republish)
+            # since then re-runs the scalar stage instead.
+            if (
+                view is not None
+                and stage1 is not None
+                and view.generation == stage1.generation
+            ):
+                precomputed = stage1.survivors_for(features, side)
             match: SideMatch | None = None
-            if index is not None:
+            if view is not None:
                 try:
                     match = self._match_side_indexed(
-                        index, features, side, stage1=precomputed
+                        view, features, side, stage1=precomputed
                     )
                 except Exception:
-                    # A probe-time fault (e.g. the cached-normalizer read
-                    # hitting an injected outage) poisons this probe only;
-                    # the scan path below retries under the resilient
-                    # store wrapper.
+                    # A fault inside a view probe (e.g. a probe vector
+                    # that does not align with the stored columns)
+                    # poisons this probe only; the scan path below
+                    # answers it under the resilient store wrapper.
                     self._count_index_miss("poisoned")
                     match = None
             if match is not None:
@@ -437,9 +438,7 @@ class ProfileMatcher:
                     "side probes answered by the columnar index",
                 ).inc()
                 span.set_attr("via", "index")
-                partitions = getattr(index, "partition_count", None)
-                if partitions is not None:
-                    span.set_attr("partitions", partitions)
+                span.set_attr("partitions", view.partition_count)
             else:
                 match = self._match_side_inner(features, side)
                 span.set_attr("via", "scan")
@@ -502,17 +501,13 @@ class ProfileMatcher:
         Returns a :class:`Stage1Batch` the per-item :meth:`match_job`
         calls consume, or ``None`` whenever the batched path cannot be
         bit-identical to the scalar one — index disabled/unavailable/
-        poisoned, mixed probe widths, or an index without the batch
-        kernel — in which case callers simply match item by item.
+        poisoned or mixed probe widths — in which case callers simply
+        match item by item.
         """
         if len(features_list) < 2:
             return None
-        index = self._probe_index()
-        if index is None:
-            return None
-        batch_kernel = getattr(index, "euclidean_stage_batch", None)
-        if not callable(batch_kernel):
-            self._count_index_miss("unavailable")
+        view = self._probe_view()
+        if view is None:
             return None
         per_side: dict[str, list[tuple[JobFeatures, tuple[float, ...]]]] = {
             "map": [],
@@ -542,7 +537,7 @@ class ProfileMatcher:
                     prefix=DYNAMIC_PREFIX,
                     via="index",
                 ):
-                    survivors = batch_kernel(
+                    survivors = view.euclidean_stage_batch(
                         side,
                         "flow",
                         [list(flow) for __, flow in entries],
@@ -558,9 +553,7 @@ class ProfileMatcher:
             "probes coalesced into one stage-1 broadcast",
             buckets=COUNT_BUCKETS,
         ).observe(len(features_list))
-        return Stage1Batch(
-            generation=getattr(index, "generation", None), by_probe=by_probe
-        )
+        return Stage1Batch(generation=view.generation, by_probe=by_probe)
 
     # ------------------------------------------------------------------
     def match_job(

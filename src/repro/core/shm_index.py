@@ -1,15 +1,18 @@
-"""Shared-memory publication of frozen MatchIndex generations.
+"""Shared-memory publication of match-index views.
 
 The multi-process serving backend (:mod:`repro.serving.procpool`) needs
 every worker process to probe the same columnar matrices without copying
 them per worker or per request.  This module is the transport: a
 *publisher* owned by the writer process packs each
-:class:`~repro.core.match_index.FrozenIndexView` — matrices, masks,
-factorized codes, CFG payloads, frozen normalizer bounds, plus the full
-profile/static payloads a worker needs to rebuild a scan-path replica —
-into one immutable ``multiprocessing.shared_memory`` segment per store
-generation, and *clients* attach the segments as zero-copy, read-only
-numpy views.
+:class:`~repro.core.match_index.IndexView` the store's builder publishes
+— every partition's matrices, masks and factorized codes, the CFG
+payloads, the view's normalizer bounds, plus the full profile/static
+payloads a worker needs to rebuild a scan-path replica — into one
+immutable ``multiprocessing.shared_memory`` segment per store
+generation, and *clients* attach the segment as zero-copy, read-only
+numpy views behind a stock :class:`~repro.core.match_index.IndexView`.
+Flat and sharded views share the one layout: a flat view is simply the
+one-partition case.
 
 Generation protocol
 -------------------
@@ -35,22 +38,10 @@ Segment layout
 --------------
 ``[u64 manifest length][pickled manifest][pad to 64][array bytes...]``
 where the manifest lists ``(name, dtype, shape, relative offset)`` for
-every column, each 64-byte aligned, and the non-array metadata (ids,
-vocabularies, CFG payloads, normalizer bounds, store payloads) rides as
-one pickled ``__meta__`` pseudo-array.
-
-Sharded generations
--------------------
-A :class:`~repro.core.shard_index.FrozenShardedView` publishes as one
-data segment *per partition* (``<root>p0``, ``<root>p1``, …, each the
-stock single-index layout) plus a root *directory* segment — named in
-the control record exactly like a flat generation — whose ``__meta__``
-carries the partition key ranges, the child segment names, and the
-profile/static payloads.  Readers attach the root, then every child,
-and rebuild a ``FrozenShardedView`` over zero-copy per-partition views;
-all segments of a generation retire together, so the stale-not-torn
-guarantee is unchanged (a reader keeps every mapping of the generation
-it pinned).
+every column (named ``<partition>:<column>``), each 64-byte aligned, and
+the non-array metadata (partition start keys, ids, vocabularies, CFG
+payloads, normalizer bounds, store payloads) rides as one pickled
+``__meta__`` pseudo-array.
 
 Lifecycle accounting
 --------------------
@@ -75,8 +66,7 @@ import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
 from ..observability import MetricsRegistry, get_registry
-from .match_index import FrozenIndexView
-from .shard_index import FrozenShardedView
+from .match_index import IndexView
 
 if TYPE_CHECKING:
     from .store import ProfileStore
@@ -171,27 +161,32 @@ def _silent_close(shm: shared_memory.SharedMemory) -> None:
 
 
 class _Attached:
-    """One attached generation: the view plus every mapping (root segment
-    first, then per-partition children for sharded generations) keeping
-    it alive."""
+    """One attached generation: the view plus the mapping keeping it alive."""
 
     def __init__(
-        self, shms: list[shared_memory.SharedMemory], generation: int,
-        view: Any, meta: dict[str, Any],
+        self, shm: shared_memory.SharedMemory, generation: int,
+        view: IndexView, meta: dict[str, Any],
     ) -> None:
-        self.shms = shms
+        self.shm = shm
         self.generation = generation
-        self.view = view
+        self.view: IndexView | None = view
         self.meta = meta
 
     def close(self) -> None:
         self.view = None
         self.meta = {}
-        for shm in self.shms:
-            _silent_close(shm)
+        _silent_close(self.shm)
 
 
-def _open_segment(name: str, unregister: bool) -> shared_memory.SharedMemory:
+def _attach_segment(
+    name: str, unregister: bool
+) -> tuple[shared_memory.SharedMemory, dict[str, Any], IndexView]:
+    """Attach one published generation by its segment name.
+
+    A ``FileNotFoundError`` (the writer retired the generation between
+    the control read and the attach) propagates, so the caller's retry
+    loop sees one clean name race.
+    """
     shm = shared_memory.SharedMemory(name=name)
     if unregister:
         # This process is a reader, not the owner: the writer's unlink is
@@ -202,52 +197,14 @@ def _open_segment(name: str, unregister: bool) -> shared_memory.SharedMemory:
             resource_tracker.unregister(shm._name, "shared_memory")
         except (KeyError, AttributeError):  # pragma: no cover - tracker quirk
             pass
-    return shm
-
-
-def _view_from_segment(shm: shared_memory.SharedMemory) -> FrozenIndexView:
-    arrays = _unpack_segment(shm)
-    meta = pickle.loads(arrays.pop("__meta__").tobytes())
-    return FrozenIndexView.from_parts(meta["index"], arrays)
-
-
-def _attach_segment(
-    name: str, unregister: bool
-) -> tuple[list[shared_memory.SharedMemory], dict[str, Any], Any]:
-    """Attach one published generation by its root segment name.
-
-    Flat generations come back as a :class:`FrozenIndexView`; sharded
-    ones attach every child partition segment named by the root's
-    directory metadata and come back as a :class:`FrozenShardedView`.
-    A ``FileNotFoundError`` on *any* segment (the writer retired the
-    generation mid-attach) unwinds every mapping taken so far and
-    propagates, so the caller's retry loop sees one clean name race.
-    """
-    shms = [_open_segment(name, unregister)]
     try:
-        arrays = _unpack_segment(shms[0])
-        meta_blob = arrays.pop("__meta__")
-        meta = pickle.loads(meta_blob.tobytes())
-        sharded = meta.get("sharded")
-        if sharded is None:
-            view: Any = FrozenIndexView.from_parts(meta["index"], arrays)
-        else:
-            views = []
-            for child_name in sharded["partitions"]:
-                child = _open_segment(child_name, unregister)
-                shms.append(child)
-                views.append(_view_from_segment(child))
-            view = FrozenShardedView(
-                generation=sharded["generation"],
-                topology_version=sharded["topology_version"],
-                ranges=[tuple(pair) for pair in sharded["ranges"]],
-                views=views,
-            )
+        arrays = _unpack_segment(shm)
+        meta = pickle.loads(arrays.pop("__meta__").tobytes())
+        view = IndexView.from_parts(meta["view"], arrays)
     except Exception:
-        for shm in shms:
-            _silent_close(shm)
+        _silent_close(shm)
         raise
-    return shms, meta, view
+    return shm, meta, view
 
 
 class SharedIndexPublisher:
@@ -274,10 +231,9 @@ class SharedIndexPublisher:
         self.registry = registry
         self._prefix = prefix or f"psm{os.getpid():x}{uuid.uuid4().hex[:6]}"
         self._keep = keep_generations
-        #: generation -> [root segment, partition segments...]; every
-        #: segment of a generation is created and retired together.
-        self._live: dict[int, list[shared_memory.SharedMemory]] = {}
-        self._published_names: dict[int, str] = {}
+        #: generation -> its data segment, oldest first.
+        self._live: dict[int, shared_memory.SharedMemory] = {}
+        self._published = -1
         self._closed = False
         self._ctrl = shared_memory.SharedMemory(
             name=f"{self._prefix}c", create=True, size=_CTRL_SIZE
@@ -293,112 +249,61 @@ class SharedIndexPublisher:
     @property
     def published_generation(self) -> int:
         """Latest generation flipped into the control record (-1 = none)."""
-        return max(self._published_names, default=-1)
+        return self._published
 
     def segment_names(self) -> list[str]:
         """Every data-segment name currently owned (for leak accounting)."""
-        return [
-            segment.name
-            for gen in sorted(self._live)
-            for segment in self._live[gen]
-        ]
+        return [self._live[gen].name for gen in sorted(self._live)]
+
+    def _segments_active(self) -> None:
+        get_registry(self.registry).gauge(
+            "shm_index_segments_active",
+            "data segments currently owned (not yet unlinked)",
+        ).set(float(len(self._live)))
 
     # ------------------------------------------------------------------
-    def publish(self, force: bool = False) -> int:
+    def publish(self) -> int:
         """Publish the store's current generation; returns it.
 
         No-ops when the store has not advanced past the published
-        generation (unless *force*).  Raises whatever the index rebuild
-        raises — a publish during a store outage fails loudly and the
-        control record keeps naming the previous good generation.
+        generation.  Raises whatever the index rebuild raises — a publish
+        during a store outage fails loudly and the control record keeps
+        naming the previous good generation.
         """
         if self._closed:
             raise SharedIndexError("publisher is closed")
         index = self._store.match_index()
         if index is None:
             raise SharedIndexError("store has no match index to publish")
-        view = index.export_view()
+        view = index.view()
         generation = view.generation
-        if not force and generation in self._published_names:
+        if generation == self._published:
             return generation
-        profiles = {
-            job_id: profile.to_dict()
-            for job_id, profile in self._store.bulk_profiles().items()
+        meta = {
+            "view": view.export_meta(),
+            "profiles": {
+                job_id: profile.to_dict()
+                for job_id, profile in self._store.bulk_profiles().items()
+            },
+            "statics": {
+                job_id: static.to_dict()
+                for job_id, static in self._store.bulk_statics().items()
+            },
         }
-        statics = {
-            job_id: static.to_dict()
-            for job_id, static in self._store.bulk_statics().items()
-        }
-        root_name = f"{self._prefix}g{generation}"
-        segments: list[shared_memory.SharedMemory] = []
-        total_bytes = 0
-        try:
-            partition_views = getattr(view, "views", None)
-            if partition_views is not None:
-                # Sharded: one stock-layout segment per partition, then a
-                # root directory segment naming them all.
-                child_names = []
-                for position, partition in enumerate(partition_views):
-                    child_meta = {"index": partition.export_meta()}
-                    child_arrays = dict(partition.export_arrays())
-                    child_arrays["__meta__"] = np.frombuffer(
-                        pickle.dumps(
-                            child_meta, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                        dtype=np.uint8,
-                    )
-                    child_payload = _pack_segment(child_arrays)
-                    child = shared_memory.SharedMemory(
-                        name=f"{root_name}p{position}",
-                        create=True,
-                        size=max(len(child_payload), 1),
-                    )
-                    child.buf[: len(child_payload)] = child_payload
-                    segments.append(child)
-                    child_names.append(child.name)
-                    total_bytes += len(child_payload)
-                meta = {
-                    "sharded": {
-                        "generation": generation,
-                        "topology_version": view.topology_version,
-                        "ranges": list(view.ranges),
-                        "partitions": child_names,
-                    },
-                    "profiles": profiles,
-                    "statics": statics,
-                }
-                arrays: dict[str, np.ndarray] = {}
-            else:
-                meta = {
-                    "index": view.export_meta(),
-                    "profiles": profiles,
-                    "statics": statics,
-                }
-                arrays = dict(view.export_arrays())
-            arrays["__meta__"] = np.frombuffer(
-                pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
-                dtype=np.uint8,
-            )
-            payload = _pack_segment(arrays)
-            root = shared_memory.SharedMemory(
-                name=root_name, create=True, size=max(len(payload), 1)
-            )
-            root.buf[: len(payload)] = payload
-            segments.insert(0, root)
-            total_bytes += len(payload)
-        except Exception:
-            # A torn publish (e.g. name collision, ENOMEM on a child)
-            # must not leak the segments already created.
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - race
-                    pass
-            raise
-        self._live[generation] = segments
-        self._published_names[generation] = root.name
-        self._flip_ctrl(generation, root.name)
+        arrays = view.export_arrays()
+        arrays["__meta__"] = np.frombuffer(
+            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
+        )
+        payload = _pack_segment(arrays)
+        segment = shared_memory.SharedMemory(
+            name=f"{self._prefix}g{generation}",
+            create=True,
+            size=max(len(payload), 1),
+        )
+        segment.buf[: len(payload)] = payload
+        self._live[generation] = segment
+        self._published = generation
+        self._flip_ctrl(generation, segment.name)
         self._retire(keep_floor=generation)
         registry = get_registry(self.registry)
         registry.counter(
@@ -412,11 +317,8 @@ class SharedIndexPublisher:
         registry.gauge(
             "shm_index_segment_bytes",
             "size of the most recently published data segment",
-        ).set(float(total_bytes))
-        registry.gauge(
-            "shm_index_segments_active",
-            "data segments currently owned (not yet unlinked)",
-        ).set(float(sum(len(group) for group in self._live.values())))
+        ).set(float(len(payload)))
+        self._segments_active()
         return generation
 
     def _flip_ctrl(self, generation: int, name: str) -> None:
@@ -430,25 +332,25 @@ class SharedIndexPublisher:
         self._ctrl.buf[_CTRL_HEADER.size:_CTRL_HEADER.size + len(encoded)] = encoded
         struct.pack_into("<Q", self._ctrl.buf, 0, sequence + 2)
 
+    def _unlink(self, generation: int) -> None:
+        segment = self._live.pop(generation)
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            # Already gone (e.g. an external cleanup raced us); the
+            # caller must still release everything else.
+            pass
+        get_registry(self.registry).counter(
+            "shm_index_segments_unlinked_total",
+            "retired data segments unlinked by the publisher",
+        ).inc()
+
     def _retire(self, keep_floor: int) -> None:
         generations = sorted(self._live)
-        retire = [
-            gen for gen in generations[:-self._keep] if gen < keep_floor
-        ]
-        registry = get_registry(self.registry)
-        for gen in retire:
-            for segment in self._live.pop(gen):
-                segment.close()
-                segment.unlink()
-                registry.counter(
-                    "shm_index_segments_unlinked_total",
-                    "retired data segments unlinked by the publisher",
-                ).inc()
-        if retire:
-            registry.gauge(
-                "shm_index_segments_active",
-                "data segments currently owned (not yet unlinked)",
-            ).set(float(sum(len(group) for group in self._live.values())))
+        for gen in generations[:-self._keep]:
+            if gen < keep_floor:
+                self._unlink(gen)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -456,24 +358,9 @@ class SharedIndexPublisher:
         if self._closed:
             return
         self._closed = True
-        registry = get_registry(self.registry)
         for gen in sorted(self._live):
-            for segment in self._live.pop(gen):
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    # Already gone (e.g. an external cleanup raced us);
-                    # close() must still release everything else.
-                    pass
-                registry.counter(
-                    "shm_index_segments_unlinked_total",
-                    "retired data segments unlinked by the publisher",
-                ).inc()
-        registry.gauge(
-            "shm_index_segments_active",
-            "data segments currently owned (not yet unlinked)",
-        ).set(0.0)
+            self._unlink(gen)
+        self._segments_active()
         self._ctrl.close()
         try:
             self._ctrl.unlink()
@@ -491,10 +378,10 @@ class SharedIndexClient:
     """Reader-side attachment manager for one publisher's generations.
 
     ``view()`` returns the freshest attachable
-    :class:`FrozenIndexView`: it re-reads the control segment, remaps
-    when the generation moved, retries attach races (the writer may
-    retire a name between the control read and the attach), and falls
-    back to the previously attached view when nothing newer is
+    :class:`~repro.core.match_index.IndexView`: it re-reads the control
+    segment, remaps when the generation moved, retries attach races (the
+    writer may retire a name between the control read and the attach),
+    and falls back to the previously attached view when nothing newer is
     attachable — stale-but-consistent, never torn.
     """
 
@@ -551,8 +438,8 @@ class SharedIndexClient:
         """Generation of the currently attached view (-1 = none)."""
         return -1 if self._attached is None else self._attached.generation
 
-    def view(self) -> "FrozenIndexView | FrozenShardedView":
-        """The freshest attachable frozen view (see class docstring)."""
+    def view(self) -> IndexView:
+        """The freshest attachable view (see class docstring)."""
         registry = get_registry(self.registry)
         generation, name = self._read_ctrl()
         if self._attached is not None and self._attached.generation == generation:
@@ -560,7 +447,7 @@ class SharedIndexClient:
         last_error: Exception | None = None
         for attempt in range(self._retries):
             try:
-                shms, meta, frozen = _attach_segment(name, self._unregister)
+                shm, meta, attached = _attach_segment(name, self._unregister)
             except FileNotFoundError as error:
                 last_error = error
                 registry.counter(
@@ -570,7 +457,7 @@ class SharedIndexClient:
                 generation, name = self._read_ctrl()
                 continue
             previous = self._attached
-            self._attached = _Attached(shms, generation, frozen, meta)
+            self._attached = _Attached(shm, generation, attached, meta)
             if previous is not None:
                 previous.close()
             registry.counter(
@@ -581,7 +468,7 @@ class SharedIndexClient:
                 "shm_index_generation_lag",
                 "control-record generation minus the attached generation",
             ).set(0.0)
-            return frozen
+            return attached
         if self._attached is not None:
             registry.counter(
                 "shm_index_stale_views_total",

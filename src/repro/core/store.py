@@ -284,12 +284,9 @@ class ProfileStore:
             substrate — ``"binary"`` (block-sharded, default) or
             ``"json"`` (legacy).  A restored substrate keeps whatever
             format its ``cluster.json`` records.
-        shard_index: hand out a :class:`~repro.core.shard_index.ShardedMatchIndex`
-            — one partition per region of the Dynamic key range, probed
-            scatter-gather — instead of the flat :class:`MatchIndex`.
-        probe_workers: thread fan-out of the sharded index's partition
-            probes; 1 keeps the sequential gather, any width answers
-            bit-identically.
+        shard_index: partition the match index by region — one
+            partition per region of the Dynamic key range, probed
+            scatter-gather — instead of one flat partition.
     """
 
     def __init__(
@@ -309,7 +306,6 @@ class ProfileStore:
         merge_threshold: int | None = None,
         sstable_format: str = "binary",
         shard_index: bool = False,
-        probe_workers: int = 1,
     ) -> None:
         #: Observability sinks; None falls back to the module defaults.
         #: A freshly created substrate inherits them; an injected one
@@ -368,11 +364,6 @@ class ProfileStore:
         self.enable_index = enable_index
         #: Partitioned (per-region) vs flat match index.
         self.shard_index = shard_index
-        if probe_workers < 1:
-            raise ValueError("probe_workers must be at least 1")
-        #: Thread fan-out of sharded-index partition probes (1 = the
-        #: sequential scatter-gather; any width is bit-identical).
-        self.probe_workers = probe_workers
         #: Monotone write version: bumped under the lock on every
         #: put/delete.  The match index and the normalizer cache compare
         #: against it to decide whether their snapshots are still live.
@@ -565,12 +556,14 @@ class ProfileStore:
 
     @property
     def topology_version(self) -> int:
-        """The substrate's region-topology version (splits/merges/moves).
+        """Version of the key ranges the match index partitions by.
 
-        The sharded match index compares against it: a bump means the
-        partition map is stale and the next probe repartitions.
+        With ``shard_index`` on this is the substrate's region-topology
+        version (splits/merges/moves): a bump means the partition map is
+        stale and the next probe repartitions.  A flat index has one
+        partition that no topology change moves, so it reads 0.
         """
-        return self.hbase.topology_version
+        return self.hbase.topology_version if self.shard_index else 0
 
     def load_normalizer(self, side: str, kind: str) -> MinMaxNormalizer:
         """The *persisted* min/max bounds, cached per store generation.
@@ -601,35 +594,23 @@ class ProfileStore:
                 f"{side}.{kind}", MinMaxNormalizer()
             )
 
-    def match_index(self) -> Any:
+    def match_index(self) -> "MatchIndex | None":
         """The columnar match index (lazily built), or None if disabled.
 
         One index per store: serving workers that share this store (via
         ``ResilientProfileStore``/``MaintainedStore`` delegation) probe
-        the same structure.  With ``shard_index`` on this is a
-        :class:`~repro.core.shard_index.ShardedMatchIndex` (one
-        partition per region, probed scatter-gather); both answer the
-        same probe-stage interface.
+        the same structure.  Its partitions follow
+        :meth:`index_snapshot`'s key-range slices.
         """
         if not self.enable_index:
             return None
         with self._lock:
             if self._match_index is None:
-                if self.shard_index:
-                    from .shard_index import ShardedMatchIndex
+                from .match_index import MatchIndex
 
-                    self._match_index = ShardedMatchIndex(
-                        self,
-                        registry=self.registry,
-                        tracer=self.tracer,
-                        probe_workers=self.probe_workers,
-                    )
-                else:
-                    from .match_index import MatchIndex
-
-                    self._match_index = MatchIndex(
-                        self, registry=self.registry, tracer=self.tracer
-                    )
+                self._match_index = MatchIndex(
+                    self, registry=self.registry, tracer=self.tracer
+                )
             return self._match_index
 
     def refresh_match_index(self) -> None:
@@ -645,15 +626,12 @@ class ProfileStore:
         if index is not None:
             index.ensure_fresh()
 
-    def index_snapshot(
+    def _index_rows(
         self,
     ) -> tuple[int, dict[str, dict[str, Any]], dict[str, dict[str, Any]]]:
-        """A write-consistent snapshot for (re)building the match index.
-
-        Returns ``(generation, dynamic_rows, static_rows)`` keyed by job
-        id, read under the store lock so no put can interleave between
-        the two range scans.
-        """
+        """``(generation, dynamic_rows, static_rows)`` keyed by job id,
+        read under the store lock so no put can interleave between the
+        two range scans."""
         with self._lock:
             generation = self._generation
             dynamic = {
@@ -674,49 +652,56 @@ class ProfileStore:
             }
         return generation, dynamic, static
 
-    def sharded_index_snapshot(
+    def index_snapshot(
         self,
-    ) -> tuple[
-        int,
-        int,
-        list[tuple[str, str, dict[str, dict[str, Any]], dict[str, dict[str, Any]]]],
-    ]:
-        """A write-consistent snapshot partitioned by region key range.
+        rows: tuple[int, Mapping[str, Any], Mapping[str, Any]] | None = None,
+    ) -> tuple[int, int, list[tuple[str, dict[str, Any], dict[str, Any]]]]:
+        """A write-consistent snapshot for (re)building the match index.
 
-        Returns ``(generation, topology_version, partitions)`` where each
-        partition is ``(start, stop, dynamic_rows, static_rows)`` — one
-        per region whose range intersects the Dynamic key range, in key
-        order, holding exactly the jobs whose ``Dynamic/`` row that
-        region owns (the partition's static rows follow its job ids,
-        wherever the ``Static/`` rows physically live).  Rows and the
-        topology are read under the store lock, so the partition map and
-        its contents can never disagree.
+        Returns ``(generation, topology_version, slices)`` where each
+        slice is ``(start_key, dynamic_rows, static_rows)`` keyed by job
+        id, in key order: one slice for the whole Dynamic key range, or
+        with ``shard_index`` on one per region whose range intersects
+        it.  A job's static row rides in the slice its ``Dynamic/`` row
+        key falls in, wherever the ``Static/`` row physically lives.
+        Rows and ranges are read under one store lock hold, so the
+        partition map and its contents can never disagree.
+
+        *rows* — a ``(generation, dynamic_rows, static_rows)`` image such
+        as a snapshot checkpoint — is sliced by the current ranges
+        instead of scanning the table.
         """
         with self._lock:
-            generation, dynamic, static = self.index_snapshot()
-            topology_version = self.hbase.topology_version
-            ranges: list[tuple[str, str]] = []
-            for region, __ in self.hbase.catalog.regions_of(TABLE_NAME):
-                start = max(region.start_key, DYNAMIC_PREFIX)
-                stop = (
-                    DYNAMIC_STOP
-                    if region.end_key is None
-                    else min(region.end_key, DYNAMIC_STOP)
-                )
-                if start < stop:
-                    ranges.append((start, stop))
-        partitions = []
-        for start, stop in ranges:
-            members = {
-                job_id: columns
-                for job_id, columns in dynamic.items()
+            generation, dynamic, static = (
+                self._index_rows() if rows is None else rows
+            )
+            topology_version = self.topology_version
+            ranges = [(DYNAMIC_PREFIX, DYNAMIC_STOP)]
+            if self.shard_index:
+                ranges = []
+                for region, __ in self.hbase.catalog.regions_of(TABLE_NAME):
+                    start = max(region.start_key, DYNAMIC_PREFIX)
+                    stop = (
+                        DYNAMIC_STOP
+                        if region.end_key is None
+                        else min(region.end_key, DYNAMIC_STOP)
+                    )
+                    if start < stop:
+                        ranges.append((start, stop))
+
+        def within(columns: Mapping[str, Any], start: str, stop: str) -> dict:
+            return {
+                job_id: row
+                for job_id, row in columns.items()
                 if start <= DYNAMIC_PREFIX + job_id < stop
             }
-            statics = {
-                job_id: static[job_id] for job_id in members if job_id in static
-            }
-            partitions.append((start, stop, members, statics))
-        return generation, topology_version, partitions
+
+        if len(ranges) == 1:
+            return generation, topology_version, [(ranges[0][0], dynamic, static)]
+        return generation, topology_version, [
+            (start, within(dynamic, start, stop), within(static, start, stop))
+            for start, stop in ranges
+        ]
 
     # ------------------------------------------------------------------
     # Durability: snapshots and restore
@@ -826,7 +811,7 @@ class ProfileStore:
                 # The mid-snapshot kill point: flushed but not yet
                 # checkpointed — a restore must survive that tear.
                 chaos.on_operation("snapshot")
-            generation, dynamic, static = self.index_snapshot()
+            generation, dynamic, static = self._index_rows()
             payload = {
                 "version": 1,
                 "generation": generation,

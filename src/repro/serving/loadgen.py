@@ -139,8 +139,6 @@ class LoadConfig:
     split_threshold: int | None = None
     #: Probe through per-region scatter-gather match-index partitions.
     shard_index: bool = False
-    #: Thread fan-out of sharded probes (bit-identical at any width).
-    probe_workers: int = 1
     #: Tuner-family member on the hit path ("cbo" = the paper's CBO).
     tuner: str = "cbo"
 
@@ -171,7 +169,6 @@ class LoadConfig:
             replication=self.replication,
             split_threshold=self.split_threshold,
             shard_index=self.shard_index,
-            probe_workers=self.probe_workers,
             tuner=self.tuner,
             # Off the 0.01 cache-hit grid: warm-path percentiles resolve
             # to real values instead of clamping at one clock tick.

@@ -15,9 +15,9 @@ Ownership is strictly single-writer:
   cache hits itself (no IPC) and is the only process that ever writes;
 - each **worker** owns a :class:`SnapshotStoreProxy`: a local replica
   rebuilt from the last published generation, an outbox of profile
-  writes travelling back to the parent, and a
-  :class:`_SharedIndexAdapter` that lets the stock
-  :class:`~repro.core.matcher.ProfileMatcher` probe the shared matrices
+  writes travelling back to the parent, and the same ``view()``
+  contract as the store's match index, so the stock
+  :class:`~repro.core.matcher.ProfileMatcher` probes the shared matrices
   unchanged.  Workers never see a torn view: generations are immutable
   segments, and a worker holding unpublished local writes *poisons* its
   own indexed path so the matcher's existing fallback ladder serves the
@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Any
 from ..analysis.static_features import StaticFeatures
 from ..chaos import get_injector
 from ..chaos.retry import StoreUnavailableError
+from ..core.match_index import IndexView
 from ..core.pstorm import PStorM, SubmissionResult
 from ..core.shm_index import (
     SharedIndexClient,
@@ -79,54 +80,6 @@ _STOP = None  # worker/dispatcher sentinel
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _SharedIndexAdapter:
-    """Duck-typed ``MatchIndex`` over the worker's pinned frozen view.
-
-    ``ensure_fresh`` remaps to the newest published generation and then
-    *raises* :class:`SharedIndexUnavailableError` while the worker holds
-    local writes the publisher has not absorbed yet — the matcher counts
-    that as a poisoned index and probes the replica scan path, which
-    *does* see the local writes.  Stage probes delegate to the pinned
-    view, so one ``match_side`` call runs entirely against a single
-    generation even if the publisher flips mid-probe.
-    """
-
-    def __init__(self, proxy: "SnapshotStoreProxy") -> None:
-        self._proxy = proxy
-        self._pinned = None
-
-    # -- MatchIndex surface -------------------------------------------
-    def ensure_fresh(self) -> None:
-        self._pinned = self._proxy.sync()
-        if self._proxy.has_pending_local():
-            raise SharedIndexUnavailableError(
-                "worker-local writes are not published yet; "
-                "probing the replica scan path instead"
-            )
-
-    @property
-    def generation(self) -> int:
-        return -1 if self._pinned is None else self._pinned.generation
-
-    def euclidean_stage(self, *args: Any, **kwargs: Any) -> list[str]:
-        return self._pinned.euclidean_stage(*args, **kwargs)
-
-    def euclidean_stage_batch(self, *args: Any, **kwargs: Any) -> list[list[str]]:
-        return self._pinned.euclidean_stage_batch(*args, **kwargs)
-
-    def cfg_stage(self, *args: Any, **kwargs: Any) -> list[str]:
-        return self._pinned.cfg_stage(*args, **kwargs)
-
-    def jaccard_stage(self, *args: Any, **kwargs: Any) -> list[str]:
-        return self._pinned.jaccard_stage(*args, **kwargs)
-
-    def tie_break(self, *args: Any, **kwargs: Any) -> str:
-        return self._pinned.tie_break(*args, **kwargs)
-
-    def stats(self) -> dict[str, int]:
-        return {} if self._pinned is None else self._pinned.stats()
-
-
 class SnapshotStoreProxy:
     """A worker's store: published snapshot replica + pending local writes.
 
@@ -136,6 +89,10 @@ class SnapshotStoreProxy:
     on it unchanged.  ``put`` lands in the replica *and* an outbox the
     worker ships back with each result; once the parent publishes a
     generation containing a local write, :meth:`sync` prunes it.
+
+    It is also its own match index: :meth:`view` hands the matcher the
+    pinned shared-memory view, so one ``match_side`` call runs entirely
+    against a single generation even if the publisher flips mid-probe.
     """
 
     def __init__(
@@ -155,13 +112,12 @@ class SnapshotStoreProxy:
         self._replica = ProfileStore(
             registry=registry, tracer=tracer, enable_index=False
         )
-        self._adapter = _SharedIndexAdapter(self)
 
     # -- generation sync ----------------------------------------------
     def sync(self):
         """Attach the freshest published view; rebuild the replica on a
         generation change.  Returns the pinned
-        :class:`~repro.core.match_index.FrozenIndexView`."""
+        :class:`~repro.core.match_index.IndexView`."""
         view = self._client.view()
         if view is not self._view:
             self._rebuild(self._client.meta())
@@ -220,12 +176,29 @@ class SnapshotStoreProxy:
         self._outbox.append((job_id, profile, static))
         return job_id
 
-    def match_index(self) -> _SharedIndexAdapter:
-        return self._adapter
+    def match_index(self) -> "SnapshotStoreProxy":
+        return self
+
+    def view(self) -> IndexView:
+        """The pinned view for one probe side (the match-index contract).
+
+        Remaps to the newest published generation, then *raises*
+        :class:`SharedIndexUnavailableError` while this worker holds
+        local writes the publisher has not absorbed yet — the matcher
+        counts that as a poisoned index and probes the replica scan
+        path, which *does* see the local writes.
+        """
+        view = self.sync()
+        if self._local:
+            raise SharedIndexUnavailableError(
+                "worker-local writes are not published yet; "
+                "probing the replica scan path instead"
+            )
+        return view
 
     def refresh_match_index(self) -> None:
-        # The shared view refreshes on the next probe's ensure_fresh;
-        # there is nothing to rebuild worker-side.
+        # The shared view refreshes on the next probe's view(); there is
+        # nothing to rebuild worker-side.
         return None
 
     def close(self) -> None:

@@ -123,9 +123,6 @@ class ServiceConfig:
     #: Probe with per-region scatter-gather match-index partitions
     #: instead of one flat index.
     shard_index: bool = False
-    #: Thread fan-out of a sharded probe's per-partition scans (1 =
-    #: sequential; results are bit-identical at any width).
-    probe_workers: int = 1
     #: Which tuner-family member optimizes matched profiles on the hit
     #: path ("rbo", "cbo", "spsa", "surrogate", "ensemble"); "cbo" is
     #: the paper's workflow and is bit-identical to the pre-family path.
@@ -138,8 +135,6 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown tuner {self.tuner!r}; expected one of {TUNER_NAMES}"
             )
-        if self.probe_workers < 1:
-            raise ValueError("probe_workers must be at least 1")
         if self.deadline_seconds <= 0:
             raise ValueError("deadline must be positive")
         if self.backend not in ("threads", "processes"):
@@ -253,7 +248,6 @@ class TuningService:
                 replication=self.config.replication,
                 split_threshold=self.config.split_threshold,
                 shard_index=self.config.shard_index,
-                probe_workers=self.config.probe_workers,
             )
         )
         if self.config.store_capacity is not None and not isinstance(

@@ -1,23 +1,37 @@
 """Tests for the columnar match index.
 
-The heart of this module is the Hypothesis equivalence suite: for
-arbitrary synthetic stores and probes, ``ProfileMatcher`` must return the
-*same* ``MatchOutcome`` — survivor funnel, terminal stage, winning donor,
-composite picks — whether it probes the columnar index or runs the
-scan-path reference.  The remaining classes pin the coherence protocol
-(incremental put/delete, overwrite-triggered rebuild, generation
-tracking) and the fallback ladder (disabled / unavailable / poisoned).
+The heart of this module is the Hypothesis equivalence property,
+``assert_outcome_identical``: for arbitrary synthetic stores, deletes,
+incremental writes and probes, ``ProfileMatcher`` must return the *same*
+``MatchOutcome`` — survivor funnel, terminal stage, winning donor,
+composite picks — whether it probes an index view or runs the scan-path
+reference, for every index layout (flat, or sharded with region splits
+and merges between probes) and every view transport (in-process, or
+attached from shared memory by a worker's store proxy).  The flat
+in-process cases run here; ``test_sharding.py`` and ``test_shm_index.py``
+run the sharded and shared-memory ones.  The remaining classes pin the coherence
+protocol (incremental put/delete, overwrite-triggered rebuild,
+generation tracking, cheap republish) and the fallback ladder
+(disabled / unavailable / poisoned).
 """
 
+import sys
+import threading
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.match_index as match_index_module
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.static_features import STATIC_FEATURE_NAMES, StaticFeatures
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.core.features import JobFeatures
 from repro.core.matcher import ProfileMatcher, StaticsFirstMatcher
+from repro.core.shm_index import SharedIndexClient, SharedIndexPublisher
 from repro.core.store import ProfileStore
 from repro.observability import MetricsRegistry
+from repro.serving.procpool import SnapshotStoreProxy
 from repro.starfish.profile import (
     MAP_COST_FEATURES,
     MAP_DATA_FLOW_FEATURES,
@@ -160,67 +174,123 @@ def assert_no_silent_fallback(registry, expected_hits):
         assert misses.value == 0
 
 
+#: A put writes three data rows, so these thresholds force splits with
+#: only a handful of jobs: a sharded store runs on a multi-region,
+#: multi-partition topology.
+SHARD_KW = dict(
+    shard_index=True, split_threshold=4, num_region_servers=3, replication=2
+)
+
+#: Store keyword arguments per index layout; the sharded one also merges
+#: regions back as deletes shrink them.
+LAYOUTS = {"flat": {}, "sharded": dict(SHARD_KW, merge_threshold=2)}
+
+
+@contextmanager
+def probed_through(store, transport):
+    """``(target, republish)``: the store a matcher probes plus the call
+    that makes the parent store's writes visible to it.
+
+    In-process the target is the store itself (its builder republishes
+    on the next probe).  Over shared memory it is a worker's
+    :class:`SnapshotStoreProxy` attached to a publisher of the store.
+    """
+    if transport == "in-process":
+        yield store, lambda: None
+        return
+    with SharedIndexPublisher(store, registry=MetricsRegistry()) as publisher:
+        publisher.publish()
+        with SharedIndexClient(publisher.ctrl_name) as client:
+            yield (
+                SnapshotStoreProxy(client, registry=MetricsRegistry()),
+                publisher.publish,
+            )
+
+
+def assert_outcome_identical(
+    layout, transport, jobs, deletes, probe, late=(), late_delete=None,
+    **thresholds,
+):
+    """The equivalence property: a long-lived indexed matcher probing a
+    *layout* store through *transport* returns the scan path's
+    ``MatchOutcome``, before and — when *late* puts or a *late_delete*
+    are given — after those writes land and are republished.
+
+    On a sharded store the late writes split and merge regions between
+    the probes; over shared memory the republish flips the worker's view
+    to a newer generation.
+    """
+    store, job_ids = build_store(jobs, deletes, **LAYOUTS[layout])
+    features = make_features(probe)
+    scan = ProfileMatcher(
+        store, registry=MetricsRegistry(), use_index=False, **thresholds
+    )
+    registry = MetricsRegistry()
+    probes = 1
+    with probed_through(store, transport) as (target, republish):
+        # One long-lived indexed matcher; the scan matcher is ground
+        # truth at each step.
+        indexed = ProfileMatcher(target, registry=registry, **thresholds)
+        assert indexed.match_job(features) == scan.match_job(features)
+        if late or late_delete is not None:
+            view_before = getattr(target, "view_generation", None)
+            for number, spec in enumerate(late):
+                store.put(make_profile(f"late{number}", spec), make_static(spec))
+            if late_delete is not None and late_delete < len(job_ids):
+                store.delete(job_ids[late_delete])
+            republish()
+            assert indexed.match_job(features) == scan.match_job(features)
+            probes = 2
+            if transport == "shm" and late:
+                # The worker answered from the republished generation.
+                assert target.view_generation > view_before
+    # The proof is vacuous if the indexed path silently fell back to the
+    # scan path.
+    sides = 2 if features.has_reduce else 1
+    assert_no_silent_fallback(registry, expected_hits=probes * sides)
+
+
+_jobs = st.lists(job_spec, max_size=6)
+_deletes = st.lists(st.integers(min_value=0, max_value=5), max_size=2)
+_late = st.lists(job_spec, max_size=4)
+_late_delete = st.integers(min_value=0, max_value=5)
+_jaccard = st.sampled_from([0.0, 0.4, 0.8, 1.0])
+_euclidean = st.sampled_from([None, 0.0, 0.3, 1.0, 3.0])
+
+
 class TestEquivalence:
-    """Indexed matching ≡ scan matching, for arbitrary stores."""
+    """Indexed matching ≡ scan matching on a flat store, in-process.
+
+    The sharded layout and the shared-memory transport run the same
+    property (``assert_outcome_identical``) in ``test_sharding.py`` and
+    ``test_shm_index.py``.
+    """
 
     @_settings
     @given(
-        jobs=st.lists(job_spec, max_size=6),
-        deletes=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
-        probe=job_spec,
-        jaccard=st.sampled_from([0.0, 0.4, 0.8, 1.0]),
-        euclidean=st.sampled_from([None, 0.0, 0.3, 1.0, 3.0]),
+        jobs=_jobs, deletes=_deletes, probe=job_spec, jaccard=_jaccard,
+        euclidean=_euclidean,
     )
     def test_outcome_identical(self, jobs, deletes, probe, jaccard, euclidean):
-        store, __ = build_store(jobs, deletes)
-        features = make_features(probe)
-        indexed_registry = MetricsRegistry()
-        indexed = ProfileMatcher(
-            store,
-            jaccard_threshold=jaccard,
-            euclidean_threshold=euclidean,
-            registry=indexed_registry,
+        assert_outcome_identical(
+            "flat", "in-process", jobs, deletes, probe,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
         )
-        scan = ProfileMatcher(
-            store,
-            jaccard_threshold=jaccard,
-            euclidean_threshold=euclidean,
-            registry=MetricsRegistry(),
-            use_index=False,
-        )
-        indexed_outcome = indexed.match_job(features)
-        scan_outcome = scan.match_job(features)
-        assert indexed_outcome == scan_outcome
-        sides = 2 if features.has_reduce else 1
-        assert_no_silent_fallback(indexed_registry, expected_hits=sides)
 
     @_settings
     @given(
-        first=st.lists(job_spec, max_size=4),
-        second=st.lists(job_spec, max_size=3),
-        delete=st.integers(min_value=0, max_value=3),
-        probe=job_spec,
+        jobs=_jobs, deletes=_deletes, late=_late, late_delete=_late_delete,
+        probe=job_spec, jaccard=_jaccard, euclidean=_euclidean,
     )
     def test_outcome_identical_across_incremental_writes(
-        self, first, second, delete, probe
+        self, jobs, deletes, late, late_delete, probe, jaccard, euclidean
     ):
-        # One long-lived indexed matcher sees puts and deletes land
-        # between probes (the incremental ensure_fresh path); a fresh
-        # scan matcher is consulted at each step as ground truth.
-        store, job_ids = build_store(first)
-        features = make_features(probe)
-        registry = MetricsRegistry()
-        indexed = ProfileMatcher(store, registry=registry)
-        scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
-
-        assert indexed.match_job(features) == scan.match_job(features)
-        for number, spec in enumerate(second):
-            store.put(make_profile(f"late{number}", spec), make_static(spec))
-        if delete < len(job_ids):
-            store.delete(job_ids[delete])
-        assert indexed.match_job(features) == scan.match_job(features)
-        sides = 2 if features.has_reduce else 1
-        assert_no_silent_fallback(registry, expected_hits=2 * sides)
+        # Puts and a delete land between probes: the incremental
+        # ensure_fresh path.
+        assert_outcome_identical(
+            "flat", "in-process", jobs, deletes, probe, late, late_delete,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
+        )
 
 
 def _spec(**overrides):
@@ -254,7 +324,9 @@ class TestCoherence:
         index.ensure_fresh()
         assert rebuilds.value == 1  # applied incrementally, no snapshot scan
         assert index.generation == store.generation
-        survivors = index.euclidean_stage("map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0)
+        survivors = index.view().euclidean_stage(
+            "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
+        )
         assert new_id in survivors
 
     def test_delete_marks_row_dead_without_rebuild(self):
@@ -266,7 +338,9 @@ class TestCoherence:
         store.delete(job_ids[0])
         index.ensure_fresh()
         assert rebuilds.value == 1
-        survivors = index.euclidean_stage("map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0)
+        survivors = index.view().euclidean_stage(
+            "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
+        )
         assert job_ids[0] not in survivors
         assert job_ids[1] in survivors
 
@@ -281,7 +355,7 @@ class TestCoherence:
         index.ensure_fresh()
         assert rebuilds.value == 2  # in-place history is not replayable
         assert index.generation == store.generation
-        tie = index.tie_break(job_ids, 7, {}, "map")
+        tie = index.view().tie_break(job_ids, 7, {}, "map")
         assert tie == job_ids[0]
 
     def test_generation_tracks_every_write(self):
@@ -301,7 +375,107 @@ class TestCoherence:
         outcome = matcher.match_job(make_features(_spec()))
         assert outcome.matched
         assert registry.counter("pstorm_matcher_index_rebuilds_total").value == 1
-        assert store.match_index().stats()["live_rows"] == 1
+        assert store.match_index().view().stats()["live_rows"] == 1
+
+
+class TestRepublish:
+    """A write republishes the view cheaply: no rebuild, a re-freeze of
+    only the partition the write touched, and no CFG re-matching — the
+    builder's CFG verdict memo and parsed graphs are shared by every view
+    it publishes (digests are content addresses)."""
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_same_statics_put_reuses_the_cfg_memo(self, layout, monkeypatch):
+        calls = []
+        real_cfg_match = match_index_module.cfg_match
+
+        def counting_cfg_match(probe_cfg, stored_cfg):
+            calls.append((probe_cfg, stored_cfg))
+            return real_cfg_match(probe_cfg, stored_cfg)
+
+        monkeypatch.setattr(match_index_module, "cfg_match", counting_cfg_match)
+        # Ten jobs at threshold 6 split into several partitions, and the
+        # extra put below lands without another split.
+        kwargs = dict(SHARD_KW, split_threshold=6) if layout == "sharded" else {}
+        registry = MetricsRegistry()
+        store, __ = build_store(
+            [_spec(input_bytes=(n + 1) << 26) for n in range(10)],
+            registry=registry,
+            **kwargs,
+        )
+        matcher = ProfileMatcher(store, registry=MetricsRegistry())
+        features = make_features(_spec())
+        first = matcher.match_job(features)
+        assert calls, "the warm-up probe must run the CFG stage"
+        index = store.match_index()
+        before = index.view()
+        rebuilds = registry.counter("pstorm_matcher_index_rebuilds_total")
+        rebuilds_before = rebuilds.value
+        topology = store.topology_version
+
+        # Same statics and CFGs as every stored job, new input size.
+        late = _spec(input_bytes=99 << 26)
+        store.put(make_profile("late", late), make_static(late))
+        calls.clear()
+        second = matcher.match_job(features)
+        after = index.view()
+
+        assert store.topology_version == topology
+        assert (layout == "sharded") == (before.partition_count > 1)
+        assert rebuilds.value == rebuilds_before
+        assert calls == []
+        assert second.map_match.funnel["cfg"] == first.map_match.funnel["cfg"] + 1
+        assert after is not before
+        assert after.generation == store.generation
+        shared = sum(old is new for old, new in zip(before._parts, after._parts))
+        assert shared == before.partition_count - 1
+
+
+class TestConcurrentProbes:
+    def test_probes_racing_writes_never_fall_back(self):
+        """Probe threads share the builder's views and their caches while
+        a writer puts jobs that move the normalizer bounds: no probe
+        faults over to the scan path, and once the writes stop the
+        answer equals the scan path's (a lost queued write would not)."""
+        store, __ = build_store([_spec(input_bytes=(n + 1) << 26) for n in range(8)])
+        features = make_features(_spec())
+        registry = MetricsRegistry()
+        matcher = ProfileMatcher(store, registry=registry)
+        errors = []
+        stop = threading.Event()
+
+        def probe():
+            try:
+                while not stop.is_set():
+                    matcher.match_job(features)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=probe) for __ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for number in range(20):
+                late = _spec(
+                    input_bytes=(100 + number) << 26,
+                    map_flow=(0.5, 0.5, 1.0, 1.0 + number / 10),
+                )
+                store.put(make_profile(f"late{number}", late), make_static(late))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        poisoned = registry.counter(
+            "pstorm_matcher_index_misses_total", labels={"reason": "poisoned"}
+        )
+        assert poisoned.value == 0
+        scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
+        assert matcher.match_job(features) == scan.match_job(features)
 
 
 class TestFallbackLadder:
@@ -411,14 +585,14 @@ class TestStageParityEdges:
         index.ensure_fresh()
         probe = dict(spec["statics"])
         probe["PARAM_window"] = "10"  # never stored -> row must fail
-        assert index.jaccard_stage(probe, 0.0, job_ids) == []
+        assert index.view().jaccard_stage(probe, 0.0, job_ids) == []
         assert store.jaccard_stage(probe, 0.0, job_ids) == []
 
     def test_empty_probe_statics_passes_everyone(self):
         store, job_ids = build_store([_spec()])
         index = store.match_index()
         index.ensure_fresh()
-        assert index.jaccard_stage({}, 1.0, job_ids) == sorted(job_ids)
+        assert index.view().jaccard_stage({}, 1.0, job_ids) == sorted(job_ids)
 
     def test_tie_break_empty_value_reads_missing_as_agreement(self):
         spec = _spec()
@@ -430,4 +604,4 @@ class TestStageParityEdges:
         statics = {"PARAM_window": ""}
         matcher = ProfileMatcher(store, use_index=False, registry=MetricsRegistry())
         scan_winner = matcher._tie_break(job_ids, 0, statics, "map")
-        assert index.tie_break(job_ids, 0, statics, "map") == scan_winner
+        assert index.view().tie_break(job_ids, 0, statics, "map") == scan_winner

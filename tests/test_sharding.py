@@ -1,52 +1,52 @@
-"""The sharded-store battery: equivalence, topology, chaos, shm, soak.
+"""The sharded-store battery: topology, chaos, shm, soak.
 
 The profile store can split its row space across region servers and
-probe one :class:`~repro.core.shard_index.ShardedMatchIndex` partition
-per region, scatter-gather.  Nothing about that is allowed to be
-observable in match results — so the heart of this module is the
-Hypothesis equivalence suite: for arbitrary synthetic stores forced
-through many region splits, the sharded indexed probe must return the
-*same* ``MatchOutcome`` as the flat scan-path reference.
+partition its match index by region, probed scatter-gather.  Nothing
+about that is allowed to be observable in match results; the Hypothesis
+equivalence property (``assert_outcome_identical`` in
+``test_match_index.py``) runs here over sharded stores.  This module
+also holds deterministic proofs for
+each topology transition (split, merge, rebalance, durable reopen), the
+replica-kill chaos regression (a dead region server reroutes reads to a
+surviving replica instead of degrading the submission), the sharded
+shared-memory publish/attach parity check, and an opt-in ``soak`` sweep
+that drives a hundred thousand writes through repeated splits while
+bounding probe latency and per-region row counts.
 
-Around that core sit deterministic proofs for each topology transition
-(split, merge, rebalance, durable reopen), the replica-kill chaos
-regression (a dead region server reroutes reads to a surviving replica
-instead of degrading the submission), the sharded shared-memory
-publish/attach parity check, and an opt-in ``soak`` sweep that drives
-a hundred thousand writes through repeated splits while bounding probe
-latency and per-region row counts.
+Every test here runs on a multi-region, multi-partition topology
+(``SHARD_KW``) unless it says otherwise.
 """
 
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from repro.chaos import FaultInjector, FaultPlan, replica_kill_plan
-from repro.core.match_index import MatchIndex
+from repro.core.match_index import IndexView
 from repro.core.matcher import ProfileMatcher
 from repro.core.pstorm import PStorM
-from repro.core.shard_index import FrozenShardedView
 from repro.core.shm_index import SharedIndexClient, SharedIndexPublisher
 from repro.core.store import DYNAMIC_STOP, TABLE_NAME, ProfileStore
 from repro.observability import MetricsRegistry
 from repro.serving.procpool import SnapshotStoreProxy
 from test_match_index import (
+    SHARD_KW,
+    _deletes,
+    _euclidean,
+    _jaccard,
+    _jobs,
+    _late,
+    _late_delete,
     _settings,
     _spec,
     assert_no_silent_fallback,
+    assert_outcome_identical,
     build_store,
     job_spec,
     make_features,
     make_profile,
     make_static,
-)
-
-#: A put writes three data rows, so these thresholds force splits with
-#: only a handful of jobs — every test here runs on a multi-region,
-#: multi-partition topology unless it says otherwise.
-SHARD_KW = dict(
-    shard_index=True, split_threshold=4, num_region_servers=3, replication=2
 )
 
 
@@ -84,44 +84,29 @@ class TestShardedEquivalence:
 
     @_settings
     @given(
-        jobs=st.lists(job_spec, max_size=6),
-        deletes=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
-        probe=job_spec,
-        jaccard=st.sampled_from([0.0, 0.4, 0.8, 1.0]),
-        euclidean=st.sampled_from([None, 0.0, 0.3, 1.0, 3.0]),
+        jobs=_jobs, deletes=_deletes, probe=job_spec, jaccard=_jaccard,
+        euclidean=_euclidean,
     )
     def test_outcome_identical(self, jobs, deletes, probe, jaccard, euclidean):
-        store, __ = _sharded_store(jobs, deletes)
-        features = make_features(probe)
-        indexed, scan, registry = _probe_pair(
-            store, jaccard_threshold=jaccard, euclidean_threshold=euclidean
+        assert_outcome_identical(
+            "sharded", "in-process", jobs, deletes, probe,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
         )
-        assert indexed.match_job(features) == scan.match_job(features)
-        sides = 2 if features.has_reduce else 1
-        assert_no_silent_fallback(registry, expected_hits=sides)
 
     @_settings
     @given(
-        first=st.lists(job_spec, max_size=4),
-        second=st.lists(job_spec, max_size=4),
-        delete=st.integers(min_value=0, max_value=3),
-        probe=job_spec,
+        jobs=_jobs, deletes=_deletes, late=_late, late_delete=_late_delete,
+        probe=job_spec, jaccard=_jaccard, euclidean=_euclidean,
     )
-    def test_outcome_identical_across_splits(self, first, second, delete, probe):
-        # One long-lived sharded matcher sees writes that split regions
-        # (and deletes that may merge them) land between probes; a scan
-        # matcher is consulted at each step as ground truth.
-        store, job_ids = _sharded_store(first, merge_threshold=2)
-        features = make_features(probe)
-        indexed, scan, registry = _probe_pair(store)
-        assert indexed.match_job(features) == scan.match_job(features)
-        for number, spec in enumerate(second):
-            store.put(make_profile(f"late{number}", spec), make_static(spec))
-        if delete < len(job_ids):
-            store.delete(job_ids[delete])
-        assert indexed.match_job(features) == scan.match_job(features)
-        sides = 2 if features.has_reduce else 1
-        assert_no_silent_fallback(registry, expected_hits=2 * sides)
+    def test_outcome_identical_across_splits(
+        self, jobs, deletes, late, late_delete, probe, jaccard, euclidean
+    ):
+        # Writes that split regions (and a delete that may merge them)
+        # land between probes.
+        assert_outcome_identical(
+            "sharded", "in-process", jobs, deletes, probe, late, late_delete,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
+        )
 
 
 class TestTopologyOperations:
@@ -130,8 +115,7 @@ class TestTopologyOperations:
     def test_split_produces_partitions_with_parity(self):
         registry = MetricsRegistry()
         store, __ = _sharded_store(_many_specs(16), registry=registry)
-        index = store.match_index()
-        index.ensure_fresh()
+        index = store.match_index().view()
         assert registry.counter("hbase_region_splits_total").value > 0
         assert index.partition_count > 1
         # One partition per region overlapping the Dynamic/ row range.
@@ -158,8 +142,7 @@ class TestTopologyOperations:
             _many_specs(16), registry=registry, merge_threshold=3
         )
         index = store.match_index()
-        index.ensure_fresh()
-        parts_before = index.partition_count
+        parts_before = index.view().partition_count
         repartitions = registry.counter("pstorm_shard_index_repartitions_total")
         baseline = repartitions.value
         for job_id in job_ids[2:]:
@@ -171,7 +154,7 @@ class TestTopologyOperations:
         # The topology bump escalated the index to a repartition, and the
         # shrunken row space needs fewer partitions.
         assert repartitions.value > baseline
-        assert index.partition_count < parts_before
+        assert index.view().partition_count < parts_before
 
     def test_rebalance_moves_regions_and_keeps_parity(self):
         registry = MetricsRegistry()
@@ -202,9 +185,7 @@ class TestTopologyOperations:
         )
         for number, spec in enumerate(specs):
             store.put(make_profile(f"job{number}", spec), make_static(spec))
-        index = store.match_index()
-        index.ensure_fresh()
-        parts_before = index.partition_count
+        parts_before = store.match_index().view().partition_count
         assert parts_before > 1
         features = make_features(_spec())
         outcome_before = ProfileMatcher(
@@ -229,9 +210,7 @@ class TestTopologyOperations:
             for region, __ in reopened.hbase.catalog.regions_of(TABLE_NAME)
         )
         assert ranges_after == ranges_before
-        recovered_index = reopened.match_index()
-        recovered_index.ensure_fresh()
-        assert recovered_index.partition_count == parts_before
+        assert reopened.match_index().view().partition_count == parts_before
         indexed, scan, registry = _probe_pair(reopened)
         assert indexed.match_job(features) == outcome_before
         assert scan.match_job(features) == outcome_before
@@ -304,8 +283,7 @@ class TestShardedSharedMemory:
     def test_publish_attach_parity_and_teardown(self):
         registry = MetricsRegistry()
         store, __ = _sharded_store(_many_specs(12))
-        index = store.match_index()
-        index.ensure_fresh()
+        index = store.match_index().view()
         assert index.partition_count > 1
         features = make_features(_spec())
         with SharedIndexPublisher(store, registry=registry) as publisher:
@@ -314,7 +292,7 @@ class TestShardedSharedMemory:
                 publisher.ctrl_name, registry=MetricsRegistry()
             ) as client:
                 view = client.view()
-                assert isinstance(view, FrozenShardedView)
+                assert isinstance(view, IndexView)
                 assert view.partition_count == index.partition_count
                 proxy = SnapshotStoreProxy(client, registry=MetricsRegistry())
                 shm_registry = MetricsRegistry()
@@ -369,8 +347,7 @@ class TestSoak:
         for region, __ in regions:
             assert region.num_rows <= self.SPLIT_THRESHOLD
 
-        sharded = store.match_index()
-        sharded.ensure_fresh()
+        sharded = store.match_index().view()
         assert sharded.partition_count >= 4
 
         # Probe latency: p99 over repeated full-funnel probes.
@@ -387,103 +364,15 @@ class TestSoak:
         p99 = samples[int(len(samples) * 0.99) - 1]
         assert p99 < 0.25, f"probe p99 {p99 * 1e3:.1f}ms"
 
-        # Sample parity: the scatter-gather stages agree with a flat
-        # MatchIndex built over the very same store.
-        flat = MatchIndex(store, registry=MetricsRegistry())
-        flat.ensure_fresh()
+        # Sample parity: the scatter-gather stages agree with the scan
+        # path over the very same store.
         probe = [float(value) for value in near_spec["map_flow"]]
-        assert sorted(sharded.euclidean_stage("map", "flow", probe, 1.0)) == sorted(
-            flat.euclidean_stage("map", "flow", probe, 1.0)
+        assert sharded.euclidean_stage("map", "flow", probe, 1.0) == sorted(
+            store.euclidean_stage("map", "flow", probe, 1.0)
         )
         sample_ids = [f"soak-{number:06d}" for number in range(0, self.WRITES, 9973)]
         statics = dict(near_spec["statics"])
+        scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
         assert sharded.tie_break(
             sample_ids, near_spec["input_bytes"], statics, "map"
-        ) == flat.tie_break(sample_ids, near_spec["input_bytes"], statics, "map")
-
-
-class TestParallelProbes:
-    """``probe_workers > 1`` fans partition probes across a thread pool;
-    nothing about the fan-out may be observable — not the outcome, not
-    even the order of tie-break similarity observations."""
-
-    @_settings
-    @given(
-        jobs=st.lists(job_spec, max_size=6),
-        deletes=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
-        probe=job_spec,
-        workers=st.sampled_from([2, 3, 4]),
-    )
-    def test_outcome_identical_any_width(self, jobs, deletes, probe, workers):
-        sequential, __ = _sharded_store(jobs, deletes)
-        fanned, __ = _sharded_store(jobs, deletes, probe_workers=workers)
-        features = make_features(probe)
-        seq_matcher, __, __ = _probe_pair(sequential)
-        fan_matcher, __, registry = _probe_pair(fanned)
-        assert fan_matcher.match_job(features) == seq_matcher.match_job(features)
-        sides = 2 if features.has_reduce else 1
-        assert_no_silent_fallback(registry, expected_hits=sides)
-
-    def test_tie_break_observations_replay_in_range_order(self):
-        # The tie-break similarity side channel feeds a histogram; the
-        # pool buffers per-partition observations and replays them in
-        # partition-range order, so the sequence must be bit-identical
-        # to the sequential gather no matter the pool width.
-        specs = _many_specs(8)
-        probe = specs[0]
-        features = make_features(probe)
-        __, __, statics, __ = features.side_vectors("map")
-        sequences = {}
-        for workers in (1, 4):
-            store, job_ids = _sharded_store(specs, probe_workers=workers)
-            index = store.match_index()
-            index.ensure_fresh()
-            assert index.partition_count > 1
-            seen = []
-            winner = index.tie_break(
-                job_ids, probe["input_bytes"], statics, "map",
-                observe=seen.append,
-            )
-            assert len(seen) == len(job_ids)
-            sequences[workers] = (winner, seen)
-        assert sequences[1] == sequences[4]
-
-    def test_probe_pool_threads_are_used(self):
-        # Not just "same answer": prove the wide path really leaves the
-        # calling thread when more than one partition is probed.
-        import threading
-
-        store, job_ids = _sharded_store(_many_specs(8), probe_workers=4)
-        index = store.match_index()
-        index.ensure_fresh()
-        assert index.partition_count > 1
-        assert index.probe_workers == 4
-        assert index._probe_pool is not None
-        threads = set()
-        index._pmap(
-            [
-                (lambda: threads.add(threading.current_thread().name))
-                for __ in range(index.partition_count)
-            ]
-        )
-        assert any(name.startswith("shard-probe") for name in threads)
-
-    def test_single_worker_keeps_sequential_path(self):
-        store, __ = _sharded_store(_many_specs(6))
-        index = store.match_index()
-        assert index.probe_workers == 1
-        assert index._probe_pool is None
-
-    def test_export_view_inherits_probe_workers(self):
-        store, __ = _sharded_store(_many_specs(6), probe_workers=3)
-        index = store.match_index()
-        index.ensure_fresh()
-        view = index.export_view()
-        assert isinstance(view, FrozenShardedView)
-        assert view.probe_workers == 3
-
-    def test_invalid_probe_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ProfileStore(
-                registry=MetricsRegistry(), probe_workers=0, **SHARD_KW
-            )
+        ) == scan._tie_break(sample_ids, near_spec["input_bytes"], statics, "map")

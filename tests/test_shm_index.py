@@ -1,19 +1,19 @@
 """Tests for the shared-memory match-index transport.
 
-The load-bearing property is three-way equivalence: for arbitrary
-synthetic stores, a matcher probing the *shared-memory* view (the worker
-stack: ``SharedIndexClient`` → ``SnapshotStoreProxy``) must return the
-same ``MatchOutcome`` as a matcher on the in-process ``MatchIndex`` and
-as the scan-path reference.  Around that sit the generation protocol
-(immutable segments, no torn views across a publish race, stale-view
-fallback) and the leak proof: every segment provably unlinked after
-close.
+The equivalence property (``assert_outcome_identical`` in
+``test_match_index.py``) runs here over the *shared-memory* transport: a
+matcher probing the worker stack (``SharedIndexClient`` →
+``SnapshotStoreProxy``) returns the scan path's ``MatchOutcome``, also
+after the parent store's writes are republished.  This module pins the generation
+protocol (immutable segments, no torn views across a publish race,
+stale-view fallback), read-your-writes for worker-local writes, and the
+leak proof: every segment provably unlinked after close.
 """
 
 import multiprocessing.shared_memory as shared_memory
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given
 
 from repro.core.matcher import ProfileMatcher
 from repro.core.shm_index import (
@@ -24,18 +24,19 @@ from repro.core.shm_index import (
 from repro.observability import MetricsRegistry
 from repro.serving.procpool import SnapshotStoreProxy
 from test_match_index import (
-    assert_no_silent_fallback,
+    _deletes,
+    _euclidean,
+    _jaccard,
+    _jobs,
+    _late,
+    _late_delete,
+    _settings,
+    assert_outcome_identical,
     build_store,
     job_spec,
     make_features,
     make_profile,
     make_static,
-)
-
-_settings = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 
@@ -49,73 +50,38 @@ def _segment_gone(name: str) -> bool:
 
 
 class TestEquivalence:
-    """shm probe ≡ in-process index probe ≡ scan probe."""
+    """shm probe ≡ scan probe, on flat and sharded stores."""
 
     @_settings
     @given(
-        jobs=st.lists(job_spec, max_size=5),
-        deletes=st.lists(st.integers(min_value=0, max_value=4), max_size=2),
-        probe=job_spec,
-        jaccard=st.sampled_from([0.0, 0.4, 0.8, 1.0]),
-        euclidean=st.sampled_from([None, 0.0, 0.3, 3.0]),
+        jobs=_jobs, deletes=_deletes, probe=job_spec, jaccard=_jaccard,
+        euclidean=_euclidean,
     )
     def test_three_way_outcome_identical(
         self, jobs, deletes, probe, jaccard, euclidean
     ):
-        store, __ = build_store(jobs, deletes)
-        features = make_features(probe)
-        kwargs = dict(jaccard_threshold=jaccard, euclidean_threshold=euclidean)
-        with SharedIndexPublisher(store, registry=MetricsRegistry()) as publisher:
-            publisher.publish()
-            with SharedIndexClient(
-                publisher.ctrl_name, registry=MetricsRegistry()
-            ) as client:
-                proxy = SnapshotStoreProxy(client, registry=MetricsRegistry())
-                shm_registry = MetricsRegistry()
-                shm = ProfileMatcher(proxy, registry=shm_registry, **kwargs)
-                indexed = ProfileMatcher(
-                    store, registry=MetricsRegistry(), **kwargs
-                )
-                scan = ProfileMatcher(
-                    store, registry=MetricsRegistry(), use_index=False, **kwargs
-                )
-                shm_outcome = shm.match_job(features)
-                assert shm_outcome == indexed.match_job(features)
-                assert shm_outcome == scan.match_job(features)
-                # The proof is vacuous if the shm matcher silently fell
-                # back to its replica scan path.
-                sides = 2 if features.has_reduce else 1
-                assert_no_silent_fallback(shm_registry, expected_hits=sides)
+        # The in-process index leg of the three-way comparison is
+        # TestEquivalence::test_outcome_identical in test_match_index.py.
+        assert_outcome_identical(
+            "flat", "shm", jobs, deletes, probe,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
+        )
 
     @_settings
     @given(
-        first=st.lists(job_spec, min_size=1, max_size=4),
-        second=st.lists(job_spec, min_size=1, max_size=3),
-        probe=job_spec,
+        jobs=_jobs, deletes=_deletes, late=_late, late_delete=_late_delete,
+        probe=job_spec, jaccard=_jaccard, euclidean=_euclidean,
     )
-    def test_equivalence_across_republish(self, first, second, probe):
+    def test_equivalence_across_republish(
+        self, jobs, deletes, late, late_delete, probe, jaccard, euclidean
+    ):
         """A long-lived worker stack tracks generation bumps: writes land
         in the parent store, the publisher flips, and the next probe
         answers from the new generation — still scan-identical."""
-        store, __ = build_store(first)
-        features = make_features(probe)
-        with SharedIndexPublisher(store, registry=MetricsRegistry()) as publisher:
-            publisher.publish()
-            with SharedIndexClient(publisher.ctrl_name) as client:
-                proxy = SnapshotStoreProxy(client)
-                shm = ProfileMatcher(proxy, registry=MetricsRegistry())
-                scan = ProfileMatcher(
-                    store, registry=MetricsRegistry(), use_index=False
-                )
-                assert shm.match_job(features) == scan.match_job(features)
-                generation_before = proxy.view_generation
-                for number, spec in enumerate(second):
-                    store.put(
-                        make_profile(f"late{number}", spec), make_static(spec)
-                    )
-                publisher.publish()
-                assert shm.match_job(features) == scan.match_job(features)
-                assert proxy.view_generation > generation_before
+        assert_outcome_identical(
+            "sharded", "shm", jobs, deletes, probe, late, late_delete,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
+        )
 
 
 class TestGenerationProtocol:

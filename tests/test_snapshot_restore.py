@@ -31,7 +31,15 @@ def _populate(store, count, offset=0):
 
 
 def _canonical(store):
-    return json.loads(json.dumps(store.index_snapshot()))
+    """Generation plus every Dynamic/Static row, merged back out of the
+    match index's key-range slices (the slicing follows the topology,
+    which this comparison leaves to its own assertions)."""
+    generation, __, slices = store.index_snapshot()
+    dynamic, static = {}, {}
+    for __, dynamic_rows, static_rows in slices:
+        dynamic.update(dynamic_rows)
+        static.update(static_rows)
+    return json.loads(json.dumps([generation, dynamic, static]))
 
 
 def _metric(registry, name):

@@ -84,3 +84,15 @@ class TestCli:
     def test_seed_flag_parsed(self):
         args = build_parser().parse_args(["--seed", "7", "list-jobs"])
         assert args.seed == 7
+
+    def test_unwritable_emit_metrics_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "--emit-metrics", str(target)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"repro: cannot write metrics to {target}: No such file or directory\n"
+            in err
+        )
+        assert "Traceback" not in err
