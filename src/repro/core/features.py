@@ -83,24 +83,37 @@ def observe_record_streams(
 ) -> tuple[list[tuple[Any, Any]], list[tuple[Any, Any]], list[tuple[Any, Any]]]:
     """Observed (input, intermediate, output) record examples of one split.
 
-    Piggybacks on the engine's cached split measurement — the same
-    micro-execution PStorM's 1-task sample performs — so the static
-    feature extractor can read key/value types off real records.
+    Reads the engine's cached split measurement — the same micro-execution
+    PStorM's 1-task sample performs — so the static feature extractor can
+    read key/value types off real records: its first input records, its
+    first map output pairs, and the reducer's output over its first key
+    groups, computed once per measurement and reducer.
     """
-    input_pairs = dataset.materialize(split_index)[:4]
     measurement = engine.measure_split(job, dataset, split_index)
-    intermediate_pairs = list(measurement.sample_map_pairs[:4])
-
     output_pairs: list[tuple[Any, Any]] = []
     if job.reducer is not None and measurement.sample_map_pairs:
-        groups: dict[Any, list[Any]] = {}
-        for key, value in measurement.sample_map_pairs:
-            groups.setdefault(key, []).append(value)
-        context = job.make_context()
-        for key, values in list(groups.items())[:4]:
-            job.reducer(key, values, context)
-        output_pairs = context.pairs[:4]
-    return list(input_pairs), intermediate_pairs, output_pairs
+        output_pairs = measurement.derived(
+            ("reduce_output_examples", job.reducer),
+            lambda: _reduce_output_examples(job, measurement.sample_map_pairs),
+        )
+    return (
+        list(measurement.sample_input_head),
+        list(measurement.sample_map_pairs[:4]),
+        list(output_pairs),
+    )
+
+
+def _reduce_output_examples(
+    job: MapReduceJob, map_pairs: Sequence[tuple[Any, Any]]
+) -> list[tuple[Any, Any]]:
+    """The reducer's first output pairs over the first four key groups."""
+    groups: dict[Any, list[Any]] = {}
+    for key, value in map_pairs:
+        groups.setdefault(key, []).append(value)
+    context = job.make_context()
+    for key, values in list(groups.items())[:4]:
+        job.reducer(key, values, context)
+    return context.pairs[:4]
 
 
 def extract_job_features(

@@ -7,6 +7,8 @@ phases on the cluster model.  Measurements (the expensive part: running user
 code) are cached per (job, dataset, split), so re-running the same job under
 a different configuration only re-prices the pipeline arithmetic, exactly
 like re-submitting a job to a real cluster re-uses the same input data.
+The per-reducer output split of each measurement is cached beside it, per
+(partitioner, reducer count, combiner setting).
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class HadoopEngine:
         self.tracer = tracer
         self._map_cache: dict[tuple, MapSampleMeasurement] = {}
         self._reduce_cache: dict[tuple, ReduceSampleMeasurement] = {}
+        self._fractions_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Measurement layer
@@ -175,6 +178,47 @@ class HadoopEngine:
             ).inc()
         return measurement
 
+    def split_fractions(
+        self,
+        job: MapReduceJob,
+        dataset: Dataset,
+        measurement: MapSampleMeasurement,
+        num_partitions: int,
+        combined: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`partition_fractions` of one split's measurement (cached).
+
+        Keyed like the measurement plus the partitioner, since jobs that
+        differ only in their partitioner share a measurement.  The cached
+        arrays are read-only.
+        """
+        key = (
+            *_job_key(job, dataset),
+            measurement.split_index,
+            job.partitioner,
+            num_partitions,
+            combined,
+        )
+        registry = get_registry(self.registry)
+        fractions = self._fractions_cache.get(key)
+        if fractions is None:
+            registry.counter(
+                "hadoop_engine_partition_cache_misses_total",
+                "partition fractions computed (cache misses)",
+            ).inc()
+            fractions = partition_fractions(
+                measurement, job, num_partitions, combined
+            )
+            for array in fractions:
+                array.flags.writeable = False
+            self._fractions_cache[key] = fractions
+        else:
+            registry.counter(
+                "hadoop_engine_partition_cache_hits_total",
+                "partition fractions served from cache",
+            ).inc()
+        return fractions
+
     # ------------------------------------------------------------------
     # Execution layer
     # ------------------------------------------------------------------
@@ -252,19 +296,19 @@ class HadoopEngine:
         combined = config.use_combiner and job.has_combiner
         num_partitions = max(1, config.num_reduce_tasks) if job.has_reducer else 0
 
-        fractions_cache = {}
-        if num_partitions:
-            for i, measurement in enumerate(measurements):
-                fractions_cache[i] = partition_fractions(
-                    measurement, job, num_partitions, combined
-                )
-        else:
-            zero = (np.zeros(1), np.zeros(1))
-            fractions_cache = {i: zero for i in range(len(measurements))}
-
+        # Fractions only for the representatives the executed tasks use.
+        fractions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         map_tasks: list[MapTaskExecution] = []
         for task_id in executed_ids:
             rep = task_id % len(measurements)
+            if rep not in fractions:
+                fractions[rep] = (
+                    self.split_fractions(
+                        job, dataset, measurements[rep], num_partitions, combined
+                    )
+                    if num_partitions
+                    else (np.zeros(1), np.zeros(1))
+                )
             node = self.cluster.node_for_task(task_id, rng)
             task = simulate_map_task(
                 task_id=task_id,
@@ -274,7 +318,7 @@ class HadoopEngine:
                 config=config,
                 node=node,
                 rng=rng,
-                fractions=fractions_cache[rep],
+                fractions=fractions[rep],
                 profiled=profile,
                 profiling_overhead=profiling_overhead,
             )
@@ -511,9 +555,11 @@ class HadoopEngine:
         return execution, faulty_map, faulty_reduce
 
     def clear_caches(self) -> None:
-        """Drop all cached measurements (e.g. after dataset mutation)."""
+        """Drop all cached measurements and the fractions priced from them
+        (e.g. after dataset mutation)."""
         get_registry(self.registry).counter(
             "hadoop_engine_cache_clears_total", "measurement-cache invalidations"
         ).inc()
         self._map_cache.clear()
         self._reduce_cache.clear()
+        self._fractions_cache.clear()

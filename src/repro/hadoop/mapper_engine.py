@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .records import pair_size
 from .tasks import MapTaskExecution
 
 __all__ = [
+    "KeyAggregate",
     "MapSampleMeasurement",
     "measure_map_sample",
     "partition_fractions",
@@ -69,6 +70,51 @@ TASK_CLEANUP_SECONDS = 0.6
 #: a larger ``io.sort.mb`` simply cannot be allocated (OOM on a real
 #: cluster), so the effective buffer is clamped.
 HEAP_SORT_FRACTION = 0.7
+#: Input records a measurement keeps as type examples (static features).
+INPUT_HEAD_RECORDS = 4
+
+
+@dataclass(frozen=True)
+class KeyAggregate:
+    """A pair stream grouped by ``repr(key)``: all that partitioning reads.
+
+    ``repr(key)`` is exactly the text :func:`default_partitioner` hashes,
+    so the grouping never merges keys a partitioner can separate: ``1``,
+    ``1.0`` and ``True`` stay apart although they are equal.  A custom
+    partitioner must likewise depend on a key only through its repr (the
+    shipped ones do).  Totals are integers held exactly in float64.
+    """
+
+    #: The first key seen for each distinct ``repr``, in first-seen order.
+    keys: tuple[Any, ...]
+    #: Summed serialized pair size per key.
+    byte_totals: np.ndarray
+    #: Number of pairs per key.
+    record_counts: np.ndarray
+
+
+def _aggregate_keys(pairs: Iterable[tuple[Any, Any]]) -> KeyAggregate:
+    """Group *pairs* by ``repr(key)`` into per-key byte and pair totals."""
+    slot_of: dict[str, int] = {}
+    keys: list[Any] = []
+    byte_totals: list[int] = []
+    record_counts: list[int] = []
+    for key, value in pairs:
+        slot = slot_of.setdefault(repr(key), len(keys))
+        if slot == len(keys):
+            keys.append(key)
+            byte_totals.append(0)
+            record_counts.append(0)
+        byte_totals[slot] += pair_size(key, value)
+        record_counts[slot] += 1
+    aggregate = KeyAggregate(
+        keys=tuple(keys),
+        byte_totals=np.array(byte_totals, dtype=float),
+        record_counts=np.array(record_counts, dtype=float),
+    )
+    aggregate.byte_totals.flags.writeable = False
+    aggregate.record_counts.flags.writeable = False
+    return aggregate
 
 
 @dataclass(frozen=True)
@@ -87,11 +133,17 @@ class MapSampleMeasurement:
     sample_output_records: int
     sample_output_bytes: int
     sample_user_ops: int
+    #: The first input records, kept as type examples for static features.
+    sample_input_head: tuple[tuple[Any, Any], ...]
     sample_map_pairs: tuple[tuple[Any, Any], ...]
     sample_combined_pairs: tuple[tuple[Any, Any], ...]
     combine_records_sel: float
     combine_size_sel: float
     combine_sample_ops: int
+    #: Values derived from the sample on first use; see :meth:`derived`.
+    _derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def map_records_sel(self) -> float:
@@ -114,6 +166,24 @@ class MapSampleMeasurement:
         if combined:
             return self.sample_combined_pairs
         return self.sample_map_pairs
+
+    def derived(self, name: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()``, evaluated once per measurement and kept under *name*.
+
+        Two threads may both compute a missing value, but a value is
+        stored only once it is complete, so no caller sees a partial one.
+        """
+        try:
+            return self._derived[name]
+        except KeyError:
+            return self._derived.setdefault(name, compute())
+
+    def key_aggregate(self, combined: bool) -> KeyAggregate:
+        """The intermediate pairs under the combiner setting, grouped by key."""
+        return self.derived(
+            ("key_aggregate", combined),
+            lambda: _aggregate_keys(self.intermediate_pairs(combined)),
+        )
 
 
 def measure_map_sample(
@@ -153,6 +223,7 @@ def measure_map_sample(
         sample_output_records=context.records_out,
         sample_output_bytes=context.bytes_out,
         sample_user_ops=context.ops,
+        sample_input_head=tuple(records[:INPUT_HEAD_RECORDS]),
         sample_map_pairs=map_pairs,
         sample_combined_pairs=combined_pairs,
         combine_records_sel=combine_records_sel,
@@ -171,14 +242,33 @@ def partition_fractions(
 
     Uses the sample's actual key-to-partition assignment under the job's
     partitioner, so key skew (e.g. Zipfian words) shows up as reducer skew.
-    Compute once per (job run, measurement); it is O(sample pairs).
+    Reads the measurement's :class:`KeyAggregate`, built once per
+    (measurement, combiner setting), so a call costs one partitioner call
+    per distinct key, and none when ``num_partitions`` is 1.
+    :class:`~repro.hadoop.engine.HadoopEngine` memoizes the result per
+    (measurement, partitioner, ``num_partitions``, combiner setting).
     """
-    byte_counts = np.zeros(num_partitions, dtype=float)
-    record_counts = np.zeros(num_partitions, dtype=float)
-    for key, value in measurement.intermediate_pairs(combined):
-        index = job.partitioner(key, num_partitions)
-        byte_counts[index] += pair_size(key, value)
-        record_counts[index] += 1
+    aggregate = measurement.key_aggregate(combined)
+    if not aggregate.keys:
+        return np.zeros(num_partitions), np.zeros(num_partitions)
+    if num_partitions == 1:
+        index = np.zeros(len(aggregate.keys), dtype=np.intp)
+    else:
+        index = np.fromiter(
+            (job.partitioner(key, num_partitions) for key in aggregate.keys),
+            dtype=np.intp,
+            count=len(aggregate.keys),
+        )
+        if index.min() < 0 or index.max() >= num_partitions:
+            raise IndexError(
+                f"partitioner returned a partition outside 0..{num_partitions - 1}"
+            )
+    byte_counts = np.bincount(
+        index, weights=aggregate.byte_totals, minlength=num_partitions
+    )
+    record_counts = np.bincount(
+        index, weights=aggregate.record_counts, minlength=num_partitions
+    )
     byte_total = byte_counts.sum()
     record_total = record_counts.sum()
     if byte_total <= 0 or record_total <= 0:

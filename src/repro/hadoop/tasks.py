@@ -32,9 +32,13 @@ REDUCE_PHASES: tuple[str, ...] = (
 )
 
 
-def _check_phases(times: dict[str, float], allowed: tuple[str, ...]) -> None:
-    unknown = set(times) - set(allowed)
-    if unknown:
+_MAP_PHASE_SET = frozenset(MAP_PHASES)
+_REDUCE_PHASE_SET = frozenset(REDUCE_PHASES)
+
+
+def _check_phases(times: dict[str, float], allowed: frozenset[str]) -> None:
+    if not allowed.issuperset(times):
+        unknown = set(times) - allowed
         raise ValueError(f"unknown phases: {sorted(unknown)}")
     negative = [name for name, value in times.items() if value < 0]
     if negative:
@@ -77,7 +81,7 @@ class MapTaskExecution:
     profiled: bool = False
 
     def __post_init__(self) -> None:
-        _check_phases(self.phase_times, MAP_PHASES)
+        _check_phases(self.phase_times, _MAP_PHASE_SET)
 
     @property
     def duration(self) -> float:
@@ -109,7 +113,7 @@ class ReduceTaskExecution:
     profiled: bool = False
 
     def __post_init__(self) -> None:
-        _check_phases(self.phase_times, REDUCE_PHASES)
+        _check_phases(self.phase_times, _REDUCE_PHASE_SET)
 
     @property
     def duration(self) -> float:
