@@ -60,8 +60,8 @@ class StageResult:
 
     @property
     def output_bytes(self) -> int:
-        return sum(
-            t.output_bytes for t in self.submission.execution.reduce_tasks
+        return int(
+            self.submission.execution.reduce_table.column("output_bytes").sum()
         )
 
 

@@ -29,7 +29,7 @@ def run(ctx: ExperimentContext | None = None, seed: int = 0) -> ExperimentResult
         execution = ctx.engine.run_job(job, dataset, config, seed=seed)
         shuffle = execution.reduce_phase_totals()["SHUFFLE"]
         reduces = max(1, execution.num_reduce_tasks)
-        shuffle_bytes = sum(t.shuffle_bytes for t in execution.reduce_tasks)
+        shuffle_bytes = int(execution.reduce_table.column("shuffle_bytes").sum())
         rows.append(
             [
                 dataset.name,

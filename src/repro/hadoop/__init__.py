@@ -26,7 +26,9 @@ from .tasks import (
     REDUCE_PHASES,
     JobExecution,
     MapTaskExecution,
+    MapTaskTable,
     ReduceTaskExecution,
+    ReduceTaskTable,
 )
 
 __all__ = [
@@ -60,5 +62,7 @@ __all__ = [
     "REDUCE_PHASES",
     "JobExecution",
     "MapTaskExecution",
+    "MapTaskTable",
     "ReduceTaskExecution",
+    "ReduceTaskTable",
 ]

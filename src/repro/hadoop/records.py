@@ -30,6 +30,18 @@ def serialized_size(value: Any) -> int:
     Raises:
         TypeError: for types no workload job should emit.
     """
+    # Exact-type dispatch first: every shipped workload emits only these.
+    # bool, subclasses (IntEnum, namedtuple, str subclasses) and the other
+    # types fall through to the isinstance chain below.
+    kind = type(value)
+    if kind is str:
+        return _CONTAINER_OVERHEAD + len(value)
+    if kind is int:
+        return _INT_SIZE
+    if kind is float:
+        return _FLOAT_SIZE
+    if kind is tuple:
+        return _CONTAINER_OVERHEAD + sum(map(serialized_size, value))
     if value is None:
         return _NULL_SIZE
     if isinstance(value, bool):

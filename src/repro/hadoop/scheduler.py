@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..observability import MetricsRegistry, get_registry
 from .config import JobConfiguration
-from .tasks import MapTaskExecution, ReduceTaskExecution
+from .tasks import MapTaskTable, ReduceTaskTable
 
 __all__ = ["ScheduleResult", "schedule_job"]
 
@@ -51,8 +51,8 @@ def _list_schedule(durations: list[float], num_slots: int, start: float = 0.0) -
 def _record_schedule_metrics(
     registry: MetricsRegistry | None,
     result: ScheduleResult,
-    map_tasks: list[MapTaskExecution],
-    reduce_tasks: list[ReduceTaskExecution],
+    map_tasks: MapTaskTable,
+    reduce_tasks: ReduceTaskTable,
     map_slots: int,
     reduce_slots: int,
 ) -> None:
@@ -64,20 +64,20 @@ def _record_schedule_metrics(
     registry = get_registry(registry)
     registry.gauge(
         "hadoop_scheduler_map_waves", "map waves of the last scheduled job"
-    ).set(math.ceil(len(map_tasks) / map_slots) if map_tasks else 0)
+    ).set(math.ceil(len(map_tasks) / map_slots) if len(map_tasks) else 0)
     registry.gauge(
         "hadoop_scheduler_reduce_waves",
         "reduce waves of the last scheduled job",
-    ).set(math.ceil(len(reduce_tasks) / reduce_slots) if reduce_tasks else 0)
+    ).set(math.ceil(len(reduce_tasks) / reduce_slots) if len(reduce_tasks) else 0)
 
-    map_busy = sum(t.duration for t in map_tasks)
+    map_busy = sum(map_tasks.durations)
     map_window = map_slots * result.map_makespan
     registry.gauge(
         "hadoop_scheduler_map_slot_occupancy",
         "busy map-slot time / available map-slot time, last job",
     ).set(map_busy / map_window if map_window > 0 else 0.0)
 
-    reduce_busy = sum(t.duration for t in reduce_tasks)
+    reduce_busy = sum(reduce_tasks.durations)
     reduce_window = reduce_slots * (result.runtime_seconds - result.slowstart_time)
     registry.gauge(
         "hadoop_scheduler_reduce_slot_occupancy",
@@ -86,24 +86,24 @@ def _record_schedule_metrics(
 
 
 def schedule_job(
-    map_tasks: list[MapTaskExecution],
-    reduce_tasks: list[ReduceTaskExecution],
+    map_tasks: MapTaskTable,
+    reduce_tasks: ReduceTaskTable,
     map_slots: int,
     reduce_slots: int,
     config: JobConfiguration,
     registry: MetricsRegistry | None = None,
 ) -> ScheduleResult:
-    """Compute the job timeline from per-task phase durations.
+    """Compute the job timeline from the tasks' duration and phase columns.
 
     Reduce tasks of the first wave start at the slowstart point and overlap
     their SHUFFLE phase with the map tail; a reducer's shuffle cannot
     complete before the map makespan.  Later reduce waves start when slots
     free up, by which time all map outputs exist.
     """
-    map_finishes = _list_schedule([t.duration for t in map_tasks], map_slots)
+    map_finishes = _list_schedule(map_tasks.durations, map_slots)
     map_makespan = max(map_finishes, default=0.0)
 
-    if not reduce_tasks:
+    if not len(reduce_tasks):
         result = ScheduleResult(
             map_finish_times=tuple(map_finishes),
             reduce_finish_times=(),
@@ -127,17 +127,14 @@ def schedule_job(
     slots = [slowstart_time] * min(reduce_slots, len(reduce_tasks))
     heapq.heapify(slots)
     reduce_finishes = []
-    for task in reduce_tasks:
+    setup, shuffle, *after_shuffle = reduce_tasks.phase_times.tolist()
+    for setup_s, shuffle_s, rest in zip(
+        setup, shuffle, map(sum, zip(*after_shuffle))
+    ):
         start = heapq.heappop(slots)
-        setup_end = start + task.phase_times.get("SETUP", 0.0)
-        shuffle_end = setup_end + task.phase_times.get("SHUFFLE", 0.0)
         # The final map output only exists at map_makespan; shuffles that
         # would finish earlier stall until then.
-        shuffle_end = max(shuffle_end, map_makespan)
-        rest = sum(
-            task.phase_times.get(phase, 0.0)
-            for phase in ("SORT", "REDUCE", "WRITE", "CLEANUP")
-        )
+        shuffle_end = max(start + setup_s + shuffle_s, map_makespan)
         finish = shuffle_end + rest
         reduce_finishes.append(finish)
         heapq.heappush(slots, finish)

@@ -3,9 +3,9 @@
 The real profiler attaches dynamic instrumentation (BTrace) to an
 unmodified MR job and records per-phase timings and data-flow counters.
 Here the :class:`repro.hadoop.engine.HadoopEngine` exposes exactly those
-observables on its task execution records, so profiling means (a) running
-the job with per-task overhead inflation turned on, and (b) aggregating
-the task records into a :class:`JobProfile`.
+observables as the columns of its task tables, so profiling means (a)
+running the job with per-task overhead inflation turned on, and (b)
+aggregating the task columns into a :class:`JobProfile`.
 """
 
 from __future__ import annotations
@@ -33,23 +33,39 @@ from .profile import JobProfile, SideProfile
 __all__ = ["StarfishProfiler", "build_profile"]
 
 
-def _mean(values: list[float]) -> float:
-    return stats.fmean(values) if values else 0.0
+def _mean(values: np.ndarray) -> float:
+    # fmean sums with fsum: exact, so independent of the summation order.
+    return stats.fmean(values.tolist()) if len(values) else 0.0
+
+
+def _plus_ratio(
+    base: np.ndarray, numerator: np.ndarray, denominator: np.ndarray
+) -> np.ndarray:
+    """``base + numerator / denominator`` where the denominator is
+    nonzero, ``base`` elsewhere (the per-task ``if x: cost += ...``)."""
+    nonzero = denominator != 0
+    return np.where(
+        nonzero, base + numerator / np.where(nonzero, denominator, 1), base
+    )
 
 
 def _map_side_profile(execution: JobExecution, config: JobConfiguration) -> SideProfile:
-    tasks = execution.map_tasks
-    total_in_bytes = sum(t.input_bytes for t in tasks)
-    total_in_records = sum(t.input_records for t in tasks)
-    total_out_bytes = sum(t.map_output_bytes for t in tasks)
-    total_out_records = sum(t.map_output_records for t in tasks)
+    tasks = execution.map_table
+    column = tasks.column
+    input_bytes = column("input_bytes")
+    input_records = column("input_records")
+    total_in_bytes = int(input_bytes.sum())
+    total_in_records = int(input_records.sum())
+    total_out_bytes = int(column("map_output_bytes").sum())
+    total_out_records = int(column("map_output_records").sum())
 
-    combine_in = sum(t.combine_input_records for t in tasks)
-    combine_out = sum(t.combine_output_records for t in tasks)
+    combine_input = column("combine_input_records")
+    combine_in = int(combine_input.sum())
+    combine_out = int(column("combine_output_records").sum())
     if combine_in > 0:
         combine_pairs_sel = combine_out / combine_in
         combine_size_sel = (
-            sum(t.spill_bytes for t in tasks) / max(1, total_out_bytes)
+            int(column("spill_bytes").sum()) / max(1, total_out_bytes)
         )
         has_combiner = 1.0
     else:
@@ -68,69 +84,48 @@ def _map_side_profile(execution: JobExecution, config: JobConfiguration) -> Side
     # instrumentation measures them: per-byte costs fold in the per-record
     # framework overheads, so they are *job-dependent* (small records cost
     # more per byte) on top of node/utilization noise.
-    read_costs = []
-    read_local_costs = []
-    write_local_costs = []
-    map_cpu_costs = []
-    combine_cpu_costs = []
-    for task in tasks:
-        cpu = task.rates.cpu_ns_per_record
-        read_cost = task.rates.read_hdfs_ns_per_byte
-        if task.input_bytes:
-            read_cost += READER_CPU_FRACTION * cpu * task.input_records / task.input_bytes
-        read_costs.append(read_cost)
-
-        read_local_cost = task.rates.read_local_ns_per_byte
-        if task.materialized_bytes:
-            read_local_cost += (
-                MERGE_READ_CPU_FRACTION
-                * cpu
-                * task.spill_records
-                / task.materialized_bytes
-            )
-        read_local_costs.append(read_local_cost)
-
-        write_cost = task.rates.write_local_ns_per_byte
-        if task.materialized_bytes:
-            write_cost += (
-                SPILL_SER_CPU_FRACTION
-                * cpu
-                * task.spill_records
-                / task.materialized_bytes
-            )
-        write_local_costs.append(write_cost)
-
-        if task.input_records:
-            map_cpu_costs.append(
-                task.phase_times["MAP"] * 1e9 / task.input_records
-            )
-        if task.combine_input_records:
-            op_ns = cpu * OP_CPU_FRACTION
-            combine_cpu_costs.append(
-                task.combine_ops * op_ns / task.combine_input_records
-            )
+    cpu = tasks.rate("cpu_ns_per_record")
+    materialized = column("materialized_bytes")
+    spill_records = column("spill_records")
+    has_input = input_records != 0
+    has_combine = combine_input != 0
     cost_factors = {
-        "READ_HDFS_IO_COST": _mean(read_costs),
-        "READ_LOCAL_IO_COST": _mean(read_local_costs),
-        "WRITE_LOCAL_IO_COST": _mean(write_local_costs),
-        "MAP_CPU_COST": _mean(map_cpu_costs),
-        "COMBINE_CPU_COST": _mean(combine_cpu_costs),
+        "READ_HDFS_IO_COST": _mean(_plus_ratio(
+            tasks.rate("read_hdfs_ns_per_byte"),
+            READER_CPU_FRACTION * cpu * input_records,
+            input_bytes,
+        )),
+        "READ_LOCAL_IO_COST": _mean(_plus_ratio(
+            tasks.rate("read_local_ns_per_byte"),
+            MERGE_READ_CPU_FRACTION * cpu * spill_records,
+            materialized,
+        )),
+        "WRITE_LOCAL_IO_COST": _mean(_plus_ratio(
+            tasks.rate("write_local_ns_per_byte"),
+            SPILL_SER_CPU_FRACTION * cpu * spill_records,
+            materialized,
+        )),
+        "MAP_CPU_COST": _mean(
+            tasks.phase("MAP")[has_input] * 1e9 / input_records[has_input]
+        ),
+        "COMBINE_CPU_COST": _mean(
+            column("combine_ops")[has_combine]
+            * (cpu[has_combine] * OP_CPU_FRACTION)
+            / combine_input[has_combine]
+        ),
     }
 
     statistics = {
         "INPUT_RECORD_BYTES": total_in_bytes / max(1, total_in_records),
         "INTERMEDIATE_RECORD_BYTES": total_out_bytes / max(1, total_out_records),
-        "FRAMEWORK_CPU_COST": _mean([t.rates.cpu_ns_per_record for t in tasks]),
-        "NETWORK_COST": _mean([t.rates.network_ns_per_byte for t in tasks]),
-        "COMPRESS_CPU_COST": _mean([t.rates.compress_ns_per_byte for t in tasks]),
-        "DECOMPRESS_CPU_COST": _mean([t.rates.decompress_ns_per_byte for t in tasks]),
+        "FRAMEWORK_CPU_COST": _mean(cpu),
+        "NETWORK_COST": _mean(tasks.rate("network_ns_per_byte")),
+        "COMPRESS_CPU_COST": _mean(tasks.rate("compress_ns_per_byte")),
+        "DECOMPRESS_CPU_COST": _mean(tasks.rate("decompress_ns_per_byte")),
         "HAS_COMBINER": has_combiner,
     }
 
-    phase_times = {
-        phase: _mean([t.phase_times.get(phase, 0.0) for t in tasks])
-        for phase in MAP_PHASES
-    }
+    phase_times = {phase: _mean(tasks.phase(phase)) for phase in MAP_PHASES}
     return SideProfile(
         side="map",
         data_flow=data_flow,
@@ -144,75 +139,64 @@ def _map_side_profile(execution: JobExecution, config: JobConfiguration) -> Side
 def _reduce_side_profile(
     execution: JobExecution, config: JobConfiguration
 ) -> SideProfile | None:
-    tasks = execution.reduce_tasks
-    if not tasks:
+    tasks = execution.reduce_table
+    if not len(tasks):
         return None
+    column = tasks.column
 
-    wire_bytes = [float(t.shuffle_bytes) for t in tasks]
+    shuffle_bytes = column("shuffle_bytes")
+    wire_bytes = shuffle_bytes.astype(float)
     if config.compress_map_output:
-        plain_bytes = [b / INTERMEDIATE_COMPRESSION_RATIO for b in wire_bytes]
+        plain_bytes = wire_bytes / INTERMEDIATE_COMPRESSION_RATIO
     else:
         plain_bytes = wire_bytes
-    total_in_bytes = sum(plain_bytes)
-    total_in_records = sum(t.reduce_input_records for t in tasks)
-    total_groups = sum(t.reduce_input_groups for t in tasks)
-    total_out_records = sum(t.output_records for t in tasks)
-    total_out_bytes = sum(t.output_bytes for t in tasks)
+    # The builtin sum, added task by task like the per-task records were.
+    total_in_bytes = sum(plain_bytes.tolist())
+    input_records = column("reduce_input_records")
+    total_in_records = int(input_records.sum())
+    total_groups = int(column("reduce_input_groups").sum())
+    output_records = column("output_records")
+    total_out_records = int(output_records.sum())
+    total_out_bytes = int(column("output_bytes").sum())
 
     data_flow = {
         "RED_SIZE_SEL": total_out_bytes / max(1.0, total_in_bytes),
         "RED_PAIRS_SEL": total_out_records / max(1, total_in_records),
     }
 
-    reduce_cpu_costs = [
-        t.phase_times["REDUCE"] * 1e9 / t.reduce_input_records
-        for t in tasks
-        if t.reduce_input_records
-    ]
-    write_hdfs_costs = []
-    network_costs = []
-    for task in tasks:
-        cpu = task.rates.cpu_ns_per_record
-        write_cost = task.rates.write_hdfs_ns_per_byte
-        if task.materialized_bytes:
-            write_cost += (
-                WRITE_SER_CPU_FRACTION
-                * cpu
-                * task.output_records
-                / task.materialized_bytes
-            )
-        write_hdfs_costs.append(write_cost)
-
-        network_cost = task.rates.network_ns_per_byte
-        if task.shuffle_bytes:
-            network_cost += (
-                SHUFFLE_CPU_FRACTION * cpu * task.shuffle_records / task.shuffle_bytes
-            )
-        network_costs.append(network_cost)
+    cpu = tasks.rate("cpu_ns_per_record")
+    has_input = input_records != 0
     cost_factors = {
-        "READ_LOCAL_IO_COST": _mean([t.rates.read_local_ns_per_byte for t in tasks]),
-        "WRITE_LOCAL_IO_COST": _mean([t.rates.write_local_ns_per_byte for t in tasks]),
-        "WRITE_HDFS_IO_COST": _mean(write_hdfs_costs),
-        "REDUCE_CPU_COST": _mean(reduce_cpu_costs),
+        "READ_LOCAL_IO_COST": _mean(tasks.rate("read_local_ns_per_byte")),
+        "WRITE_LOCAL_IO_COST": _mean(tasks.rate("write_local_ns_per_byte")),
+        "WRITE_HDFS_IO_COST": _mean(_plus_ratio(
+            tasks.rate("write_hdfs_ns_per_byte"),
+            WRITE_SER_CPU_FRACTION * cpu * output_records,
+            column("materialized_bytes"),
+        )),
+        "REDUCE_CPU_COST": _mean(
+            tasks.phase("REDUCE")[has_input] * 1e9 / input_records[has_input]
+        ),
     }
 
     mean_wire = _mean(wire_bytes)
-    skew = max(wire_bytes) / mean_wire if mean_wire > 0 else 1.0
+    skew = float(wire_bytes.max()) / mean_wire if mean_wire > 0 else 1.0
     statistics = {
         "RECORDS_PER_GROUP": total_in_records / max(1, total_groups),
         "OUT_RECORDS_PER_GROUP": total_out_records / max(1, total_groups),
         "OUTPUT_RECORD_BYTES": total_out_bytes / max(1, total_out_records),
         "REDUCE_SKEW": skew,
-        "FRAMEWORK_CPU_COST": _mean([t.rates.cpu_ns_per_record for t in tasks]),
-        "NETWORK_COST": _mean(network_costs),
-        "COMPRESS_CPU_COST": _mean([t.rates.compress_ns_per_byte for t in tasks]),
-        "DECOMPRESS_CPU_COST": _mean([t.rates.decompress_ns_per_byte for t in tasks]),
+        "FRAMEWORK_CPU_COST": _mean(cpu),
+        "NETWORK_COST": _mean(_plus_ratio(
+            tasks.rate("network_ns_per_byte"),
+            SHUFFLE_CPU_FRACTION * cpu * column("shuffle_records"),
+            shuffle_bytes,
+        )),
+        "COMPRESS_CPU_COST": _mean(tasks.rate("compress_ns_per_byte")),
+        "DECOMPRESS_CPU_COST": _mean(tasks.rate("decompress_ns_per_byte")),
     }
 
-    phase_times = {
-        phase: _mean([t.phase_times.get(phase, 0.0) for t in tasks])
-        for phase in REDUCE_PHASES
-    }
+    phase_times = {phase: _mean(tasks.phase(phase)) for phase in REDUCE_PHASES}
     return SideProfile(
         side="reduce",
         data_flow=data_flow,

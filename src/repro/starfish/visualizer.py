@@ -46,7 +46,7 @@ def phase_breakdown(execution: JobExecution, per_task: bool = True) -> str:
         f"({execution.num_map_tasks} maps, {execution.num_reduce_tasks} reduces)"
     ]
     lines += _render_bars(map_totals, f"map phases ({unit}):")
-    if execution.reduce_tasks:
+    if execution.num_reduce_tasks:
         lines += _render_bars(reduce_totals, f"reduce phases ({unit}):")
     return "\n".join(lines)
 
@@ -67,7 +67,7 @@ def compare_phase_breakdowns(
         lines.append(
             f"map:{phase:<10}{first_map[phase]:>20.2f}{second_map[phase]:>28.2f}"
         )
-    if first.reduce_tasks and second.reduce_tasks:
+    if first.num_reduce_tasks and second.num_reduce_tasks:
         first_red = per(first, first.reduce_phase_totals(), first.num_reduce_tasks)
         second_red = per(second, second.reduce_phase_totals(), second.num_reduce_tasks)
         for phase in REDUCE_PHASES:
@@ -96,8 +96,8 @@ def task_timeline(
     from ..hadoop.scheduler import schedule_job
 
     schedule = schedule_job(
-        execution.map_tasks,
-        execution.reduce_tasks,
+        execution.map_table,
+        execution.reduce_table,
         map_slots,
         reduce_slots,
         JobConfiguration(),
@@ -117,9 +117,9 @@ def task_timeline(
 
     rows: list[str] = []
 
-    map_rows = min(map_slots, max_rows // 2, len(execution.map_tasks))
+    map_rows = min(map_slots, max_rows // 2, execution.num_map_tasks)
     map_assignment = place(
-        [t.duration for t in execution.map_tasks],
+        execution.map_table.durations,
         schedule.map_finish_times,
         map_slots,
     )
@@ -133,10 +133,10 @@ def task_timeline(
             grid[slot][x] = "m"
     rows += [f"map  slot {i:<3}|{''.join(row)}|" for i, row in enumerate(grid)]
 
-    if execution.reduce_tasks:
-        reduce_rows = min(reduce_slots, max_rows // 2, len(execution.reduce_tasks))
+    if execution.num_reduce_tasks:
+        reduce_rows = min(reduce_slots, max_rows // 2, execution.num_reduce_tasks)
         reduce_assignment = place(
-            [t.duration for t in execution.reduce_tasks],
+            execution.reduce_table.durations,
             schedule.reduce_finish_times,
             reduce_slots,
         )

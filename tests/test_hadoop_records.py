@@ -1,9 +1,76 @@
 """Unit tests for record sizing and writable type naming."""
 
+import enum
+from collections import namedtuple
+from typing import Any
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.hadoop.records import pair_size, serialized_size, writable_type_name
+
+
+def reference_serialized_size(value: Any) -> int:
+    """The isinstance chain ``serialized_size`` used before its exact-type
+    fast path."""
+    if value is None:
+        return 0
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return 4 + len(value)
+    if isinstance(value, bytes):
+        return 4 + len(value)
+    if isinstance(value, (tuple, list, frozenset, set)):
+        return 4 + sum(reference_serialized_size(item) for item in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            reference_serialized_size(k) + reference_serialized_size(v)
+            for k, v in value.items()
+        )
+    raise TypeError(f"cannot size value of type {type(value).__name__}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "key value")
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=8).map(_Name),
+)
+_hashable = st.recursive(
+    _leaves,
+    lambda inner: st.tuples(inner, inner).map(lambda t: _Pair(*t))
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=8,
+)
+_values = st.recursive(
+    _hashable,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_hashable, inner, max_size=3)
+    | st.tuples(inner, inner).map(lambda t: _Pair(*t)),
+    max_leaves=12,
+)
 
 
 class TestSerializedSize:
@@ -29,6 +96,21 @@ class TestSerializedSize:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             serialized_size(object())
+
+    @given(_values)
+    def test_fast_path_matches_isinstance_chain(self, value):
+        assert serialized_size(value) == reference_serialized_size(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, _Level.HIGH, _Pair("ab", 1), _Name("abc"), frozenset({1, "a"}),
+                  {"a": (1, 2.0)}, ("x", True, None)],
+    )
+    def test_fast_path_matches_isinstance_chain_on_subclasses(self, value):
+        assert serialized_size(value) == reference_serialized_size(value)
+
+    def test_unsupported_type_nested_in_tuple_raises(self):
+        with pytest.raises(TypeError):
+            serialized_size(("a", object()))
 
     def test_pair_size_sums(self):
         assert pair_size("ab", 1) == serialized_size("ab") + serialized_size(1)

@@ -3,35 +3,38 @@
 import numpy as np
 import pytest
 
+from repro.hadoop.cluster import RATE_FIELDS
 from repro.hadoop.config import JobConfiguration
 from repro.hadoop.scheduler import _list_schedule, schedule_job
-from repro.hadoop.tasks import MapTaskExecution, ReduceTaskExecution
+from repro.hadoop.tasks import MAP_PHASES, REDUCE_PHASES, MapTaskTable, ReduceTaskTable
 
 
-def _map_task(task_id, seconds):
-    return MapTaskExecution(
-        task_id=task_id, split_index=task_id, node_id=0,
-        input_records=10, input_bytes=100, map_output_records=10,
-        map_output_bytes=100, spill_records=10, spill_bytes=100,
-        materialized_bytes=100, num_spills=1, merge_passes=0,
-        combine_input_records=0, combine_output_records=0, combine_ops=0,
-        partition_bytes=np.array([100.0]), partition_records=np.array([10.0]),
-        user_ops=10,
-        phase_times={"SETUP": 0.0, "READ": 0.0, "MAP": seconds, "COLLECT": 0.0,
-                     "SPILL": 0.0, "MERGE": 0.0, "CLEANUP": 0.0},
-        rates=None,
+def _map_tasks(*seconds):
+    """Map tasks whose whole duration is their MAP phase."""
+    phases = np.zeros((len(MAP_PHASES), len(seconds)))
+    phases[MAP_PHASES.index("MAP")] = seconds
+    return MapTaskTable(
+        integers=np.zeros((len(MapTaskTable.FIELDS), len(seconds)), dtype=np.int64),
+        phase_times=phases,
+        rates=np.zeros((len(RATE_FIELDS), len(seconds))),
+        partition_bytes=np.zeros((1, 1)),
+        partition_records=np.zeros((1, 1)),
+        group=np.zeros(len(seconds), dtype=np.intp),
     )
 
 
-def _reduce_task(task_id, shuffle, rest):
-    return ReduceTaskExecution(
-        task_id=task_id, partition=task_id, node_id=0,
-        shuffle_bytes=100, shuffle_records=10, reduce_input_records=10,
-        reduce_input_groups=5, output_records=5, output_bytes=50,
-        materialized_bytes=50, disk_merge_passes=0, user_ops=5,
-        phase_times={"SETUP": 0.0, "SHUFFLE": shuffle, "SORT": 0.0,
-                     "REDUCE": rest, "WRITE": 0.0, "CLEANUP": 0.0},
-        rates=None,
+def _reduce_tasks(*shuffle_rest):
+    """Reduce tasks with the given (SHUFFLE, REDUCE) phase seconds."""
+    phases = np.zeros((len(REDUCE_PHASES), len(shuffle_rest)))
+    if shuffle_rest:
+        phases[[REDUCE_PHASES.index("SHUFFLE"), REDUCE_PHASES.index("REDUCE")]] = (
+            np.array(shuffle_rest).T
+        )
+    count = len(shuffle_rest)
+    return ReduceTaskTable(
+        integers=np.zeros((len(ReduceTaskTable.FIELDS), count), dtype=np.int64),
+        phase_times=phases,
+        rates=np.zeros((len(RATE_FIELDS), count)),
     )
 
 
@@ -55,35 +58,38 @@ class TestListSchedule:
 
 class TestScheduleJob:
     def test_map_only_runtime_is_map_makespan(self):
-        maps = [_map_task(i, 5.0) for i in range(4)]
-        result = schedule_job(maps, [], map_slots=2, reduce_slots=2, config=JobConfiguration())
+        maps = _map_tasks(*[5.0] * 4)
+        result = schedule_job(
+            maps, _reduce_tasks(), map_slots=2, reduce_slots=2,
+            config=JobConfiguration(),
+        )
         assert result.runtime_seconds == pytest.approx(10.0)
         assert result.reduce_finish_times == ()
 
     def test_reducers_wait_for_last_map(self):
-        maps = [_map_task(i, 10.0) for i in range(2)]
-        reduces = [_reduce_task(10, shuffle=0.1, rest=1.0)]
+        maps = _map_tasks(10.0, 10.0)
+        reduces = _reduce_tasks((0.1, 1.0))
         config = JobConfiguration(reduce_slowstart=0.0)
         result = schedule_job(maps, reduces, 2, 2, config)
         # Shuffle can't complete before map makespan (10s), then 1s reduce.
         assert result.runtime_seconds == pytest.approx(11.0)
 
     def test_post_map_shuffle_not_stalled(self):
-        maps = [_map_task(0, 1.0)]
-        reduces = [_reduce_task(1, shuffle=50.0, rest=5.0)]
+        maps = _map_tasks(1.0)
+        reduces = _reduce_tasks((50.0, 5.0))
         result = schedule_job(maps, reduces, 2, 2, JobConfiguration())
         assert result.runtime_seconds >= 55.0
 
     def test_reduce_waves(self):
-        maps = [_map_task(0, 1.0)]
-        reduces = [_reduce_task(i, shuffle=0.0, rest=10.0) for i in range(4)]
+        maps = _map_tasks(1.0)
+        reduces = _reduce_tasks(*[(0.0, 10.0)] * 4)
         one_wave = schedule_job(maps, reduces, 2, 4, JobConfiguration())
         two_waves = schedule_job(maps, reduces, 2, 2, JobConfiguration())
         assert two_waves.runtime_seconds > one_wave.runtime_seconds
 
     def test_slowstart_zero_starts_immediately(self):
-        maps = [_map_task(i, 10.0) for i in range(2)]
-        reduces = [_reduce_task(2, shuffle=3.0, rest=1.0)]
+        maps = _map_tasks(10.0, 10.0)
+        reduces = _reduce_tasks((3.0, 1.0))
         eager = schedule_job(maps, reduces, 2, 2, JobConfiguration(reduce_slowstart=0.0))
         lazy = schedule_job(maps, reduces, 2, 2, JobConfiguration(reduce_slowstart=1.0))
         assert eager.slowstart_time == 0.0
@@ -91,7 +97,7 @@ class TestScheduleJob:
         assert eager.runtime_seconds <= lazy.runtime_seconds
 
     def test_runtime_at_least_map_makespan(self):
-        maps = [_map_task(i, 7.0) for i in range(5)]
-        reduces = [_reduce_task(9, shuffle=0.0, rest=0.0)]
+        maps = _map_tasks(*[7.0] * 5)
+        reduces = _reduce_tasks((0.0, 0.0))
         result = schedule_job(maps, reduces, 2, 2, JobConfiguration())
         assert result.runtime_seconds >= result.map_makespan
