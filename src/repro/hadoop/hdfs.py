@@ -60,8 +60,12 @@ def place_blocks(
     nodes = cluster.num_workers
     replication = min(replication, nodes)
     rng = np.random.default_rng(seed)
+    node_ids = cluster.node_ids.tolist()
     replicas = tuple(
-        tuple(int(n) for n in rng.choice(nodes, size=replication, replace=False))
+        tuple(
+            node_ids[n]
+            for n in rng.choice(nodes, size=replication, replace=False).tolist()
+        )
         for __ in range(num_blocks)
     )
     return BlockPlacement(

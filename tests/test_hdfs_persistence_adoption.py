@@ -1,9 +1,11 @@
 """Tests for HDFS locality, store persistence, and the adoption driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.hadoop import ec2_cluster
+from repro.hadoop import ClusterSpec, ec2_cluster
 from repro.hadoop.hdfs import expected_locality, place_blocks
 
 
@@ -37,6 +39,22 @@ class TestBlockPlacement:
     def test_negative_blocks_rejected(self, cluster):
         with pytest.raises(ValueError):
             place_blocks(-1, cluster)
+
+    def test_replicas_name_node_ids(self, cluster):
+        renamed = ClusterSpec(
+            workers=tuple(
+                replace(node, node_id=100 + 7 * node.node_id)
+                for node in cluster.workers
+            )
+        )
+        placement = place_blocks(20, renamed, seed=8)
+        assert placement.replicas == tuple(
+            tuple(100 + 7 * node for node in holders)
+            for holders in place_blocks(20, cluster, seed=8).replicas
+        )
+        assert expected_locality(placement, renamed, seed=8) == expected_locality(
+            place_blocks(20, cluster, seed=8), cluster, seed=8
+        )
 
 
 class TestLocality:
