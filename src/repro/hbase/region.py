@@ -2,8 +2,12 @@
 
 A region holds all rows of one table in a contiguous key range
 ``[start_key, end_key)``.  Rows map column families to qualifier->cell
-maps; cells are versioned with a logical timestamp, and reads return the
-latest version, mirroring HBase semantics.
+maps.  Each qualifier keeps exactly one version — HBase's default
+``VERSIONS`` of 1 — stamped with a logical timestamp, so a row write
+costs the size of the row, never the length of its history.  Rows are
+copy-on-write: a mutation builds a new row map and never touches the
+one the store returned, which may belong to a flushed SSTable, a cached
+block or a logged WAL record.
 
 Each region owns one :class:`~repro.hbase.storage.LsmStore` — the row
 maps are its values — so every row write takes the full HBase write
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import UnknownColumnFamilyError
 from .storage import LsmStore
@@ -48,34 +52,43 @@ _timestamp_counter = _TimestampOracle()
 
 @dataclass(frozen=True)
 class Cell:
-    """One versioned cell value."""
+    """The one stored version of a qualifier's value."""
 
     value: Any
     timestamp: int
 
 
-def encode_cells(row: dict[str, dict[str, list[Cell]]]) -> dict[str, Any]:
-    """Serialize a row (family -> qualifier -> cell list) to JSON form."""
+def encode_cells(row: dict[str, dict[str, Cell]]) -> dict[str, Any]:
+    """Serialize a row (family -> qualifier -> cell) to JSON form.
+
+    Each qualifier encodes as a one-element ``[[value, timestamp]]``
+    list: the on-disk shape older directories wrote with full histories.
+    """
     return {
         family: {
-            qualifier: [[cell.value, cell.timestamp] for cell in cells]
-            for qualifier, cells in columns.items()
+            qualifier: [[cell.value, cell.timestamp]]
+            for qualifier, cell in columns.items()
         }
         for family, columns in row.items()
     }
 
 
-def decode_cells(payload: dict[str, Any]) -> dict[str, dict[str, list[Cell]]]:
+def decode_cells(payload: dict[str, Any]) -> dict[str, dict[str, Cell]]:
     """Rebuild a row from its JSON form, advancing the timestamp oracle
-    past every replayed cell so new writes stay newest."""
-    row: dict[str, dict[str, list[Cell]]] = {}
+    past every replayed cell so new writes stay newest.
+
+    A legacy multi-version list keeps only its newest (last) cell — the
+    one every reader returned — so a directory written with deep
+    histories reads the same and sheds them at its next write or
+    compaction.
+    """
+    row: dict[str, dict[str, Cell]] = {}
     for family, columns in payload.items():
-        decoded: dict[str, list[Cell]] = {}
+        decoded: dict[str, Cell] = {}
         for qualifier, cells in columns.items():
-            rebuilt = [Cell(value=value, timestamp=int(ts)) for value, ts in cells]
-            for cell in rebuilt:
-                _timestamp_counter.ensure_above(cell.timestamp)
-            decoded[qualifier] = rebuilt
+            value, timestamp = cells[-1]
+            _timestamp_counter.ensure_above(int(timestamp))
+            decoded[qualifier] = Cell(value=value, timestamp=int(timestamp))
         row[family] = decoded
     return row
 
@@ -120,18 +133,37 @@ class Region:
         return self.store.num_keys
 
     # ------------------------------------------------------------------
-    def put(self, row_key: str, family: str, qualifier: str, value: Any) -> None:
-        """Write one cell (new version appended) via the LSM write path."""
+    def put_row(
+        self,
+        row_key: str,
+        family: str,
+        columns: Mapping[str, Any],
+        replace: bool = False,
+    ) -> None:
+        """Write several cells of one row in one family as one row
+        mutation: one copy-on-write row, one LSM write, one WAL record.
+
+        Each written qualifier's cell replaces its previous version.
+        With *replace* the family holds exactly *columns* afterwards —
+        an HBase family ``Delete`` plus the ``Put``, as one mutation —
+        so qualifiers an earlier write set and this one omits are gone.
+        """
         if family not in self.families:
             raise UnknownColumnFamilyError(
                 f"table {self.table_name!r} has no column family {family!r}"
             )
-        found, row, __ = self.store.get(row_key)
-        if not found:
-            row = {f: {} for f in self.families}
-        cells = row[family].setdefault(qualifier, [])
-        cells.append(Cell(value=value, timestamp=next(_timestamp_counter)))
+        found, old, __ = self.store.get(row_key)
+        row = dict(old) if found else {f: {} for f in self.families}
+        timestamp = next(_timestamp_counter)
+        cells = {} if replace else dict(row[family])
+        for qualifier, value in columns.items():
+            cells[qualifier] = Cell(value=value, timestamp=timestamp)
+        row[family] = cells
         self.store.put(row_key, row)
+
+    def put(self, row_key: str, family: str, qualifier: str, value: Any) -> None:
+        """Write one cell: :meth:`put_row` with one column."""
+        self.put_row(row_key, family, {qualifier: value})
 
     def delete_row(self, row_key: str) -> bool:
         """Tombstone a whole row; returns whether it existed."""
@@ -150,11 +182,9 @@ class Region:
         return self._latest_view(row)
 
     @staticmethod
-    def _latest_view(
-        row: dict[str, dict[str, list[Cell]]]
-    ) -> dict[str, dict[str, Any]]:
+    def _latest_view(row: dict[str, dict[str, Cell]]) -> dict[str, dict[str, Any]]:
         return {
-            family: {qual: cells[-1].value for qual, cells in columns.items()}
+            family: {qual: cell.value for qual, cell in columns.items()}
             for family, columns in row.items()
             if columns
         }
@@ -176,9 +206,8 @@ class Region:
         """Split this region at its median key into two daughters.
 
         *make_store* supplies each daughter's backing store (the cluster
-        passes a durable factory); rows copy with their full cell
-        history, so timestamps — and therefore latest-version reads —
-        are preserved.
+        passes a durable factory); rows copy with their one cell per
+        qualifier and its timestamp, so reads are preserved.
         """
         keys, rows = self.store.sorted_view()
         if len(keys) < 2:
@@ -213,8 +242,8 @@ class Region:
     ) -> "Region":
         """Merge two *adjacent* regions into one spanning both ranges.
 
-        The inverse of :meth:`split`: rows copy with their full cell
-        history into one region covering ``[left.start_key,
+        The inverse of :meth:`split`: rows copy with their one cell per
+        qualifier into one region covering ``[left.start_key,
         right.end_key)``.  Raises ``ValueError`` unless the regions are
         key-adjacent siblings of the same table.
         """

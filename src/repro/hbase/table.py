@@ -90,23 +90,33 @@ class HTable:
         ).inc()
 
     # ------------------------------------------------------------------
-    def put(self, row_key: str, family: str, qualifier: str, value: Any) -> None:
-        """Write one cell."""
+    def put_row(
+        self,
+        row_key: str,
+        family: str,
+        columns: Mapping[str, Any],
+        replace: bool = False,
+    ) -> None:
+        """Write several cells of one row in one family as one row
+        mutation (an HBase ``Put``): one region locate, one chaos
+        consult, one WAL record and one latency observation.  With
+        *replace* the family holds exactly *columns* afterwards."""
+        if not columns:
+            return
         registry = get_registry(self.registry)
         start = perf_counter() if registry.enabled else 0.0
         region, server_id = self._catalog.locate(self.name, row_key)
         if self.chaos is not None:
             self.chaos.on_operation("put", server_id=server_id)
-        region.put(row_key, family, qualifier, value)
+        region.put_row(row_key, family, columns, replace)
         if region.num_rows > self._split_threshold:
             self._on_split(self.name, region)
         if registry.enabled:
             self._observe_latency("put", perf_counter() - start)
 
-    def put_row(self, row_key: str, family: str, columns: Mapping[str, Any]) -> None:
-        """Write several cells of one row in one family."""
-        for qualifier, value in columns.items():
-            self.put(row_key, family, qualifier, value)
+    def put(self, row_key: str, family: str, qualifier: str, value: Any) -> None:
+        """Write one cell: :meth:`put_row` with one column."""
+        self.put_row(row_key, family, {qualifier: value})
 
     def delete_row(self, row_key: str) -> bool:
         region, __ = self._catalog.locate(self.name, row_key)
