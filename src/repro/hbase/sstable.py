@@ -18,9 +18,10 @@ Each cell inside a block payload is ``u32 key_len | key utf-8 | u8 tag
 | u32 value_len | value`` with tag 0 marking a tombstone (empty value)
 and tag 1 a JSON-encoded value.  A point read loads the footer once,
 binary-searches the first-key index to the single candidate block,
-consults only that block's Bloom filter, and ``seek``+reads exactly one
-frame — through a capacity-bounded LRU :class:`BlockCache` shared
-across every table of a cluster.
+consults only that block's Bloom filter, ``seek``+reads exactly one
+frame and decodes only the cell it returns — through a
+capacity-bounded LRU :class:`BlockCache` shared across every table of
+a cluster.
 
 Corruption anywhere — torn block, torn footer, flipped bit — fails the
 frame CRC or the trailer checks and surfaces as a typed
@@ -30,6 +31,7 @@ bytes returned as data.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import struct
@@ -126,12 +128,21 @@ def _encode_cell(key: str, value: Any, value_encoder) -> bytes:
     )
 
 
-def _decode_cells(
-    data: bytes, value_decoder, context: str
-) -> tuple[tuple[str, ...], tuple[Any, ...]]:
-    """Parse one block payload; every malformation is typed."""
+class _Encoded(bytes):
+    """A block cell's JSON bytes, not decoded yet (private, so no
+    decoded value is ever one)."""
+
+    __slots__ = ()
+
+
+def _parse_cells(
+    data: bytes, context: str
+) -> tuple[tuple[str, ...], list[Any]]:
+    """Split one block payload into keys and cells (``TOMBSTONE`` or the
+    value's :class:`_Encoded` bytes); every framing malformation is typed."""
     keys: list[str] = []
-    values: list[Any] = []
+    cells: list[Any] = []
+    view = memoryview(data)
     offset = 0
     total = len(data)
     try:
@@ -144,23 +155,61 @@ def _decode_cells(
             offset += key_len
             tag, value_len = _TAG_VALUE_LEN.unpack_from(data, offset)
             offset += _TAG_VALUE_LEN.size
-            raw = data[offset : offset + value_len]
-            if len(raw) != value_len:
+            if offset + value_len > total:
                 raise ValueError("short value bytes")
-            offset += value_len
             if tag == _TAG_TOMBSTONE:
-                values.append(TOMBSTONE)
+                cells.append(TOMBSTONE)
             elif tag == _TAG_VALUE:
-                value = json.loads(raw.decode("utf-8"))
-                if value_decoder is not None:
-                    value = value_decoder(value)
-                values.append(value)
+                cells.append(_Encoded(view[offset : offset + value_len]))
             else:
                 raise ValueError(f"unknown cell tag {tag}")
+            offset += value_len
             keys.append(key)
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise CorruptSSTableError(f"malformed cell in {context}: {exc}") from exc
-    return tuple(keys), tuple(values)
+    return tuple(keys), cells
+
+
+class _Block:
+    """One block's cells: keys parsed on load, each value decoded from
+    its JSON bytes on first read and kept in their place — a point read
+    decodes the one cell it returns, not every cell of the block.
+    Cached blocks are shared across threads; a racing first read may
+    decode a cell twice, and either copy is the same value.
+    """
+
+    __slots__ = ("keys", "_cells", "_value_decoder", "_context")
+
+    def __init__(
+        self, data: bytes, value_decoder: Callable[[Any], Any] | None, context: str
+    ) -> None:
+        self.keys, self._cells = _parse_cells(data, context)
+        self._value_decoder = value_decoder
+        self._context = context
+
+    def value(self, position: int) -> Any:
+        value = self._cells[position]
+        if isinstance(value, _Encoded):
+            try:
+                value = json.loads(value.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise CorruptSSTableError(
+                    f"malformed cell in {self._context}: {exc}"
+                ) from exc
+            if self._value_decoder is not None:
+                value = self._value_decoder(value)
+            self._cells[position] = value
+        return value
+
+    def values(self) -> tuple[Any, ...]:
+        return tuple(self.value(position) for position in range(len(self.keys)))
+
+    def find(self, key: str) -> tuple[bool, Any]:
+        """(found, value) by binary search, decoding only *key*'s cell."""
+        position = bisect.bisect_left(self.keys, key)
+        if position < len(self.keys) and self.keys[position] == key:
+            return True, self.value(position)
+        return False, None
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +365,14 @@ def read_footer(
 
 
 class BlockCache:
-    """A thread-safe, byte-capacity-bounded LRU cache of decoded blocks.
+    """A thread-safe, byte-capacity-bounded LRU cache of parsed blocks.
 
     One instance is shared across every SSTable of a cluster (all
-    region stores), keyed ``(file token, block offset)``.  Capacity is
-    charged at each block's on-disk frame length — a stable, cheap
-    proxy for its decoded footprint.  ``drop_file`` invalidates every
-    block of one file; compaction calls it before deleting or atomically
+    region stores), keyed ``(file token, block offset)``.  An entry
+    holds each cell's JSON bytes until a read decodes it in place.
+    Capacity is charged at each block's on-disk frame length — a
+    stable, cheap proxy for its footprint.  ``drop_file`` invalidates
+    every block of one file; compaction calls it before deleting or atomically
     replacing an SSTable so a reused path can never alias stale blocks.
     """
 
@@ -489,7 +539,7 @@ class BlockFile:
         return self._first_keys
 
     # ------------------------------------------------------------------
-    def _read_frame(self, handle: BinaryIO, meta: BlockMeta, index: int):
+    def _read_frame(self, handle: BinaryIO, meta: BlockMeta, index: int) -> _Block:
         handle.seek(meta.offset)
         data = handle.read(meta.length)
         payload, diagnosis = decode_frame(data)
@@ -497,12 +547,13 @@ class BlockFile:
             raise CorruptSSTableError(
                 f"{self.path.name}: block {index} {diagnosis}"
             )
-        return _decode_cells(
+        return _Block(
             payload, self._value_decoder, f"{self.path.name} block {index}"
         )
 
-    def read_block(self, index: int) -> tuple[tuple[str, ...], tuple[Any, ...]]:
-        """One block's ``(keys, values)`` — cache first, then disk + CRC."""
+    def block(self, index: int) -> _Block:
+        """One block — cache first, then disk + CRC.  Values decode on
+        first read of each cell (:meth:`_Block.find` / :meth:`_Block.value`)."""
         meta = self.metas[index]
         if self._cache is not None:
             cached = self._cache.get(self.token, meta.offset)
@@ -519,6 +570,11 @@ class BlockFile:
             self._cache.put(self.token, meta.offset, entry, meta.length)
         return entry
 
+    def read_block(self, index: int) -> tuple[tuple[str, ...], tuple[Any, ...]]:
+        """One block's ``(keys, values)``, every value decoded."""
+        block = self.block(index)
+        return block.keys, block.values()
+
     def read_all(self) -> tuple[tuple[str, ...], tuple[Any, ...]]:
         """Every cell in key order (scans, compaction) — one file pass,
         CRC-verified per block, deliberately *not* routed through the
@@ -528,11 +584,9 @@ class BlockFile:
         try:
             with open(self.path, "rb") as handle:
                 for index, meta in enumerate(self.metas):
-                    block_keys, block_values = self._read_frame(
-                        handle, meta, index
-                    )
-                    keys.extend(block_keys)
-                    values.extend(block_values)
+                    block = self._read_frame(handle, meta, index)
+                    keys.extend(block.keys)
+                    values.extend(block.values())
         except OSError as exc:
             raise CorruptSSTableError(
                 f"{self.path.name}: unreadable ({exc})"

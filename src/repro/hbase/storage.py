@@ -278,10 +278,9 @@ class SSTable:
             return _ABSENT  # falls in the gap between two blocks
         if not block_file.bloom(index).might_contain(key):
             return ProbeResult(False, None, 1, 0, 1, False)
-        keys, values = block_file.read_block(index)
-        position = bisect.bisect_left(keys, key)
-        if position < len(keys) and keys[position] == key:
-            return ProbeResult(True, values[position], 1, 1, 0, False)
+        found, value = block_file.block(index).find(key)
+        if found:
+            return ProbeResult(True, value, 1, 1, 0, False)
         return ProbeResult(False, None, 1, 1, 0, True)
 
     def items(self) -> Iterator[tuple[str, Any]]:

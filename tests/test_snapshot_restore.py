@@ -70,6 +70,25 @@ class TestWarmRestore:
         assert _metric(registry, "pstorm_match_index_checkpoint_loads_total") == 1
         assert _metric(registry, "snapshot_restores_total") == 1
 
+    def test_first_probe_reuses_the_recovered_meta_row(self, tmp_path):
+        store = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
+        _populate(store, 4)
+        store.match_index().ensure_fresh()
+        snapshot_store(store)
+
+        registry = MetricsRegistry()
+        restored = restore_store(tmp_path, registry=registry)
+        gets = registry.get("hbase_get_seconds", {"table": "Jobs"})
+        assert gets.count == 1  # recovery's Meta row read
+        outcome = ProfileMatcher(restored, registry=registry).match_job(
+            _probe_features()
+        )
+        assert outcome.map_match.matched
+        # The probe's normalizers come from that read; its one get is
+        # the donor profile.
+        assert _metric(registry, "pstorm_store_normalizer_loads_total") == 1
+        assert gets.count == 2
+
     def test_wal_tail_writes_warm_without_rebuild(self, tmp_path):
         store = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
         _populate(store, 3)

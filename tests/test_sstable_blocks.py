@@ -150,6 +150,50 @@ class TestBlockCodec:
 # ======================================================================
 
 
+class TestLazyCellDecode:
+    def test_point_read_decodes_only_its_cell(self, tmp_path):
+        path = tmp_path / "run.bin"
+        _write(path)  # default block size: one block holds every cell
+        decoded = []
+
+        def decoder(payload):
+            decoded.append(payload["n"])
+            return payload
+
+        block_file = BlockFile(path, value_decoder=decoder, cache=BlockCache())
+        assert block_file.num_blocks == 1
+        found, value = block_file.block(0).find("k004")
+        assert (found, value) == (True, VALUES[4])
+        assert decoded == [4]
+        # The cached block keeps the decoded cell: a re-read returns the
+        # same object and decodes nothing.
+        assert block_file.block(0).find("k004")[1] is value
+        assert block_file.block(0).find("k004a") == (False, None)
+        assert block_file.block(0).find("k003") == (True, TOMBSTONE)
+        assert decoded == [4]
+        # A whole-block read decodes the rest, each cell once.
+        assert block_file.read_block(0) == (KEYS, VALUES)
+        live = [n for n, v in enumerate(VALUES) if v is not TOMBSTONE]
+        assert sorted(decoded) == live
+
+    def test_cold_store_get_decodes_one_cell(self, tmp_path):
+        decoded = []
+
+        def decoder(payload):
+            decoded.append(payload)
+            return payload
+
+        store = LsmStore(data_dir=tmp_path, flush_threshold=1000)
+        for number in range(30):
+            store.put(f"k{number:03d}", {"n": number})
+        store.flush()
+        store.close()
+        reopened = LsmStore(data_dir=tmp_path, value_decoder=decoder)
+        assert reopened.get("k017")[:2] == (True, {"n": 17})
+        assert decoded == [{"n": 17}]
+        reopened.close()
+
+
 class TestBlockCache:
     def test_hit_miss_metrics(self, tmp_path):
         registry = MetricsRegistry()
