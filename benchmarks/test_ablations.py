@@ -9,6 +9,7 @@ def test_pushdown_ablation(benchmark, ctx, records):
     result = run_once(benchmark, ablations.run_pushdown, ctx, records)
     by_mode = {row[0]: row for row in result.rows}
     assert by_mode["pushdown"][2] < by_mode["client-side"][2]
+    assert by_mode["pushdown"][2] <= 0.1 * by_mode["pushdown"][1]
 
 
 def test_store_model_ablation(benchmark, ctx, records):

@@ -2,8 +2,8 @@
 
 Measures (1) raw What-If predictions/sec — one ``predict()`` call per
 config vs one ``predict_matrix`` call per generation — and (2) end-to-end
-``CostBasedOptimizer.optimize()`` wall time vs ``optimize_sequential()``
-on the same search, asserting the two return byte-identical
+``CostBasedOptimizer.optimize()`` wall time vs the scalar reference
+search in ``tests/cbo_oracle.py`` on the same search, asserting the two return byte-identical
 recommendations before trusting either number.
 
 Results land in ``BENCH_cbo.json`` at the repo root so future PRs have a
@@ -28,6 +28,7 @@ from repro.starfish import CostBasedOptimizer, StarfishProfiler, WhatIfEngine
 from repro.starfish.cbo import _config_from_row, _random_matrix
 from repro.workloads import word_count_job
 from repro.workloads.datasets import Dataset, random_text_source
+from tests.cbo_oracle import optimize_sequential
 
 QUICK = os.environ.get("CBO_BENCH_QUICK", "") not in ("", "0")
 #: Acceptance floor for the full benchmark: the batched search must beat
@@ -115,7 +116,7 @@ def test_optimize_throughput(profile):
     )
 
     batched = cbo.optimize(job_profile)
-    sequential = cbo.optimize_sequential(job_profile)
+    sequential = optimize_sequential(cbo, job_profile)
     assert batched.best_config == sequential.best_config
     assert batched.predicted_runtime == sequential.predicted_runtime
     assert batched.evaluations == sequential.evaluations
@@ -126,7 +127,7 @@ def test_optimize_throughput(profile):
     repeats = 1 if QUICK else 5
     batch_s = _timeit(lambda: cbo.optimize(job_profile), repeats)
     sequential_s = _timeit(
-        lambda: cbo.optimize_sequential(job_profile), max(1, repeats - 2)
+        lambda: optimize_sequential(cbo, job_profile), max(1, repeats - 2)
     )
     speedup = sequential_s / batch_s
     payload = _merge_results(
@@ -137,7 +138,6 @@ def test_optimize_throughput(profile):
                 "elite": cbo.elite,
                 "perturbations_per_elite": cbo.perturbations_per_elite,
                 "evaluations": batched.evaluations,
-                "memo_hits": batched.memo_hits,
                 "batch_ms": round(batch_s * 1e3, 3),
                 "sequential_ms": round(sequential_s * 1e3, 3),
                 "speedup": round(speedup, 2),

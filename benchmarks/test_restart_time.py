@@ -9,6 +9,10 @@ linear with a much larger constant.  This benchmark times both paths to
 first completed probe across store sizes and lands the curves in
 ``BENCH_durability.json``.
 
+Each size and path is timed ``REPETITIONS`` times, interleaved, and
+reported as the median: one millisecond-scale sample can carry a GC
+pause or a scheduler hiccup several times the restart itself.
+
 ``RESTART_BENCH_QUICK=1`` shrinks the sizes for CI smoke runs; the
 snapshot path must beat replay at every size in both modes.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -30,6 +35,8 @@ QUICK = os.environ.get("RESTART_BENCH_QUICK", "") not in ("", "0")
 SIZES = [4, 8, 16] if QUICK else [8, 16, 32, 64]
 #: Acceptance floor: snapshot restore vs JSON replay at the largest size.
 SPEEDUP_FLOOR = 1.3 if QUICK else 2.0
+#: Timings per size and path; the reported figure is their median.
+REPETITIONS = 5
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_durability.json"
 
 
@@ -86,10 +93,17 @@ def test_snapshot_restart_beats_linear_replay(tmp_path):
     _time_json_replay(tmp_path / "warmup.json", 2)
     rows = []
     for size in SIZES:
-        restore_s, rebuilds = _time_snapshot_restore(
-            tmp_path / f"snap{size}", size
-        )
-        replay_s = _time_json_replay(tmp_path / f"export{size}.json", size)
+        restores, replays = [], []
+        for rep in range(REPETITIONS):
+            restores.append(
+                _time_snapshot_restore(tmp_path / f"snap{size}-{rep}", size)
+            )
+            replays.append(
+                _time_json_replay(tmp_path / f"export{size}-{rep}.json", size)
+            )
+        restore_s = statistics.median(elapsed for elapsed, __ in restores)
+        rebuilds = max(count for __, count in restores)
+        replay_s = statistics.median(replays)
         rows.append(
             {
                 "jobs": size,
@@ -104,6 +118,7 @@ def test_snapshot_restart_beats_linear_replay(tmp_path):
     if _RESULT_PATH.exists():
         payload = json.loads(_RESULT_PATH.read_text())
     payload["restart_to_first_probe"] = {
+        "repetitions": REPETITIONS,
         "sizes": SIZES,
         "rows": rows,
         "speedup_floor": SPEEDUP_FLOOR,

@@ -15,9 +15,9 @@ Commands:
   stdout is byte-identical for the same seed (see ``docs/serving.md``).
 - ``serve`` — drive the real thread-pool frontend end to end (queues,
   futures, clean shutdown); exits nonzero if a worker hangs.
-- ``league`` — race the tuner family (RBO, CBO, SPSA, surrogate,
-  ensemble) across the workload zoo under one seed and print the
-  leaderboard JSON (byte-identical per seed; see ``docs/tuning.md``).
+- ``league`` — race the tuner family (RBO, CBO, surrogate) across the
+  workload zoo under one seed and print the leaderboard JSON
+  (byte-identical per seed; see ``docs/tuning.md``).
 - ``snapshot --data-dir DIR`` — open (or restore) a durable profile
   store rooted at DIR and checkpoint it: flush every region's memstore
   to SSTables and write ``index_checkpoint.json`` so the next restore
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tuner(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--tuner",
-            choices=("rbo", "cbo", "spsa", "surrogate", "ensemble"),
+            choices=("rbo", "cbo", "surrogate"),
             default="cbo",
             help="hit-path optimizer (default: cbo, the paper's workflow)",
         )
@@ -843,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tuners",
         default=None,
         metavar="A,B,...",
-        help="comma-separated roster (default: rbo,cbo,spsa,surrogate,ensemble)",
+        help="comma-separated roster (default: rbo,cbo,surrogate)",
     )
     league.add_argument(
         "--workers",

@@ -42,7 +42,7 @@ from ..starfish.profiler import StarfishProfiler
 from ..starfish.rbo import RuleBasedOptimizer
 from ..starfish.sampler import Sampler
 from ..starfish.whatif import WhatIfEngine
-from ..tuners import TunerContext, make_tuner
+from ..tuners import make_tuner
 from .features import JobFeatures, extract_job_features
 from .matcher import MatchOutcome, ProfileMatcher, SideMatch, Stage1Batch
 from .resilient import ResilientProfileStore
@@ -217,8 +217,8 @@ class PStorM:
     seed: int = 0
     #: Which member of the tuner family optimizes matched profiles on
     #: the hit path: "rbo", "cbo" (the paper's workflow and the
-    #: default — bit-identical to the pre-family submit path), "spsa",
-    #: "surrogate", or "ensemble".
+    #: default — bit-identical to the pre-family submit path), or
+    #: "surrogate".
     tuner: str = "cbo"
     #: Observability sinks; None falls back to the module defaults.  An
     #: explicit registry/tracer is pushed into the store and matcher the
@@ -471,13 +471,7 @@ class PStorM:
                     if side is not None and side.job_id is not None:
                         record_hit(side.job_id)
             decision = self.tuner_impl.optimize(
-                outcome.profile,
-                data_bytes=dataset.nominal_bytes,
-                context=TunerContext(
-                    features=features,
-                    outcome=outcome,
-                    data_bytes=dataset.nominal_bytes,
-                ),
+                outcome.profile, data_bytes=dataset.nominal_bytes
             )
             execution = self.engine.run_job(
                 job, dataset, decision.best_config, seed=seed

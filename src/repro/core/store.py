@@ -83,6 +83,8 @@ PROFILE_PREFIX = "Profile/"
 _META_ROW = "Meta/__normalizers__"
 
 TABLE_NAME = "Jobs"
+#: Rows per chunk of a multi-row scan (``HTable.scan(..., batch=N)``).
+SCAN_BATCH = 64
 FAMILY = "f"
 
 #: Column names of the per-side flow and cost vectors in Dynamic rows.
@@ -261,8 +263,6 @@ class ProfileStore:
             keeps the injector it was built with).
         enable_index: whether :meth:`match_index` hands out the columnar
             match index; off forces every matcher onto the scan path.
-        scan_batch: chunk size for multi-row scans (``Table.scan(...,
-            batch=N)``); 1 restores the one-call-per-row baseline.
         data_dir: make the store durable.  A fresh directory gets a
             durable HBase substrate under ``data_dir/hbase`` (per-region
             WAL + SSTables); a directory with existing state is
@@ -297,7 +297,6 @@ class ProfileStore:
         tracer: Tracer | None = None,
         chaos: "FaultInjector | None" = None,
         enable_index: bool = True,
-        scan_batch: int = 64,
         data_dir: Path | str | None = None,
         group_commit: int = 1,
         num_region_servers: int = 1,
@@ -358,9 +357,6 @@ class ProfileStore:
                 ("reduce", "cost"),
             )
         }
-        if scan_batch < 1:
-            raise ValueError("scan_batch must be at least 1")
-        self.scan_batch = scan_batch
         self.enable_index = enable_index
         #: Partitioned (per-region) vs flat match index.
         self.shard_index = shard_index
@@ -514,7 +510,7 @@ class ProfileStore:
             for row_key, __ in self.table.scan(
                 scan_filter=PrefixFilter(PROFILE_PREFIX),
                 pushdown=self.pushdown,
-                batch=self.scan_batch,
+                batch=SCAN_BATCH,
             ):
                 ids.append(row_key[len(PROFILE_PREFIX):])
             return ids
@@ -653,7 +649,7 @@ class ProfileStore:
                 for row_key, row in self.table.scan(
                     scan_filter=PrefixFilter(DYNAMIC_PREFIX),
                     pushdown=self.pushdown,
-                    batch=self.scan_batch,
+                    batch=SCAN_BATCH,
                 )
             }
             static = {
@@ -661,7 +657,7 @@ class ProfileStore:
                 for row_key, row in self.table.scan(
                     scan_filter=PrefixFilter(STATIC_PREFIX),
                     pushdown=self.pushdown,
-                    batch=self.scan_batch,
+                    batch=SCAN_BATCH,
                 )
             }
         return generation, dynamic, static
@@ -959,7 +955,7 @@ class ProfileStore:
                 for row_key, row in self.table.scan(
                     scan_filter=PrefixFilter(prefix),
                     pushdown=self.pushdown,
-                    batch=self.scan_batch,
+                    batch=SCAN_BATCH,
                 )
             }
 
@@ -999,7 +995,7 @@ class ProfileStore:
                 for row_key, __ in self.table.scan(
                     scan_filter=FilterList(filters),
                     pushdown=self.pushdown,
-                    batch=self.scan_batch,
+                    batch=SCAN_BATCH,
                 ):
                     result.append(row_key[len(prefix):])
         registry.counter(

@@ -60,7 +60,9 @@ def run_pushdown(
             store.put(record.full_profile, record.static, job_id=key)
         store.hbase.reset_metrics()
 
-        matcher = ProfileMatcher(store)
+        # The scan path runs the Fig 4.4 filter stages on the region
+        # servers; the match index would meter its own build scans.
+        matcher = ProfileMatcher(store, use_index=False)
         probe = next(iter(records.values()))
         matcher.match_job(probe.features)
 

@@ -124,8 +124,8 @@ class ServiceConfig:
     #: instead of one flat index.
     shard_index: bool = False
     #: Which tuner-family member optimizes matched profiles on the hit
-    #: path ("rbo", "cbo", "spsa", "surrogate", "ensemble"); "cbo" is
-    #: the paper's workflow and is bit-identical to the pre-family path.
+    #: path ("rbo", "cbo", "surrogate"); "cbo" is the paper's workflow
+    #: and is bit-identical to the pre-family path.
     tuner: str = "cbo"
 
     def __post_init__(self) -> None:

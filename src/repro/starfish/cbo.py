@@ -10,15 +10,14 @@ the WIF engine, which is exactly what PStorM's matcher competes on.
 
 The search is columnar end to end: candidate generations are drawn as
 ``(n, 14)`` NumPy matrices (one vectorized RNG call per parameter instead
-of one scalar call per parameter *per candidate*) and priced through
-:meth:`WhatIfEngine.predict_matrix`, with a memo cache (keyed on the
-quantized parameter vector) so duplicate candidates are never re-priced,
-and a bounded top-K pool instead of an ever-growing re-sorted list.
-:meth:`CostBasedOptimizer.optimize_sequential` scores the *same* candidate
-stream one scalar ``predict()`` at a time; because the batched predictions
-are bit-identical to the scalar path and ties break on insertion order
-exactly like the original stable sort, both paths return byte-identical
-recommendations for any fixed seed.
+of one scalar call per parameter *per candidate*), each priced in one
+:meth:`WhatIfEngine.predict_matrix` call, and ranked in a bounded top-K
+pool instead of an ever-growing re-sorted list.  Because the batched
+predictions are bit-identical to scalar ``predict()`` and ties break on
+insertion order exactly like a stable sort, the search returns the same
+recommendation as scoring the same candidate stream one scalar
+``predict()`` at a time (the reference search kept in
+``tests/cbo_oracle.py``).
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ class OptimizationResult:
     predicted_runtime: float
     evaluations: int
     default_predicted_runtime: float
-    #: Candidates answered from the memo cache instead of the WIF engine
-    #: (0 on the sequential reference path, which keeps no memo).
-    memo_hits: int = 0
 
     @property
     def predicted_speedup(self) -> float:
@@ -63,13 +59,6 @@ class OptimizationResult:
         return self.default_predicted_runtime / self.predicted_runtime
 
 
-#: Column index of every parameter in the candidate matrix (Table 2.1 order).
-_COLUMN_INDEX: dict[str, int] = {
-    spec.attribute: j for j, spec in enumerate(CONFIGURATION_SPACE)
-}
-_FLOAT_COLUMNS: tuple[int, ...] = tuple(
-    j for j, spec in enumerate(CONFIGURATION_SPACE) if spec.kind == "float"
-)
 _DEFAULT_ROW: np.ndarray = np.array(
     [float(spec.default) for spec in CONFIGURATION_SPACE]
 )
@@ -130,8 +119,7 @@ def _perturb_matrix(
     Each parameter of each neighbour is perturbed independently with
     probability ``_PERTURB_PROBABILITY``: booleans flip, log-scale values
     move by a log-normal factor, linear values by a Gaussian step sized to
-    the parameter's range.  Unperturbed entries are copied bit-exactly,
-    which is what makes the memo cache's duplicate detection effective.
+    the parameter's range.  Unperturbed entries are copied bit-exactly.
     """
     base = np.repeat(elite_matrix, per_elite, axis=0)
     out = base.copy()
@@ -151,27 +139,6 @@ def _perturb_matrix(
             perturb, _clamp_column(spec, moved, reducer_cap), current
         )
     return out
-
-
-def _quantize_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Round float columns to 12 significant digits (memo-key resolution).
-
-    Integer and boolean columns are already exact by construction.  Twelve
-    significant digits keeps the chance of two *distinct* random draws
-    colliding far below anything a search could produce, while candidates
-    copied bit-exactly (unperturbed elite entries) and values clamped onto
-    a range boundary land on identical keys.
-    """
-    quantized = matrix.copy()
-    for j in _FLOAT_COLUMNS:
-        column = quantized[:, j]
-        nonzero = column != 0.0
-        safe = np.where(nonzero, np.abs(column), 1.0)
-        scale = np.power(10.0, 11.0 - np.floor(np.log10(safe)))
-        quantized[:, j] = np.where(
-            nonzero, np.round(column * scale) / scale, 0.0
-        )
-    return quantized
 
 
 def _config_from_row(row: np.ndarray) -> JobConfiguration:
@@ -253,16 +220,15 @@ class CostBasedOptimizer:
     ) -> OptimizationResult:
         """Search for the configuration with the lowest predicted runtime.
 
-        Candidate generations are scored through the batched What-If path;
-        the recommendation is byte-identical to the scalar reference
-        (:meth:`optimize_sequential`) for the same seed.
+        Each candidate generation is priced in one batched What-If call;
+        the recommendation is byte-identical to scoring the same
+        candidates one scalar ``predict()`` at a time.
         """
         registry = get_registry(self.registry)
         started = time.perf_counter()
         rng = np.random.default_rng(self.seed)
 
-        memo: dict[bytes, float] = {}
-        stats = {"evaluations": 0, "memo_hits": 0}
+        evaluations = 0
         pool = _TopK(self.elite)
 
         matrix = np.vstack(
@@ -271,9 +237,8 @@ class CostBasedOptimizer:
                 _random_matrix(rng, self.num_samples, self.max_reducers),
             ]
         )
-        runtimes = self._score_matrix(
-            profile, matrix, data_bytes, memo, stats, registry
-        )
+        runtimes = self._score_matrix(profile, matrix, data_bytes, registry)
+        evaluations += len(runtimes)
         default_runtime = runtimes[0]
         for runtime, row in zip(runtimes, matrix):
             pool.push(runtime, row)
@@ -284,9 +249,8 @@ class CostBasedOptimizer:
             matrix = _perturb_matrix(
                 rng, elite_matrix, self.perturbations_per_elite, self.max_reducers
             )
-            runtimes = self._score_matrix(
-                profile, matrix, data_bytes, memo, stats, registry
-            )
+            runtimes = self._score_matrix(profile, matrix, data_bytes, registry)
+            evaluations += len(runtimes)
             for runtime, row in zip(runtimes, matrix):
                 pool.push(runtime, row)
 
@@ -302,9 +266,8 @@ class CostBasedOptimizer:
         return OptimizationResult(
             best_config=_config_from_row(best_row),
             predicted_runtime=best_runtime,
-            evaluations=stats["evaluations"],
+            evaluations=evaluations,
             default_predicted_runtime=default_runtime,
-            memo_hits=stats["memo_hits"],
         )
 
     # ------------------------------------------------------------------
@@ -313,99 +276,16 @@ class CostBasedOptimizer:
         profile: JobProfile,
         matrix: np.ndarray,
         data_bytes: int | None,
-        memo: dict[bytes, float],
-        stats: dict[str, int],
         registry: MetricsRegistry,
     ) -> list[float]:
-        """Price one generation: dedupe, batch-predict the misses, memoize.
-
-        ``evaluations`` counts every candidate considered — including memo
-        hits — matching the sequential path's accounting, while
-        ``memo_hits`` tracks how many never reached the WIF engine.
-        """
-        n = len(matrix)
-        if n == 0:
+        """Price one generation in a single batched What-If call."""
+        if len(matrix) == 0:
             return []
-        quantized = _quantize_matrix(matrix)
-        keys = [quantized[i].tobytes() for i in range(n)]
-        pending_slots: dict[bytes, int] = {}
-        pending_rows: list[int] = []
-        for i, key in enumerate(keys):
-            if key not in memo and key not in pending_slots:
-                pending_slots[key] = len(pending_rows)
-                pending_rows.append(i)
-        if pending_rows:
-            batch = self.whatif.predict_matrix(
-                profile, matrix[pending_rows], data_bytes
-            )
-            runtimes = batch.runtime_seconds
-            for key, slot in pending_slots.items():
-                memo[key] = float(runtimes[slot])
-        hits = n - len(pending_rows)
-        stats["evaluations"] += n
-        stats["memo_hits"] += hits
-        registry.counter(
-            "cbo_memo_hits_total", "CBO candidates answered from the memo cache"
-        ).inc(hits)
-        registry.counter(
-            "cbo_memo_misses_total", "CBO candidates priced by the WIF engine"
-        ).inc(len(pending_rows))
         registry.histogram(
             "cbo_generation_size",
-            "candidates per scored generation (before dedupe)",
+            "candidates per scored generation",
             buckets=COUNT_BUCKETS,
-        ).observe(n)
-        return [memo[key] for key in keys]
-
-    # ------------------------------------------------------------------
-    def optimize_sequential(
-        self,
-        profile: JobProfile,
-        data_bytes: int | None = None,
-    ) -> OptimizationResult:
-        """The scalar reference search: one ``predict()`` per candidate.
-
-        Walks the *same* candidate stream as :meth:`optimize` (the
-        generation helpers share the RNG call sequence) but prices every
-        candidate with a scalar ``predict()`` call and keeps the original
-        unbounded scored list with a full re-sort per refinement round.
-        This is the ground truth the batched path is verified against
-        (property tests) and benchmarked against
-        (``benchmarks/test_cbo_throughput.py``).
-        """
-        rng = np.random.default_rng(self.seed)
-
-        def evaluate(row: np.ndarray) -> float:
-            config = _config_from_row(row)
-            return self.whatif.predict(profile, config, data_bytes).runtime_seconds
-
-        matrix = np.vstack(
-            [
-                _DEFAULT_ROW[None, :],
-                _random_matrix(rng, self.num_samples, self.max_reducers),
-            ]
-        )
-        scored: list[tuple[float, np.ndarray]] = [
-            (evaluate(row), row) for row in matrix
-        ]
-        evaluations = len(scored)
-        default_runtime = scored[0][0]
-
-        for __ in range(self.refine_rounds):
-            scored.sort(key=lambda pair: pair[0])
-            elite_matrix = np.array([row for __, row in scored[: self.elite]])
-            candidates = _perturb_matrix(
-                rng, elite_matrix, self.perturbations_per_elite, self.max_reducers
-            )
-            for row in candidates:
-                scored.append((evaluate(row), row))
-                evaluations += 1
-
-        scored.sort(key=lambda pair: pair[0])
-        best_runtime, best_row = scored[0]
-        return OptimizationResult(
-            best_config=_config_from_row(best_row),
-            predicted_runtime=best_runtime,
-            evaluations=evaluations,
-            default_predicted_runtime=default_runtime,
-        )
+        ).observe(len(matrix))
+        return self.whatif.predict_matrix(
+            profile, matrix, data_bytes
+        ).runtime_seconds.tolist()

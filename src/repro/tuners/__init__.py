@@ -6,13 +6,8 @@ raceable family behind one :class:`~repro.tuners.base.Tuner` protocol:
 - ``rbo`` / ``cbo`` — adapters over the existing Appendix-B rules and
   the Starfish recursive-random-search CBO (bit-identical to calling
   them directly);
-- ``spsa`` — simultaneous-perturbation stochastic gradient descent on
-  the What-If cost surface (two probes per iteration, projected onto
-  parameter bounds);
 - ``surrogate`` — a kernel-ridge surrogate model over What-If
-  evaluations, warm-started from profile history in the store;
-- ``ensemble`` — a policy that shortlists members per job from job
-  features and match quality and keeps the best prediction.
+  evaluations, warm-started from profile history in the store.
 
 :func:`make_tuner` is the registry the submit path, the serving config,
 and the CLI resolve names through.  The league harness that races the
@@ -30,27 +25,22 @@ from ..starfish.cbo import CostBasedOptimizer
 from ..starfish.rbo import RuleBasedOptimizer
 from ..starfish.whatif import WhatIfEngine
 from .adapters import CboTuner, RboTuner
-from .base import Tuner, TunerContext, TunerDecision, WhatIfObjective
-from .ensemble import EnsembleTuner
-from .spsa import SpsaTuner
+from .base import Tuner, TunerDecision, WhatIfObjective
 from .surrogate import SurrogateTuner
 
 __all__ = [
     "TUNER_NAMES",
     "CboTuner",
-    "EnsembleTuner",
     "RboTuner",
-    "SpsaTuner",
     "SurrogateTuner",
     "Tuner",
-    "TunerContext",
     "TunerDecision",
     "WhatIfObjective",
     "make_tuner",
 ]
 
 #: Resolvable tuner names, in leaderboard display order.
-TUNER_NAMES: tuple[str, ...] = ("rbo", "cbo", "spsa", "surrogate", "ensemble")
+TUNER_NAMES: tuple[str, ...] = ("rbo", "cbo", "surrogate")
 
 
 def make_tuner(
@@ -77,7 +67,7 @@ def make_tuner(
         cbo/rbo: existing optimizer instances to adapt; fresh ones are
             created if omitted (the CBO inherits *seed*).
         budgets: per-tuner constructor overrides, keyed by tuner name —
-            e.g. ``{"spsa": {"iterations": 8}}`` for quick-mode races.
+            e.g. ``{"surrogate": {"rounds": 6}}`` for quick-mode races.
     """
     cluster = cluster if cluster is not None else whatif.cluster
     budgets = budgets or {}
@@ -95,26 +85,9 @@ def make_tuner(
         if rbo is None:
             rbo = RuleBasedOptimizer(cluster)
         return RboTuner(rbo, whatif, registry=registry, tracer=tracer)
-    if name == "spsa":
-        return SpsaTuner(
-            whatif, seed=seed, registry=registry, tracer=tracer,
-            **overrides("spsa"),
-        )
     if name == "surrogate":
         return SurrogateTuner(
             whatif, store=store, seed=seed, registry=registry, tracer=tracer,
             **overrides("surrogate"),
-        )
-    if name == "ensemble":
-        members = {
-            member: make_tuner(
-                member, whatif, cluster=cluster, seed=seed, store=store,
-                cbo=cbo, rbo=rbo, registry=registry, tracer=tracer,
-                budgets=budgets,
-            )
-            for member in ("rbo", "cbo", "spsa", "surrogate")
-        }
-        return EnsembleTuner(
-            members, registry=registry, tracer=tracer, **overrides("ensemble")
         )
     raise ValueError(f"unknown tuner {name!r}; expected one of {TUNER_NAMES}")

@@ -11,7 +11,7 @@ comparable on the same leaderboard axes as every search tuner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..observability import MetricsRegistry, Tracer
 from ..starfish.cbo import CostBasedOptimizer
@@ -19,7 +19,7 @@ from ..starfish.profile import JobProfile
 from ..starfish.rbo import RuleBasedOptimizer
 from ..starfish.whatif import WhatIfEngine
 from ..hadoop.config import JobConfiguration
-from .base import TunerContext, TunerDecision, traced_optimize
+from .base import TunerDecision, traced_optimize
 
 __all__ = ["CboTuner", "RboTuner"]
 
@@ -38,7 +38,6 @@ class CboTuner:
         self,
         profile: JobProfile,
         data_bytes: int | None = None,
-        context: TunerContext | None = None,
     ) -> TunerDecision:
         def run() -> TunerDecision:
             result = self.cbo.optimize(profile, data_bytes)
@@ -48,7 +47,6 @@ class CboTuner:
                 predicted_runtime=result.predicted_runtime,
                 default_predicted_runtime=result.default_predicted_runtime,
                 evaluations=result.evaluations,
-                memo_hits=result.memo_hits,
             )
 
         return traced_optimize(self.name, self.tracer, self.registry, run)
@@ -76,7 +74,6 @@ class RboTuner:
         self,
         profile: JobProfile,
         data_bytes: int | None = None,
-        context: TunerContext | None = None,
     ) -> TunerDecision:
         def run() -> TunerDecision:
             try:

@@ -10,30 +10,26 @@ and the league harness can swap search strategies freely.
 Shared machinery lives here:
 
 - :class:`TunerDecision` — the common result shape (a superset of the
-  CBO's ``OptimizationResult`` fields, plus the tuner's name, the chosen
-  ensemble member, and an optional evaluated-candidate history used by
-  the bounds property tests).
-- :class:`TunerContext` — optional per-submission context (job features
-  and the match outcome) that policy tuners such as the ensemble read;
-  search tuners ignore it.
-- The **unit-cube mapping**: SPSA and the surrogate search in
-  ``u ∈ [0, 1]^14`` where projection onto bounds is a plain ``clip``;
+  CBO's ``OptimizationResult`` fields, plus the tuner's name and an
+  optional evaluated-candidate history used by the bounds property
+  tests).
+- The **unit-cube mapping**: the surrogate searches in ``u ∈ [0, 1]^14``
+  where projection onto bounds is a plain ``clip``;
   :func:`row_from_unit` maps a cube point to a legal parameter-unit row
   (log-scale dimensions interpolate in log space, integers round,
   booleans threshold at 0.5) and :func:`unit_from_row` inverts it.
 - :class:`WhatIfObjective` — a counting, memoizing wrapper around
-  ``WhatIfEngine.predict`` with the CBO's quantized-key dedupe, so every
-  vector tuner shares one evaluation-accounting convention: every
-  candidate considered counts toward ``evaluations``; duplicates that
-  never reached the engine count toward ``memo_hits``.
+  ``WhatIfEngine.predict`` keyed on the quantized parameter vector, so
+  every candidate considered counts toward ``evaluations`` and
+  duplicates that never reached the engine count toward ``memo_hits``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -46,17 +42,12 @@ from ..observability import (
     get_registry,
     get_tracer,
 )
-from ..starfish.cbo import _config_from_row, _quantize_matrix
+from ..starfish.cbo import _config_from_row
 from ..starfish.profile import JobProfile
 from ..starfish.whatif import WhatIfEngine
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core cycle
-    from ..core.features import JobFeatures
-    from ..core.matcher import MatchOutcome
-
 __all__ = [
     "Tuner",
-    "TunerContext",
     "TunerDecision",
     "WhatIfObjective",
     "config_from_row",
@@ -76,22 +67,6 @@ DEFAULT_ROW: np.ndarray = np.array(
 
 
 @dataclass(frozen=True)
-class TunerContext:
-    """What the submit path knows about a job beyond its profile.
-
-    Both fields are optional — the league harness races tuners on bare
-    profiles — and duck-typed so the tuners package never imports
-    :mod:`repro.core` at runtime (PStorM imports *us*).
-    """
-
-    features: "JobFeatures | None" = None
-    outcome: "MatchOutcome | None" = None
-    #: Input size of the submitted run (``dataset.nominal_bytes``);
-    #: ``None`` falls back to the profile's own collection size.
-    data_bytes: int | None = None
-
-
-@dataclass(frozen=True)
 class TunerDecision:
     """Outcome of one tuner search — the family-wide result shape."""
 
@@ -104,8 +79,6 @@ class TunerDecision:
     evaluations: int
     #: Candidates answered from a memo instead of the What-If engine.
     memo_hits: int = 0
-    #: For the ensemble: the member whose recommendation won.
-    chosen: str | None = None
     #: Every evaluated candidate as ``(config, predicted_runtime)``, in
     #: evaluation order.  Vector tuners fill this (the bounds property
     #: tests walk it); adapters leave it empty.
@@ -129,7 +102,6 @@ class Tuner(Protocol):
         self,
         profile: JobProfile,
         data_bytes: int | None = None,
-        context: TunerContext | None = None,
     ) -> TunerDecision:  # pragma: no cover - protocol signature
         ...
 
@@ -161,6 +133,9 @@ _LOWS, _HIGHS, _LOG_MASK, _BOOL_MASK = _cube_bounds()
 _SPANS = _HIGHS - _LOWS
 _INT_COLUMNS = tuple(
     j for j, spec in enumerate(CONFIGURATION_SPACE) if spec.kind == "int"
+)
+_FLOAT_COLUMNS = tuple(
+    j for j, spec in enumerate(CONFIGURATION_SPACE) if spec.kind == "float"
 )
 
 
@@ -209,12 +184,32 @@ def row_from_config(config: JobConfiguration) -> np.ndarray:
 # ----------------------------------------------------------------------
 # The shared objective
 # ----------------------------------------------------------------------
+def _quantize_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Round float columns to 12 significant digits (memo-key resolution).
+
+    Integer and boolean columns are already exact by construction.  Twelve
+    significant digits keeps the chance of two *distinct* candidates
+    colliding far below anything a search could produce, while candidates
+    that decode to the same legal row land on identical keys.
+    """
+    quantized = matrix.copy()
+    for j in _FLOAT_COLUMNS:
+        column = quantized[:, j]
+        nonzero = column != 0.0
+        safe = np.where(nonzero, np.abs(column), 1.0)
+        scale = np.power(10.0, 11.0 - np.floor(np.log10(safe)))
+        quantized[:, j] = np.where(
+            nonzero, np.round(column * scale) / scale, 0.0
+        )
+    return quantized
+
+
 class WhatIfObjective:
     """Counting, memoizing view of the What-If cost surface.
 
     One instance per search: it prices parameter-unit rows through
-    ``WhatIfEngine.predict``, dedupes on the CBO's quantized key so a
-    revisited candidate is free, and keeps the evaluated-candidate
+    ``WhatIfEngine.predict``, dedupes on a quantized key so a revisited
+    candidate is free, and keeps the evaluated-candidate
     history the bounds property tests inspect.
     """
 
@@ -305,7 +300,5 @@ def traced_optimize(
         decision: TunerDecision = run()
         span.set_attr("evaluations", decision.evaluations)
         span.set_attr("predicted_speedup", round(decision.predicted_speedup, 4))
-        if decision.chosen is not None:
-            span.set_attr("chosen", decision.chosen)
     record_decision_metrics(decision, started, registry)
     return decision

@@ -23,7 +23,7 @@ that has seen the workload mix before.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..experiments.common import (
@@ -35,7 +35,6 @@ from ..experiments.common import (
 from ..starfish.whatif import WhatIfEngine
 from ..workloads.benchmark import BenchmarkEntry, standard_benchmark
 from . import TUNER_NAMES, make_tuner
-from .base import TunerContext
 
 __all__ = ["LeagueConfig", "quick_entries", "run_league", "leaderboard_json"]
 
@@ -47,7 +46,6 @@ QUICK_BUDGETS: dict[str, dict[str, Any]] = {
         "elite": 4,
         "perturbations_per_elite": 4,
     },
-    "spsa": {"iterations": 10},
     "surrogate": {"initial_samples": 8, "rounds": 6, "candidate_pool": 64},
 }
 
@@ -122,13 +120,8 @@ def run_league(config: LeagueConfig) -> dict[str, Any]:
                 store=store,
                 budgets=budgets,
             )
-            decision = tuner.optimize(
-                record.full_profile,
-                data_bytes=data_bytes,
-                context=TunerContext(features=record.features, data_bytes=data_bytes),
-            )
+            decision = tuner.optimize(record.full_profile, data_bytes=data_bytes)
             return {
-                "chosen": decision.chosen,
                 "default_predicted_runtime": round(
                     decision.default_predicted_runtime, 6
                 ),

@@ -1,7 +1,7 @@
 """Surrogate tuner: a Bayesian-style model fit over What-If evaluations.
 
-Where SPSA walks the cost surface locally, this tuner *models* it: a
-Gaussian-kernel ridge surrogate is fit over every candidate evaluated so
+Where the CBO samples the cost surface at random, this tuner *models*
+it: a Gaussian-kernel ridge surrogate is fit over every candidate evaluated so
 far (in unit-cube coordinates), and each round evaluates the point of a
 seeded candidate pool that minimizes a lower-confidence-bound style
 acquisition — surrogate mean minus an exploration bonus proportional to
@@ -34,7 +34,6 @@ from ..starfish.whatif import WhatIfEngine
 from .base import (
     DEFAULT_ROW,
     DIMENSIONS,
-    TunerContext,
     TunerDecision,
     WhatIfObjective,
     config_from_row,
@@ -92,7 +91,6 @@ class SurrogateTuner:
         self,
         profile: JobProfile,
         data_bytes: int | None = None,
-        context: TunerContext | None = None,
     ) -> TunerDecision:
         return traced_optimize(
             self.name,

@@ -170,6 +170,7 @@ class TestAblations:
         by_mode = {row[0]: row for row in result.rows}
         assert by_mode["pushdown"][2] < by_mode["client-side"][2]
         assert by_mode["pushdown"][1] == by_mode["client-side"][1]  # same scans
+        assert by_mode["pushdown"][2] <= 0.1 * by_mode["pushdown"][1]
 
     def test_store_models(self, ctx, records):
         result = ablations.run_store_models(ctx, records)

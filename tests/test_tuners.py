@@ -30,11 +30,8 @@ from repro.starfish.whatif import WhatIfEngine
 from repro.tuners import (
     TUNER_NAMES,
     CboTuner,
-    EnsembleTuner,
-    SpsaTuner,
     SurrogateTuner,
     Tuner,
-    TunerContext,
     make_tuner,
 )
 from repro.tuners.base import (
@@ -99,7 +96,6 @@ def _decision_key(decision):
         decision.default_predicted_runtime,
         decision.evaluations,
         decision.memo_hits,
-        decision.chosen,
     )
 
 
@@ -158,9 +154,9 @@ class TestFactory:
 
     def test_budgets_reach_constructors(self, cluster):
         tuner = make_tuner(
-            "spsa", WhatIfEngine(cluster), budgets={"spsa": {"iterations": 3}}
+            "surrogate", WhatIfEngine(cluster), budgets={"surrogate": {"rounds": 3}}
         )
-        assert tuner.iterations == 3
+        assert tuner.rounds == 3
 
 
 class TestDeterminism:
@@ -208,16 +204,6 @@ class TestBounds:
 
     @_settings
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_spsa_history_in_bounds(self, cluster, wc_profile, seed):
-        tuner = SpsaTuner(WhatIfEngine(cluster), iterations=6, seed=seed)
-        decision = tuner.optimize(wc_profile, data_bytes=256 * MB)
-        assert decision.history
-        for config, __ in decision.history:
-            assert_config_in_bounds(config)
-        assert_config_in_bounds(decision.best_config)
-
-    @_settings
-    @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_surrogate_history_in_bounds(self, cluster, wc_profile, seed):
         tuner = SurrogateTuner(
             WhatIfEngine(cluster),
@@ -233,15 +219,11 @@ class TestBounds:
         assert_config_in_bounds(decision.best_config)
 
     def test_best_never_worse_than_default(self, cluster, wc_profile):
-        for name in ("spsa", "surrogate", "ensemble"):
-            tuner = make_tuner(
-                name, WhatIfEngine(cluster), seed=2, budgets=BUDGETS
-            )
-            decision = tuner.optimize(wc_profile, data_bytes=256 * MB)
-            assert (
-                decision.predicted_runtime
-                <= decision.default_predicted_runtime
-            )
+        tuner = make_tuner(
+            "surrogate", WhatIfEngine(cluster), seed=2, budgets=BUDGETS
+        )
+        decision = tuner.optimize(wc_profile, data_bytes=256 * MB)
+        assert decision.predicted_runtime <= decision.default_predicted_runtime
 
 
 class TestAdapters:
@@ -261,7 +243,6 @@ class TestAdapters:
             == direct.default_predicted_runtime
         )
         assert adapted.evaluations == direct.evaluations
-        assert adapted.memo_hits == direct.memo_hits
 
     def test_rbo_adapter_carries_rule_config(self, cluster, wc_profile):
         whatif = WhatIfEngine(cluster)
@@ -273,61 +254,22 @@ class TestAdapters:
         assert decision.evaluations == 2
 
 
-class TestEnsemble:
-    def test_requires_cbo_member(self, cluster):
-        whatif = WhatIfEngine(cluster)
-        with pytest.raises(ValueError, match="cbo"):
-            EnsembleTuner({"rbo": make_tuner("rbo", whatif, cluster=cluster)})
-
-    def test_shortlist_routing(self, cluster, wc_profile, maponly_profile):
-        ensemble = make_tuner(
-            "ensemble", WhatIfEngine(cluster), seed=0, budgets=BUDGETS
-        )
-        # No match outcome -> uncertain -> the surrogate hedges.
-        assert ensemble.shortlist(wc_profile, None) == ("cbo", "surrogate")
-        # Map-only adds the rules.
-        assert "rbo" in ensemble.shortlist(maponly_profile, None)
-        # Shuffle-heavy (reduce side + big input) adds SPSA.
-        import dataclasses
-
-        big = dataclasses.replace(wc_profile, input_bytes=4 << 30)
-        assert "spsa" in ensemble.shortlist(big, None)
-
-    def test_never_worse_than_cbo(self, cluster, wc_profile):
-        whatif = WhatIfEngine(cluster)
-        cbo = make_tuner("cbo", whatif, seed=4, budgets=BUDGETS).optimize(
-            wc_profile, data_bytes=256 * MB
-        )
-        ensemble = make_tuner(
-            "ensemble", whatif, seed=4, budgets=BUDGETS
-        ).optimize(wc_profile, data_bytes=256 * MB)
-        assert ensemble.predicted_runtime <= cbo.predicted_runtime
-        assert ensemble.chosen in TUNER_NAMES
-        assert ensemble.evaluations >= cbo.evaluations
-
-    def test_metrics_recorded(self, cluster, wc_profile):
+class TestMetrics:
+    def test_search_recorded(self, cluster, wc_profile):
         registry = MetricsRegistry()
         tuner = make_tuner(
-            "ensemble",
+            "surrogate",
             WhatIfEngine(cluster),
             seed=0,
             budgets=BUDGETS,
             registry=registry,
         )
         decision = tuner.optimize(wc_profile, data_bytes=256 * MB)
-        assert (
-            registry.counter(
-                "tuner_optimizations_total", labels={"tuner": "ensemble"}
-            ).value
-            == 1
-        )
-        assert (
-            registry.counter(
-                "tuner_ensemble_selections_total",
-                labels={"member": decision.chosen},
-            ).value
-            == 1
-        )
+        labels = {"tuner": "surrogate"}
+        assert registry.counter("tuner_optimizations_total", labels=labels).value == 1
+        evaluations = registry.histogram("tuner_evaluations", labels=labels)
+        assert evaluations.count == 1
+        assert evaluations.sum == decision.evaluations
 
 
 class TestObjective:
@@ -405,7 +347,7 @@ class TestPStorMIntegration:
         assert first.config == second.config
         assert first.runtime_seconds == second.runtime_seconds
 
-    @pytest.mark.parametrize("tuner", ["rbo", "spsa", "surrogate", "ensemble"])
+    @pytest.mark.parametrize("tuner", ["rbo", "surrogate"])
     def test_alternate_tuners_complete(self, cluster, tuner):
         job, dataset = self._workload()
         pipeline = self._pipeline(cluster, tuner)

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbo_oracle import optimize_sequential
 from repro.hadoop.cluster import ec2_cluster
 from repro.hadoop.config import CONFIGURATION_SPACE, JobConfiguration
 from repro.starfish.cbo import CostBasedOptimizer
@@ -182,7 +183,7 @@ class TestCboEquivalence:
             seed=seed,
         )
         batched = cbo.optimize(profile)
-        sequential = cbo.optimize_sequential(profile)
+        sequential = optimize_sequential(cbo, profile)
         assert batched.best_config == sequential.best_config
         assert batched.predicted_runtime == sequential.predicted_runtime
         assert batched.evaluations == sequential.evaluations
@@ -204,6 +205,6 @@ class TestCboEquivalence:
             seed=seed,
         )
         batched = cbo.optimize(profile)
-        sequential = cbo.optimize_sequential(profile)
+        sequential = optimize_sequential(cbo, profile)
         assert batched.best_config == sequential.best_config
         assert batched.best_config.num_reduce_tasks <= 4
