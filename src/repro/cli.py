@@ -13,8 +13,8 @@ Commands:
 - ``loadgen`` — replay seeded synthetic tenant traffic against the
   tuning service as a discrete-event simulation; the summary JSON on
   stdout is byte-identical for the same seed (see ``docs/serving.md``).
-- ``serve`` — drive the real thread-pool frontend end to end (queues,
-  futures, clean shutdown); exits nonzero if a worker hangs.
+- ``serve`` — drive the real frontend end to end on either backend
+  (queue, lanes, futures, clean shutdown); exits nonzero if a worker hangs.
 - ``league`` — race the tuner family (RBO, CBO, surrogate) across the
   workload zoo under one seed and print the leaderboard JSON
   (byte-identical per seed; see ``docs/tuning.md``).
@@ -329,8 +329,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the thread-pool frontend end to end: start the worker pool,
-    drive seeded traffic through real queues, stop cleanly.
+    """Run the real frontend end to end: start the lanes, drive seeded
+    traffic through the real queue, stop cleanly.
 
     Unlike ``loadgen`` (a simulation, byte-deterministic), this exercises
     true concurrency — the summary counts are stable but latencies are
@@ -787,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window",
         type=float,
         default=0.0,
-        help="processes backend, open mode: coalescing window (sim seconds)",
+        help="open mode: coalescing window, either backend (sim seconds)",
     )
     loadgen.add_argument("--batch-max", type=int, default=8)
     add_sharding(loadgen)
@@ -814,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window",
         type=float,
         default=0.0,
-        help="processes backend: dispatcher coalescing window (wall seconds)",
+        help="how long a lane holds a request to coalesce more, either backend (wall seconds)",
     )
     serve.add_argument("--batch-max", type=int, default=8)
     serve.add_argument(

@@ -96,10 +96,10 @@ class WorkerKilledError(HBaseError):
     """A chaos-injected SIGKILL of one serving worker process.
 
     Raised by the fault injector at the process-pool ``dispatch``
-    boundary (``kind="kill"``): the frontend must kill the target
-    worker, respawn it, and re-dispatch the in-flight work — the request
-    itself must still complete.  Not retryable at the substrate level;
-    the recovery lives in :class:`repro.serving.procpool.ProcessPoolFrontend`.
+    boundary (``kind="kill"``): the lane that owns the target worker
+    must kill it, respawn it, and resend its task — the request itself
+    must still complete.  Not retryable at the substrate level; the
+    recovery lives in :class:`repro.serving.procpool.ProcessBackend`.
     """
 
 

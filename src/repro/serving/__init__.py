@@ -4,18 +4,20 @@ The ROADMAP's deployment model for PStorM is an always-on daemon serving
 many analysts over one shared profile store.  This package supplies that
 serving layer:
 
-- :mod:`~repro.serving.service` — the :class:`TuningService`: a bounded
-  request queue drained by a pool of workers, each running its own
-  PStorM pipeline over the shared (resilient, maintained) store;
+- :mod:`~repro.serving.service` — the :class:`TuningService`: one
+  bounded request queue drained by lane threads, each running its
+  misses on its own PStorM pipeline over the shared (resilient,
+  maintained) store, or on the worker process it owns;
 - :mod:`~repro.serving.cache` — the keyed result cache (LRU + TTL on
   the simulated clock, invalidated by profile writes);
 - :mod:`~repro.serving.admission` — watermark load shedding and
   per-tenant token-bucket rate limiting;
 - :mod:`~repro.serving.loadgen` — the deterministic open/closed-loop
   load harness behind ``repro loadgen``;
-- :mod:`~repro.serving.procpool` — the multi-process backend: worker
-  processes probing the shared-memory match index, a single-writer
-  parent publishing generations, chaos-killable and respawned.
+- :mod:`~repro.serving.procpool` — the process backend: one worker
+  process per lane probing the shared-memory match index, a
+  single-writer parent publishing generations, chaos-killable and
+  respawned.
 """
 
 from .admission import AdmissionController, TenantPolicy, TokenBucket
@@ -29,11 +31,11 @@ from .loadgen import (
     run_load,
     run_worker_sweep,
 )
-from .procpool import ProcessPoolFrontend, SnapshotStoreProxy, WorkerRuntime
+from .procpool import ProcessBackend, SnapshotStoreProxy, WorkerRuntime
 from .service import ServiceConfig, TuningRequest, TuningResponse, TuningService
 
 __all__ = [
-    "ProcessPoolFrontend",
+    "ProcessBackend",
     "SnapshotStoreProxy",
     "WorkerRuntime",
     "run_worker_sweep",

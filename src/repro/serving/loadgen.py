@@ -127,8 +127,8 @@ class LoadConfig:
     ipc_cost_seconds: float = 0.004
     #: Process backend: shared-index republish cost added to remember().
     publish_cost_seconds: float = 0.05
-    #: Process backend, open mode: coalesce arrivals within this window
-    #: of a group's first arrival into one handle_batch call (0 = off).
+    #: Open mode: coalesce arrivals within this window of a group's
+    #: first arrival into one handle_batch call (0 = off).
     batch_window_seconds: float = 0.0
     batch_max: int = 8
     #: Region servers hosting the shared store's HBase substrate.
@@ -392,9 +392,7 @@ class _LoadRun:
         wait: float,
         tenant: str,
     ) -> float:
-        job_id = self.service.remember(
-            job, dataset, seed=self.config.seed, now=start
-        )
+        job_id = self.service.remember(job, dataset, seed=self.config.seed)
         self.remembers += 1
         if job_id is None:
             self.remember_failures += 1
@@ -451,9 +449,7 @@ class _LoadRun:
             job, dataset = self.pick_work()
             plan.append((index, now, tenant, job, dataset))
         batching = (
-            self.config.backend == "processes"
-            and self.config.batch_window_seconds > 0
-            and self.config.batch_max > 1
+            self.config.batch_window_seconds > 0 and self.config.batch_max > 1
         )
         if not batching:
             for item in plan:

@@ -1,18 +1,22 @@
-"""Multi-process serving: worker processes over the shared-memory index.
+"""The process backend: each lane's misses run in its own worker process.
 
-The GIL caps the thread frontend of :mod:`repro.serving.service` at one
-core of matcher/CBO work no matter how many workers it starts.  This
-module is the escape hatch: N worker *processes*, each running its own
-read-only PStorM pipeline, all probing the same columnar
-:class:`~repro.core.match_index.MatchIndex` matrices through
-``multiprocessing.shared_memory`` (:mod:`repro.core.shm_index`) — one
-copy of the matrices per generation, zero-copy numpy views per worker.
+The GIL caps in-process lanes at one core of matcher/CBO work no matter
+how many lanes run.  Under ``backend="processes"`` every lane of
+:class:`~repro.serving.service.TuningService` instead owns one worker
+*process*, each running its own read-only PStorM pipeline, all probing
+the same columnar :class:`~repro.core.match_index.MatchIndex` matrices
+through ``multiprocessing.shared_memory`` (:mod:`repro.core.shm_index`)
+— one copy of the matrices per generation, zero-copy numpy views per
+worker.  The queue, admission, deadline shedding, batching, cache and
+response bookkeeping are the service's own; this module only runs
+misses.
 
 Ownership is strictly single-writer:
 
 - the **parent** owns the authoritative profile store, the result cache,
-  and the :class:`~repro.core.shm_index.SharedIndexPublisher`; it serves
-  cache hits itself (no IPC) and is the only process that ever writes;
+  and the :class:`~repro.core.shm_index.SharedIndexPublisher`; its lanes
+  serve cache hits themselves (no IPC) and it is the only process that
+  ever writes;
 - each **worker** owns a :class:`SnapshotStoreProxy`: a local replica
   rebuilt from the last published generation, an outbox of profile
   writes travelling back to the parent, and the same ``view()``
@@ -23,28 +27,26 @@ Ownership is strictly single-writer:
   own indexed path so the matcher's existing fallback ladder serves the
   probe from the replica scan — read-your-writes without a lock.
 
-Results travel back as ``SubmissionResult.to_dict()`` wire payloads plus
-the drained outbox; the parent applies the outbox to the real store,
-republishes, and finishes the response through the exact same
-bookkeeping helpers the thread frontend uses — which is what makes a
-one-at-a-time process-backend run bit-identical to the thread backend.
+A lane sends its misses as one task over a task/result queue pair
+private to it; results travel back as ``SubmissionResult.to_dict()``
+wire payloads plus the drained outbox, which the lane applies to the
+real store before republishing.
 
-Failure modes are embraced, not avoided: a chaos plan's ``kill`` fault
-(:func:`repro.chaos.plan.worker_kill_plan`) SIGKILLs the target worker
-at the dispatch boundary, and the frontend respawns it and re-dispatches
-every in-flight request it held — duplicate results after a respawn are
-tolerated by completing each request id at most once.
+A chaos plan's ``kill`` fault (:func:`repro.chaos.plan.worker_kill_plan`)
+SIGKILLs the lane's worker at the dispatch boundary; the lane respawns
+it and resends its task, as it does for a worker that dies mid-task.  A
+worker that fails to boot leaves its slot dead for good.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
+import pickle
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence
 
 from ..analysis.static_features import StaticFeatures
 from ..chaos import get_injector
@@ -58,23 +60,19 @@ from ..core.shm_index import (
 )
 from ..core.store import ProfileStore
 from ..hadoop.cluster import ClusterSpec
-from ..hadoop.config import JobConfiguration
 from ..hadoop.engine import HadoopEngine
 from ..hbase.errors import HBaseError, WorkerKilledError
 from ..observability import COUNT_BUCKETS, MetricsRegistry, get_registry
 from ..starfish.profile import JobProfile
-from .errors import ServiceClosedError
-
-if TYPE_CHECKING:
-    from .service import TuningRequest, TuningService
+from .service import TuningRequest, TuningService, run_submissions
 
 __all__ = [
     "SnapshotStoreProxy",
     "WorkerRuntime",
-    "ProcessPoolFrontend",
+    "ProcessBackend",
 ]
 
-_STOP = None  # worker/dispatcher sentinel
+_STOP = None  # worker sentinel
 
 
 # ----------------------------------------------------------------------
@@ -253,84 +251,36 @@ class WorkerRuntime:
         )
 
     # ------------------------------------------------------------------
-    def _serve_one(
-        self,
-        request_id: int,
-        job: Any,
-        dataset: Any,
-        config: JobConfiguration | None,
-        seed: int,
-        presampled: Any = None,
-        stage1: Any = None,
-    ) -> dict[str, Any]:
-        try:
-            if presampled is not None and not isinstance(presampled, Exception):
-                result = self.pipeline.submit(
-                    job, dataset, config, seed=seed,
-                    _presampled=presampled, _stage1=stage1,
-                )
-            else:
-                result = self.pipeline.submit(job, dataset, config, seed=seed)
-            return {
-                "request_id": request_id,
-                "ok": True,
-                "result": result.to_dict(),
-                "error": None,
-            }
-        except Exception as exc:  # noqa: BLE001 — workers must survive anything
-            # Same wire format as the thread backend's failure responses.
-            return {
-                "request_id": request_id,
-                "ok": False,
-                "result": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-
     def serve(self, task: dict[str, Any]) -> dict[str, Any]:
         """Answer one task dict (single submission or coalesced batch)."""
-        if task.get("batch") is not None:
-            items = task["batch"]
-            normalized = [
-                (
-                    item["job"],
-                    item["dataset"],
-                    item.get("config"),
-                    item.get("seed", 0),
-                )
+        items = task["batch"] if task.get("batch") is not None else [task]
+        outcomes = run_submissions(
+            self.pipeline,
+            [
+                (item["job"], item["dataset"], item.get("config"), item.get("seed", 0))
                 for item in items
-            ]
-            presampled, stage1 = self.pipeline.prepare_batch(normalized)
-            entries = [
-                self._serve_one(
-                    item["request_id"], job, dataset, config, seed,
-                    presampled=pre, stage1=stage1,
-                )
-                for item, (job, dataset, config, seed), pre in zip(
-                    items, normalized, presampled
-                )
-            ]
-            return {
-                "batch": entries,
-                "outbox": self.proxy.drain_outbox(),
-                "generation": self.proxy.view_generation,
-            }
-        entry = self._serve_one(
-            task["request_id"],
-            task["job"],
-            task["dataset"],
-            task.get("config"),
-            task.get("seed", 0),
+            ],
         )
-        entry["outbox"] = self.proxy.drain_outbox()
-        entry["generation"] = self.proxy.view_generation
-        return entry
+        entries = [
+            {
+                "request_id": item["request_id"],
+                "ok": not isinstance(outcome, str),
+                "result": None if isinstance(outcome, str) else outcome.to_dict(),
+                # Same "TypeName: message" as in-process failures.
+                "error": outcome if isinstance(outcome, str) else None,
+            }
+            for item, outcome in zip(items, outcomes)
+        ]
+        payload = {"batch": entries} if task.get("batch") is not None else entries[0]
+        payload["outbox"] = self.proxy.drain_outbox()
+        payload["generation"] = self.proxy.view_generation
+        return payload
 
     def close(self) -> None:
         self.proxy.close()
 
 
 def _worker_main(
-    worker_index: int,
     ctrl_name: str,
     cluster: ClusterSpec,
     seed: int,
@@ -339,22 +289,20 @@ def _worker_main(
     unregister: bool,
     tuner: str = "cbo",
 ) -> None:
-    """Child-process entry point: build a runtime, drain the task queue."""
+    """Child-process entry point: build a runtime, answer the lane's tasks."""
     try:
         runtime = WorkerRuntime(
             ctrl_name, cluster, seed=seed, unregister=unregister, tuner=tuner
         )
-    except Exception as exc:  # noqa: BLE001 — report, never hang the parent
-        result_queue.put(
-            ("spawn-error", worker_index, f"{type(exc).__name__}: {exc}")
-        )
+    except Exception as exc:  # noqa: BLE001 — report, never hang the lane
+        result_queue.put(("spawn-error", f"{type(exc).__name__}: {exc}"))
         return
     try:
         while True:
             task = task_queue.get()
             if task is _STOP:
                 return
-            result_queue.put(("result", worker_index, runtime.serve(task)))
+            result_queue.put(("result", runtime.serve(pickle.loads(task))))
     finally:
         runtime.close()
 
@@ -363,42 +311,29 @@ def _worker_main(
 # Parent side
 # ----------------------------------------------------------------------
 @dataclass
-class _Pending:
-    """One dispatched-but-unanswered request."""
-
-    request: "TuningRequest"
-    future: Any
-    key: Any
-    now: float
-    task: dict[str, Any]
-    worker_index: int
-    enqueued_at: float
-
-
-@dataclass
 class _Worker:
+    """One lane's worker process and its private task/result queues."""
+
     index: int
     process: Any
-    queue: Any
+    tasks: Any
+    results: Any
+    #: False once the worker failed to boot: the slot stays dead.
     alive: bool = True
-    spawned_at: float = field(default_factory=time.monotonic)
 
 
-class ProcessPoolFrontend:
-    """The process backend behind ``TuningService`` (``backend="processes"``).
+class ProcessBackend:
+    """Where the lanes of a ``backend="processes"`` service run misses.
 
-    The parent publishes the store's match index over shared memory,
-    serves cache hits itself, and round-robins misses to worker
-    processes; a collector thread applies each result's outbox to the
-    authoritative store, republishes, and completes the future through
-    the service's own response helpers.  Chaos ``kill`` faults at the
-    ``dispatch`` boundary SIGKILL the target worker; the frontend
-    respawns it with a fresh queue and re-dispatches everything it held.
+    Publishes the store's match index over shared memory and keeps one
+    worker process per lane.  :meth:`run` is a lane's miss runner: it
+    sends the lane's misses as one task, waits for the answer, applies
+    the result's outbox to the authoritative store and republishes.
     """
 
     def __init__(
         self,
-        service: "TuningService",
+        service: TuningService,
         injector: Any = None,
         start_method: str | None = None,
     ) -> None:
@@ -410,56 +345,32 @@ class ProcessPoolFrontend:
         #: publisher's unlinks satisfy); spawned children run their own
         #: and must drop attach-time registrations they do not own.
         self._unregister = self._ctx.get_start_method() != "fork"
-        self._lock = threading.RLock()
+        self._publish_lock = threading.Lock()
         self._publisher: SharedIndexPublisher | None = None
-        self._workers: list[_Worker | None] = []
-        self._inflight: dict[int, _Pending] = {}
-        self._result_queue: Any = None
-        self._collector: threading.Thread | None = None
-        self._dispatcher: threading.Thread | None = None
-        self._dispatch_queue: "queue_module.Queue[Any] | None" = None
-        self._rr = itertools.count()
-        self._running = False
+        self._workers: list[_Worker] = []
         self._stopping = False
 
-    # ------------------------------------------------------------------
     def start(self) -> None:
-        registry = get_registry(self.registry)
         self._publisher = SharedIndexPublisher(
             self.service.store, registry=self.registry
         )
         self._publisher.publish()
-        self._result_queue = self._ctx.Queue()
         self._workers = [
             self._spawn(index) for index in range(self.service.config.workers)
         ]
-        self._running = True
-        self._stopping = False
-        registry.gauge(
-            "serving_workers_alive", "serving worker processes currently alive"
-        ).set(float(len(self._workers)))
-        self._collector = threading.Thread(
-            target=self._collector_loop, name="procpool-collector", daemon=True
-        )
-        self._collector.start()
-        if self.service.config.batch_window_seconds > 0:
-            self._dispatch_queue = queue_module.Queue()
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="procpool-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+        self._count_alive()
 
     def _spawn(self, index: int) -> _Worker:
-        task_queue = self._ctx.Queue()
+        assert self._publisher is not None
+        tasks, results = self._ctx.Queue(), self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                index,
                 self._publisher.ctrl_name,
                 self.service.cluster,
                 self.service.seed,
-                task_queue,
-                self._result_queue,
+                tasks,
+                results,
                 self._unregister,
                 self.service.config.tuner,
             ),
@@ -470,268 +381,135 @@ class ProcessPoolFrontend:
         get_registry(self.registry).counter(
             "serving_worker_spawns_total", "serving worker processes started"
         ).inc()
-        return _Worker(index=index, process=process, queue=task_queue)
+        return _Worker(index=index, process=process, tasks=tasks, results=results)
 
-    # ------------------------------------------------------------------
-    def backlog(self) -> int:
-        """Admission's queue-depth signal: dispatched + not yet answered."""
-        with self._lock:
-            depth = len(self._inflight)
-        if self._dispatch_queue is not None:
-            depth += self._dispatch_queue.qsize()
-        return depth
+    def _count_alive(self) -> None:
+        get_registry(self.registry).gauge(
+            "serving_workers_alive", "serving worker processes currently alive"
+        ).set(float(sum(1 for w in self._workers if w.alive)))
+
+    def alive(self, index: int) -> bool:
+        """May lane *index* keep taking work?"""
+        return self._workers[index].alive
 
     def publish(self) -> None:
-        """Republish after a parent-side write (``remember`` path)."""
-        with self._lock:
-            if self._publisher is not None:
-                self._publisher.publish()
+        """Republish after a parent-side write; workers keep the last
+        good view if it fails."""
+        try:
+            with self._publish_lock:
+                if self._publisher is not None:
+                    self._publisher.publish()
+        except Exception:  # noqa: BLE001
+            get_registry(self.registry).counter(
+                "serving_publish_failures_total",
+                "shared-index republishes that failed after an outbox",
+            ).inc()
 
     # ------------------------------------------------------------------
-    def submit(self, request: "TuningRequest", future: Any, now: float) -> None:
-        """Accept one admitted request (called by ``submit_request``)."""
-        if self._dispatch_queue is not None:
-            self._dispatch_queue.put((request, future, now))
-            return
-        self._dispatch([(request, future, now)])
-
-    def _dispatch_loop(self) -> None:
-        window = self.service.config.batch_window_seconds
-        batch_max = max(1, self.service.config.batch_max)
-        assert self._dispatch_queue is not None
-        while True:
-            item = self._dispatch_queue.get()
-            if item is _STOP:
-                return
-            batch = [item]
-            deadline = time.monotonic() + window
-            while len(batch) < batch_max:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._dispatch_queue.get(timeout=remaining)
-                except queue_module.Empty:
-                    break
-                if nxt is _STOP:
-                    self._dispatch(batch)
-                    return
-                batch.append(nxt)
-            self._dispatch(batch)
-
-    def _dispatch(self, items: list[tuple[Any, Any, float]]) -> None:
-        """Serve cache hits parent-side; coalesce the misses to one worker."""
-        from .cache import cache_key_for  # local import: avoid cycle at module load
-
-        registry = get_registry(self.registry)
-        misses: list[_Pending] = []
-        for request, future, __ in items:
-            now = self.service.clock.now()
-            registry.counter(
-                "serving_requests_total",
-                "requests reaching the service pipeline",
-                labels={"tenant": request.tenant},
-            ).inc()
-            key = cache_key_for(request.job, request.dataset, self.service.cluster)
-            cached = self.service.cache.get(key, now)
-            if cached is not None:
-                response = self.service._hit_response(request, cached)
-                self.service._record_response(response)
-                with self.service._lock:
-                    self.service.clock.advance(response.service_seconds)
-                future.set_result(response)
-                continue
-            misses.append(
-                _Pending(
-                    request=request,
-                    future=future,
-                    key=key,
-                    now=now,
-                    task={},
-                    worker_index=-1,
-                    enqueued_at=time.monotonic(),
-                )
-            )
-        if not misses:
-            return
-        if len(misses) == 1:
-            pending = misses[0]
-            request = pending.request
-            pending.task = {
-                "request_id": request.request_id,
-                "job": request.job,
-                "dataset": request.dataset,
-                "config": request.config,
-                "seed": request.seed,
-            }
-        else:
-            task = {
-                "batch": [
-                    {
-                        "request_id": p.request.request_id,
-                        "job": p.request.job,
-                        "dataset": p.request.dataset,
-                        "config": p.request.config,
-                        "seed": p.request.seed,
-                    }
-                    for p in misses
-                ]
-            }
-            for pending in misses:
-                pending.task = task
-        registry.histogram(
+    def run(
+        self, index: int, requests: Sequence[TuningRequest]
+    ) -> Iterator[SubmissionResult | str]:
+        """Lane *index*'s miss runner: one task to its worker, one
+        ``SubmissionResult`` or ``"TypeName: message"`` per request."""
+        items = [
+            dict(request_id=r.request_id, job=r.job, dataset=r.dataset,
+                 config=r.config, seed=r.seed)
+            for r in requests
+        ]
+        get_registry(self.registry).histogram(
             "serving_batch_size",
             "submissions coalesced into one worker dispatch",
             buckets=COUNT_BUCKETS,
-        ).observe(len(misses))
-        with self._lock:
-            for pending in misses:
-                self._inflight[pending.request.request_id] = pending
-            self._dispatch_task(
-                misses[0].task, [p.request.request_id for p in misses]
+        ).observe(len(items))
+        payload = self._round_trip(
+            index, items[0] if len(items) == 1 else {"batch": items}
+        )
+        if isinstance(payload, str):
+            for __ in requests:
+                yield payload
+            return
+        self._apply_outbox(payload)
+        for entry in payload.get("batch") or [payload]:
+            yield (
+                SubmissionResult.from_dict(entry["result"])
+                if entry["ok"]
+                else entry["error"]
             )
 
-    def _pick_worker(self) -> _Worker | None:
-        for __ in range(len(self._workers)):
-            candidate = self._workers[next(self._rr) % len(self._workers)]
-            if candidate is not None and candidate.alive:
-                return candidate
-        return None
-
-    def _dispatch_task(self, task: dict[str, Any], request_ids: list[int]) -> None:
-        """Pick a worker, consult chaos, enqueue. Caller holds the lock."""
+    def _round_trip(self, index: int, task: dict[str, Any]) -> dict[str, Any] | str:
+        """Send *task* to the lane's worker and wait for its payload; a
+        string is an error that fails every request of the task."""
+        try:
+            # Pickled here: the queue's feeder thread would drop an
+            # unpicklable task and leave the lane waiting forever.
+            blob = pickle.dumps(task)
+        except Exception as exc:  # noqa: BLE001 — whatever pickling raises
+            return f"{type(exc).__name__}: {exc}"
         registry = get_registry(self.registry)
-        worker = self._pick_worker()
-        if worker is None:
-            for rid in request_ids:
-                pending = self._inflight.pop(rid, None)
-                if pending is not None:
-                    pending.future.set_result(
-                        self.service._failure_response(
-                            pending.request, "RuntimeError: no live workers"
-                        )
-                    )
-            return
+        worker = self._workers[index]
         injector = get_injector(self._injector)
         if injector is not None:
             try:
-                injector.on_operation("dispatch", server_id=worker.index)
+                injector.on_operation("dispatch", server_id=index)
             except WorkerKilledError:
                 registry.counter(
                     "serving_worker_kills_total",
                     "worker processes SIGKILLed by chaos kill faults",
                 ).inc()
-                self._respawn(worker, kill=True)
-                worker = self._workers[worker.index]
+                worker = self._respawn(worker, kill=True)
             except HBaseError:
-                # Non-kill chaos at the dispatch boundary is treated as
-                # transient dispatcher noise, never a lost request.
+                # Non-kill chaos at the dispatch boundary is transient
+                # noise, never a lost request.
                 registry.counter(
                     "serving_dispatch_faults_total",
                     "non-kill chaos faults absorbed at dispatch",
                 ).inc()
-        for rid in request_ids:
-            if rid in self._inflight:
-                self._inflight[rid].worker_index = worker.index
         registry.counter(
             "serving_dispatches_total", "tasks handed to worker processes"
         ).inc()
-        worker.queue.put(task)
+        worker.tasks.put(blob)
+        while True:
+            # Read liveness before polling: whatever a worker sent before
+            # it exited is already in the pipe.
+            alive = worker.process.is_alive()
+            try:
+                kind, payload = worker.results.get(block=alive, timeout=0.2)
+            except queue_module.Empty:
+                if alive:
+                    continue
+                if self._stopping:
+                    return "ServiceClosedError: service stopped before completion"
+                worker = self._respawn(worker, kill=False)
+                worker.tasks.put(blob)
+                continue
+            if kind == "result":
+                return payload
+            # The worker could not boot: respawning it would loop forever.
+            registry.counter(
+                "serving_worker_spawn_errors_total",
+                "worker processes that failed during startup",
+            ).inc()
+            worker.alive = False
+            self._count_alive()
+            return payload
 
-    # ------------------------------------------------------------------
-    def _respawn(self, worker: _Worker, kill: bool) -> None:
-        """Replace one worker with a fresh process + queue and re-dispatch
-        everything it held. Caller holds the lock."""
-        registry = get_registry(self.registry)
+    def _respawn(self, worker: _Worker, kill: bool) -> _Worker:
+        """Replace a lane's worker with a fresh process and queues."""
         if kill and worker.process.is_alive():
             worker.process.kill()
         worker.process.join(timeout=10.0)
-        worker.alive = False
-        try:
-            worker.queue.close()
-        except Exception:  # noqa: BLE001 — a killed reader can corrupt it
-            pass
+        _close_queues(worker)
         replacement = self._spawn(worker.index)
         self._workers[worker.index] = replacement
-        registry.counter(
+        get_registry(self.registry).counter(
             "serving_worker_respawns_total",
             "worker processes respawned after a kill or unexpected death",
         ).inc()
-        registry.gauge(
-            "serving_workers_alive", "serving worker processes currently alive"
-        ).set(float(sum(1 for w in self._workers if w is not None and w.alive)))
-        # Re-dispatch the dead worker's in-flight tasks, dispatch order
-        # preserved, shared batch tasks exactly once.
-        seen: set[int] = set()
-        for rid in sorted(self._inflight):
-            pending = self._inflight[rid]
-            if pending.worker_index != worker.index:
-                continue
-            pending.worker_index = replacement.index
-            if id(pending.task) in seen:
-                continue
-            seen.add(id(pending.task))
-            replacement.queue.put(pending.task)
+        self._count_alive()
+        return replacement
 
-    def _collector_loop(self) -> None:
-        assert self._result_queue is not None
-        while True:
-            try:
-                message = self._result_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                if not self._running:
-                    return
-                self._check_liveness()
-                continue
-            kind, worker_index, payload = message
-            if kind == "spawn-error":
-                self._on_spawn_error(worker_index, payload)
-            else:
-                self._on_result(payload)
-
-    def _check_liveness(self) -> None:
-        with self._lock:
-            if self._stopping:
-                return
-            for worker in self._workers:
-                if worker is None or not worker.alive:
-                    continue
-                if worker.process.is_alive():
-                    continue
-                if any(
-                    p.worker_index == worker.index
-                    for p in self._inflight.values()
-                ):
-                    self._respawn(worker, kill=False)
-
-    def _on_spawn_error(self, worker_index: int, message: str) -> None:
-        """A worker died before serving: fail its work, leave the slot dead
-        (respawning a worker that cannot boot would loop forever)."""
-        get_registry(self.registry).counter(
-            "serving_worker_spawn_errors_total",
-            "worker processes that failed during startup",
-        ).inc()
-        with self._lock:
-            worker = self._workers[worker_index]
-            if worker is not None:
-                worker.alive = False
-            stranded = [
-                rid
-                for rid, p in self._inflight.items()
-                if p.worker_index == worker_index
-            ]
-            pendings = [self._inflight.pop(rid) for rid in sorted(stranded)]
-        for pending in pendings:
-            response = self.service._failure_response(pending.request, message)
-            self.service._record_response(response)
-            pending.future.set_result(response)
-        get_registry(self.registry).gauge(
-            "serving_workers_alive", "serving worker processes currently alive"
-        ).set(
-            float(sum(1 for w in self._workers if w is not None and w.alive))
-        )
-
-    def _on_result(self, payload: dict[str, Any]) -> None:
+    def _apply_outbox(self, payload: dict[str, Any]) -> None:
+        """Land a worker's miss-path profile writes in the parent store."""
         registry = get_registry(self.registry)
         outbox = payload.get("outbox") or []
         for job_id, profile_dict, static_dict in outbox:
@@ -751,118 +529,43 @@ class ProcessPoolFrontend:
                     "outbox writes that exhausted the store budget",
                 ).inc()
         if outbox:
-            try:
-                with self._lock:
-                    if self._publisher is not None:
-                        self._publisher.publish()
-            except Exception:  # noqa: BLE001 — workers keep the last good view
-                registry.counter(
-                    "serving_publish_failures_total",
-                    "shared-index republishes that failed after an outbox",
-                ).inc()
-        with self._lock:
-            published = (
-                -1
-                if self._publisher is None
-                else self._publisher.published_generation
-            )
+            self.publish()
+        publisher = self._publisher
+        published = -1 if publisher is None else publisher.published_generation
         registry.gauge(
             "serving_generation_lag",
             "published generation minus the generation workers answered from",
         ).set(float(published - payload.get("generation", -1)))
-        entries = payload["batch"] if payload.get("batch") is not None else [payload]
-        for entry in entries:
-            self._finish_entry(entry)
-
-    def _finish_entry(self, entry: dict[str, Any]) -> None:
-        with self._lock:
-            pending = self._inflight.pop(entry["request_id"], None)
-        if pending is None:
-            return  # duplicate result after a kill + re-dispatch
-        request = pending.request
-        if entry["ok"]:
-            result = SubmissionResult.from_dict(entry["result"])
-            self.service._miss_bookkeeping(pending.key, result, pending.now)
-            response = self.service._miss_response(request, result)
-        else:
-            get_registry(self.registry).counter(
-                "serving_pipeline_failures_total",
-                "requests that raised inside the tuning pipeline",
-            ).inc()
-            response = self.service._failure_response(request, entry["error"])
-        response.wait_seconds = max(
-            0.0, time.monotonic() - pending.enqueued_at
-        )
-        self.service._record_response(response)
-        with self.service._lock:
-            self.service.clock.advance(response.service_seconds)
-        pending.future.set_result(response)
 
     # ------------------------------------------------------------------
-    def stop(self, timeout: float = 30.0) -> int:
-        """Drain, shut workers down, unlink every segment; returns the
-        number of workers that had to be force-killed (the "hung" count)."""
+    def stop(self, timeout: float = 30.0) -> set[int]:
+        """Shut every worker down and unlink every segment; returns the
+        lanes whose worker had to be force-killed (the "hung" ones)."""
+        self._stopping = True
         deadline = time.monotonic() + timeout
-        with self._lock:
-            self._stopping = True
-        if self._dispatcher is not None and self._dispatch_queue is not None:
-            self._dispatch_queue.put(_STOP)
-            self._dispatcher.join(timeout=max(0.0, deadline - time.monotonic()))
-            self._dispatcher = None
-        # Let the collector finish in-flight work first.
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._inflight:
-                    break
-            time.sleep(0.02)
         for worker in self._workers:
-            if worker is not None and worker.alive:
-                try:
-                    worker.queue.put(_STOP)
-                except Exception:  # noqa: BLE001
-                    pass
-        hung = 0
+            if worker.alive:
+                worker.tasks.put(_STOP)
+        hung: set[int] = set()
         for worker in self._workers:
-            if worker is None or not worker.alive:
-                continue
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
-                hung += 1
+                hung.add(worker.index)
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
             worker.alive = False
-        self._running = False
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-            self._collector = None
-        with self._lock:
-            stranded = sorted(self._inflight)
-            pendings = [self._inflight.pop(rid) for rid in stranded]
-        for pending in pendings:
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ServiceClosedError("service stopped before completion")
-                )
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                worker.queue.close()
-            except Exception:  # noqa: BLE001
-                pass
-        if self._result_queue is not None:
-            try:
-                self._result_queue.close()
-            except Exception:  # noqa: BLE001
-                pass
-            self._result_queue = None
-        with self._lock:
+            _close_queues(worker)
+        with self._publish_lock:
             if self._publisher is not None:
                 self._publisher.close()
                 self._publisher = None
-        registry = get_registry(self.registry)
-        registry.gauge(
-            "serving_workers_alive", "serving worker processes currently alive"
-        ).set(0.0)
-        self._workers = []
+        self._count_alive()
         return hung
+
+
+def _close_queues(worker: _Worker) -> None:
+    for channel in (worker.tasks, worker.results):
+        try:
+            channel.close()
+        except Exception:  # noqa: BLE001 — a killed reader can corrupt it
+            pass

@@ -5,38 +5,44 @@ wraps it in the serving shape the ROADMAP's always-on deployment needs:
 
 - a **bounded request queue** fed through the admission gates of
   :mod:`repro.serving.admission` (watermark shedding + per-tenant token
-  buckets), drained by a **pool of worker threads**;
-- each worker drives its **own PStorM pipeline** (engine, profiler,
-  sampler, CBO, RBO — none of which are shared-state safe) over the
-  **one shared profile store**, which *is* concurrency-safe
-  (store-level lock + the resilient retry client);
-- a keyed :class:`~repro.serving.cache.ResultCache` consulted before any
-  pipeline work and **invalidated** when ``remember()`` (or a miss-path
-  profile write) lands a new profile for a matching job signature;
+  buckets), drained by ``config.workers`` **lane threads**;
+- a keyed :class:`~repro.serving.cache.ResultCache` probed when a lane
+  takes a request off the queue, before any pipeline work, and
+  **invalidated** when ``remember()`` (or a miss-path profile write)
+  lands a new profile for a matching job signature;
 - graceful degradation under chaos: ``PStorM.submit`` already absorbs
   store outages into degraded results, and ``remember()`` failures are
-  swallowed into a counted ``None`` — a worker never dies, a request
-  never hangs.
+  swallowed into a counted ``None`` — a lane never dies of a bad
+  request, a request never hangs.
 
-Two frontends drive :meth:`TuningService.handle`:
+There is one request path.  Each lane takes one request (or a window of
+up to ``batch_max`` when ``batch_window_seconds > 0``), sheds what
+waited past its deadline, and serves the rest through
+:meth:`TuningService.handle_batch`'s segment code: cache hits are
+answered in the parent, misses run on the lane's **miss runner**.  The
+backends differ only in that runner:
 
-- the thread pool (:meth:`start` / :meth:`submit_request` / :meth:`stop`)
-  used by ``repro serve`` and the concurrency stress tests — real
-  parallelism, wall-clock waits;
-- the deterministic event loop of :mod:`repro.serving.loadgen`, which
-  calls ``handle`` inline at simulated timestamps — bit-reproducible
-  summaries.
+- ``backend="threads"``: the lane's own in-process PStorM pipeline
+  (engine, profiler, sampler, tuner — none shared-state safe) over the
+  **one shared profile store**, which *is* concurrency-safe;
+- ``backend="processes"``: the one worker process the lane owns, over
+  the shared-memory match index (:mod:`repro.serving.procpool`).
+
+The deterministic event loop of :mod:`repro.serving.loadgen` calls
+:meth:`TuningService.handle` / :meth:`~TuningService.handle_batch`
+inline at simulated timestamps instead — bit-reproducible summaries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..chaos.retry import RetryPolicy, StoreUnavailableError, VirtualClock
 from ..core.maintenance import MaintainedStore
@@ -58,7 +64,7 @@ from ..observability import (
 from ..tuners import TUNER_NAMES
 from .admission import AdmissionController, TenantPolicy
 from .cache import ResultCache, cache_key_for, job_signature
-from .errors import ServiceClosedError, ServiceOverloadError
+from .errors import ServiceClosedError
 
 __all__ = [
     "ServiceConfig",
@@ -74,7 +80,8 @@ _SENTINEL = object()
 class ServiceConfig:
     """Knobs of one :class:`TuningService` deployment."""
 
-    #: Worker threads (thread frontend) / simulated servers (loadgen).
+    #: Lane threads of the real frontend (each owning one worker process
+    #: under the process backend) / simulated servers (loadgen).
     workers: int = 4
     #: Hard bound of the request queue.
     queue_capacity: int = 64
@@ -108,11 +115,10 @@ class ServiceConfig:
     #: Deliberately off the 0.01 cache-hit grid so warm-path latency
     #: percentiles resolve instead of clamping to one tick.
     cache_lookup_cost_seconds: float = 0.0
-    #: Process backend: how long the dispatcher holds the first queued
-    #: request open to coalesce more into one vectorized probe (0 = no
-    #: batching, dispatch immediately).
+    #: How long a lane holds the first queued request open to coalesce
+    #: more into one vectorized probe (0 = no batching, serve at once).
     batch_window_seconds: float = 0.0
-    #: Process backend: most submissions coalesced per dispatch.
+    #: Most submissions a lane coalesces into one window.
     batch_max: int = 8
     #: Region servers hosting the store's HBase substrate (sharding).
     num_region_servers: int = 1
@@ -201,6 +207,41 @@ class TuningResponse:
         }
 
 
+#: A miss runner: given a segment's cache-missing requests, yields one
+#: ``SubmissionResult`` or ``"TypeName: message"`` error per request.
+MissRunner = Callable[[Sequence[TuningRequest]], Iterator["SubmissionResult | str"]]
+
+
+def run_submissions(
+    pipeline: PStorM,
+    items: Sequence[tuple[MapReduceJob, Dataset, JobConfiguration | None, int]],
+) -> Iterator[SubmissionResult | str]:
+    """Submit each ``(job, dataset, config, seed)`` to *pipeline* in order,
+    yielding the result or the ``"TypeName: message"`` it raised.
+
+    Several items share one vectorized stage-1 probe
+    (``PStorM.prepare_batch``); a lone item is a plain ``submit``.  Thread
+    lanes and worker processes both run misses through here.
+    """
+    if len(items) > 1:
+        presampled, stage1 = pipeline.prepare_batch(list(items))
+    else:
+        presampled, stage1 = [None] * len(items), None
+    for (job, dataset, config, seed), sampled in zip(items, presampled):
+        try:
+            if sampled is None or isinstance(sampled, Exception):
+                # Scalar re-run of a failed presample raises the same error.
+                outcome = pipeline.submit(job, dataset, config, seed=seed)
+            else:
+                outcome = pipeline.submit(
+                    job, dataset, config, seed=seed,
+                    _presampled=sampled, _stage1=stage1,
+                )
+        except Exception as exc:  # noqa: BLE001 — per-item isolation
+            outcome = f"{type(exc).__name__}: {exc}"
+        yield outcome
+
+
 class TuningService:
     """A multi-tenant tuning frontend over one shared profile store.
 
@@ -262,8 +303,8 @@ class TuningService:
             )
 
         #: Simulated clock: cache TTLs and service-time accounting live
-        #: here.  The thread frontend advances it by each response's
-        #: modelled cost; the load harness drives it directly.
+        #: here.  The lanes advance it by each response's modelled cost;
+        #: the load harness drives it directly.
         self.clock = VirtualClock()
         self.cache = ResultCache(
             capacity=self.config.cache_capacity,
@@ -282,7 +323,9 @@ class TuningService:
         self._pipelines = threading.local()
         self._seq = itertools.count(1)
         self._queue: "queue.Queue[Any] | None" = None
-        self._threads: list[threading.Thread] = []
+        self._lanes: list[threading.Thread] = []
+        #: Lanes still taking work (a lane whose worker cannot boot retires).
+        self._live_lanes = 0
         self._procpool: Any = None
         self._running = False
         self._hung_workers = 0
@@ -313,42 +356,25 @@ class TuningService:
             self._pipelines.pstorm = pipeline
         return pipeline
 
+    def _run_local(
+        self, requests: Sequence[TuningRequest]
+    ) -> Iterator[SubmissionResult | str]:
+        """The in-process miss runner: this thread's own pipeline."""
+        return run_submissions(
+            self._pipeline(),
+            [(r.job, r.dataset, r.config, r.seed) for r in requests],
+        )
+
     def next_request_id(self) -> int:
         return next(self._seq)
 
     # ------------------------------------------------------------------
-    # The core request pipeline (both frontends call this)
+    # The request path (every frontend calls into this)
     # ------------------------------------------------------------------
     def handle(self, request: TuningRequest, now: float | None = None) -> TuningResponse:
-        """Serve one admitted request: cache probe, else full pipeline.
-
-        Never raises for store trouble: ``PStorM.submit`` degrades
-        internally and anything else is folded into a ``"failed"``
-        response — workers are unkillable by a bad request.
-        """
-        registry = get_registry(self.registry)
-        tracer = get_tracer(self.tracer)
-        if now is None:
-            now = self.clock.now()
-        registry.counter(
-            "serving_requests_total",
-            "requests reaching the service pipeline",
-            labels={"tenant": request.tenant},
-        ).inc()
-
-        key = cache_key_for(request.job, request.dataset, self.cluster)
-        with tracer.span(
-            "serving.handle", tenant=request.tenant, job=request.job.name
-        ) as span:
-            cached = self.cache.get(key, now)
-            if cached is not None:
-                span.set_attr("cache_hit", True)
-                response = self._hit_response(request, cached)
-            else:
-                span.set_attr("cache_hit", False)
-                response = self._handle_miss(request, key, now)
-        self._record_response(response)
-        return response
+        """Serve one admitted request: the one-request case of
+        :meth:`handle_batch` (cache probe, else the full pipeline)."""
+        return self.handle_batch([request], None if now is None else [now])[0]
 
     def handle_batch(
         self,
@@ -356,6 +382,10 @@ class TuningService:
         nows: list[float] | None = None,
     ) -> list[TuningResponse]:
         """Serve several admitted requests with one vectorized stage-1 probe.
+
+        Never raises for store trouble: ``PStorM.submit`` degrades
+        internally and anything else is folded into a ``"failed"``
+        response — a lane is unkillable by a bad request.
 
         The window is split into *segments* at signature barriers: a
         request whose job signature is already claimed in the current
@@ -372,6 +402,14 @@ class TuningService:
         within a segment).  Size ``cache_capacity`` above the number of
         distinct in-window keys — the load harness runs 64 vs 8.
         """
+        return self._serve(requests, nows, self._run_local)
+
+    def _serve(
+        self,
+        requests: Sequence[TuningRequest],
+        nows: Sequence[float] | None,
+        run_misses: MissRunner,
+    ) -> list[TuningResponse]:
         if nows is None:
             nows = [self.clock.now()] * len(requests)
         responses: dict[int, TuningResponse] = {}
@@ -380,7 +418,7 @@ class TuningService:
 
         def flush() -> None:
             if segment:
-                self._handle_segment(segment, responses)
+                self._handle_segment(segment, responses, run_misses)
             segment.clear()
             claimed.clear()
 
@@ -398,10 +436,16 @@ class TuningService:
 
     def _handle_segment(
         self,
-        segment: list[tuple[int, "TuningRequest", Any, float]],
+        segment: list[tuple[int, TuningRequest, Any, float]],
         responses: dict[int, TuningResponse],
+        run_misses: MissRunner,
     ) -> None:
-        """One barrier-free slice of a batch: probe all, broadcast misses."""
+        """One barrier-free slice of a batch: probe all, run the misses.
+
+        Each request gets one ``serving.handle`` span; a miss's span
+        encloses its run on the miss runner (``pstorm.submit`` in
+        process, or the round trip to the lane's worker).
+        """
         registry = get_registry(self.registry)
         tracer = get_tracer(self.tracer)
         misses: list[tuple[int, TuningRequest, Any, float]] = []
@@ -412,45 +456,30 @@ class TuningService:
                 labels={"tenant": request.tenant},
             ).inc()
             cached = self.cache.get(key, now)
+            if cached is None:
+                misses.append((position, request, key, now))
+                continue
             with tracer.span(
-                "serving.handle", tenant=request.tenant, job=request.job.name
-            ) as span:
-                span.set_attr("cache_hit", cached is not None)
-                if cached is not None:
-                    responses[position] = self._hit_response(request, cached)
-                else:
-                    misses.append((position, request, key, now))
-        if not misses:
-            return
-        pipeline = self._pipeline()
-        presampled, stage1 = pipeline.prepare_batch(
-            [(r.job, r.dataset, r.config, r.seed) for __, r, __, __ in misses]
-        )
-        for (position, request, key, now), sampled in zip(misses, presampled):
-            try:
-                if isinstance(sampled, Exception):
-                    # Scalar re-run raises the identical message.
-                    result = pipeline.submit(
-                        request.job, request.dataset, request.config,
-                        seed=request.seed,
-                    )
-                else:
-                    result = pipeline.submit(
-                        request.job, request.dataset, request.config,
-                        seed=request.seed,
-                        _presampled=sampled, _stage1=stage1,
-                    )
-            except Exception as exc:  # noqa: BLE001 — per-item isolation
+                "serving.handle",
+                tenant=request.tenant, job=request.job.name, cache_hit=True,
+            ):
+                responses[position] = self._hit_response(request, cached)
+        outcomes = run_misses([request for __, request, __, __ in misses])
+        for position, request, key, now in misses:
+            with tracer.span(
+                "serving.handle",
+                tenant=request.tenant, job=request.job.name, cache_hit=False,
+            ):
+                outcome = next(outcomes)
+            if isinstance(outcome, str):
                 registry.counter(
                     "serving_pipeline_failures_total",
                     "requests that raised inside the tuning pipeline",
                 ).inc()
-                responses[position] = self._failure_response(
-                    request, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            self._miss_bookkeeping(key, result, now)
-            responses[position] = self._miss_response(request, result)
+                responses[position] = self._failure_response(request, outcome)
+            else:
+                self._miss_bookkeeping(key, outcome, now)
+                responses[position] = self._miss_response(request, outcome)
 
     def _hit_response(
         self, request: TuningRequest, cached: SubmissionResult
@@ -508,29 +537,12 @@ class TuningService:
             result=result,
         )
 
-    def _handle_miss(
-        self, request: TuningRequest, key: Any, now: float
-    ) -> TuningResponse:
-        try:
-            result = self._pipeline().submit(
-                request.job, request.dataset, request.config, seed=request.seed
-            )
-        except Exception as exc:  # noqa: BLE001 — worker must survive anything
-            get_registry(self.registry).counter(
-                "serving_pipeline_failures_total",
-                "requests that raised inside the tuning pipeline",
-            ).inc()
-            return self._failure_response(request, f"{type(exc).__name__}: {exc}")
-        self._miss_bookkeeping(key, result, now)
-        return self._miss_response(request, result)
-
     def remember(
         self,
         job: MapReduceJob,
         dataset: Dataset,
         config: JobConfiguration | None = None,
         seed: int = 0,
-        now: float | None = None,
     ) -> str | None:
         """Store a fully instrumented profile and invalidate stale cache.
 
@@ -547,7 +559,7 @@ class TuningService:
                 "remember() writes that exhausted the store budget",
             ).inc()
             return None
-        invalidated = self.cache.invalidate_job(job_signature(job))
+        self.cache.invalidate_job(job_signature(job))
         # The result cache and the store's columnar match index go stale
         # together on a profile write, so they are refreshed together:
         # peers re-match against the richer store, and they do it on the
@@ -568,17 +580,7 @@ class TuningService:
             procpool = self._procpool
         if procpool is not None:
             # Worker processes only see the write once it is published.
-            try:
-                procpool.publish()
-            except Exception:  # noqa: BLE001 — workers keep the last good view
-                registry.counter(
-                    "serving_publish_failures_total",
-                    "shared-index republishes that failed after an outbox",
-                ).inc()
-        if now is None:
-            now = self.clock.now()
-        del now  # reserved for future freshness bookkeeping
-        del invalidated
+            procpool.publish()
         return job_id
 
     def _record_response(self, response: TuningResponse) -> None:
@@ -611,42 +613,37 @@ class TuningService:
         return max(0.001, queue_depth * per_request / self.config.workers)
 
     # ------------------------------------------------------------------
-    # Thread-pool frontend
+    # The real frontend: one queue, config.workers lanes
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spin up the worker pool (idempotent).
-
-        ``config.backend`` picks the concurrency substrate: worker
-        threads over one in-process store, or worker processes over the
-        shared-memory match index (:mod:`repro.serving.procpool`).
-        """
-        if self.config.backend == "processes":
-            from .procpool import ProcessPoolFrontend
-
-            with self._lock:
-                if self._running:
-                    return
-                self._procpool = ProcessPoolFrontend(self)
-                self._running = True
-                self._hung_workers = 0
-            self._procpool.start()
-            return
+        """Start the lanes (idempotent); under ``backend="processes"``
+        each first gets its worker process (:mod:`repro.serving.procpool`)."""
         with self._lock:
             if self._running:
                 return
-            self._queue = queue.Queue(maxsize=self.config.queue_capacity)
-            self._threads = [
+            procpool = None
+            if self.config.backend == "processes":
+                from .procpool import ProcessBackend
+
+                procpool = ProcessBackend(self)
+                procpool.start()
+            self._procpool = procpool
+            self._queue = queue.Queue()
+            self._lanes = [
                 threading.Thread(
-                    target=self._worker_loop,
-                    name=f"tuning-worker-{index}",
+                    target=self._lane_loop,
+                    args=(index, self._queue, procpool),
+                    name=f"tuning-lane-{index}",
                     daemon=True,
                 )
                 for index in range(self.config.workers)
             ]
+            self._live_lanes = len(self._lanes)
             self._running = True
             self._hung_workers = 0
-        for thread in self._threads:
-            thread.start()
+            lanes = list(self._lanes)
+        for lane in lanes:
+            lane.start()
 
     def submit_request(
         self,
@@ -659,145 +656,181 @@ class TuningService:
         """Admit and enqueue one request; returns a future response.
 
         Raises:
-            ServiceClosedError: the pool is not running.
+            ServiceClosedError: the service is not running.
             ServiceOverloadError: shed at admission (queue watermark or
                 tenant rate limit); carries the retry-after hint.
         """
-        with self._lock:
-            if not self._running or (self._queue is None and self._procpool is None):
-                raise ServiceClosedError("service is not accepting requests")
-            work_queue = self._queue
-            procpool = self._procpool
-        depth = (
-            procpool.backlog() if procpool is not None else work_queue.qsize()
-        )
-        now = time.monotonic()
-        self.admission.admit(
-            tenant, depth, now=now, backlog_seconds_hint=self.backlog_hint(depth)
-        )
-        request = TuningRequest(
-            request_id=self.next_request_id(),
-            tenant=tenant,
-            job=job,
-            dataset=dataset,
-            config=config,
-            seed=seed,
-            submitted_at=now,
-        )
         future: "Future[TuningResponse]" = Future()
-        if procpool is not None:
-            procpool.submit(request, future, now)
-            return future
-        try:
-            work_queue.put_nowait((request, future, now))
-        except queue.Full:
-            # Raced past the watermark check; shed like the gate would.
-            get_registry(self.registry).counter(
-                "serving_shed_total",
-                "requests refused at admission, by reason",
-                labels={"reason": "queue-full"},
-            ).inc()
-            raise ServiceOverloadError(
-                "queue-full",
-                retry_after_seconds=self.backlog_hint(depth),
+        # One lock around admission and enqueue: the depth admission read
+        # is the depth the request joins (the watermark never exceeds the
+        # queue's capacity), and nothing lands in a queue that stop() or
+        # the last retiring lane has already given up on.
+        with self._lock:
+            if not self._running or self._queue is None:
+                raise ServiceClosedError("service is not accepting requests")
+            depth = self._queue.qsize()
+            now = time.monotonic()
+            self.admission.admit(
+                tenant, depth, now=now, backlog_seconds_hint=self.backlog_hint(depth)
+            )
+            request = TuningRequest(
+                request_id=self.next_request_id(),
                 tenant=tenant,
-            ) from None
+                job=job,
+                dataset=dataset,
+                config=config,
+                seed=seed,
+                submitted_at=now,
+            )
+            if not self._live_lanes:
+                future.set_result(self._no_live_workers(request))
+                return future
+            self._queue.put_nowait((request, future, now))
         get_registry(self.registry).gauge(
             "serving_queue_depth", "requests waiting in the service queue"
-        ).set(work_queue.qsize())
+        ).set(depth + 1)
         return future
 
-    def _worker_loop(self) -> None:
-        registry = get_registry(self.registry)
-        assert self._queue is not None
+    def _no_live_workers(self, request: TuningRequest) -> TuningResponse:
+        response = self._failure_response(request, "RuntimeError: no live workers")
+        self._record_response(response)
+        return response
+
+    def _lane_loop(
+        self, index: int, work_queue: "queue.Queue[Any]", procpool: Any
+    ) -> None:
+        run_misses: MissRunner = (
+            self._run_local
+            if procpool is None
+            else functools.partial(procpool.run, index)
+        )
         while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
+            window, last = self._take_window(work_queue)
+            self._serve_window(window, run_misses)
+            if procpool is not None and not procpool.alive(index):
+                self._retire_lane(work_queue)
                 return
-            request, future, enqueued_at = item
+            if last:
+                return
+
+    def _take_window(
+        self, work_queue: "queue.Queue[Any]"
+    ) -> tuple[list[Any], bool]:
+        """Block for one request, then coalesce up to ``batch_max`` that
+        arrive within ``batch_window_seconds``.  The flag says a stop
+        sentinel was taken: serve the window, then exit."""
+        item = work_queue.get()
+        if item is _SENTINEL:
+            return [], True
+        window = [item]
+        deadline = time.monotonic() + self.config.batch_window_seconds
+        while len(window) < self.config.batch_max:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
             try:
-                wait = max(0.0, time.monotonic() - enqueued_at)
-                registry.histogram(
-                    "serving_queue_wait_seconds",
-                    "time requests spent queued before a worker took them",
-                ).observe(wait)
-                deadline = (
-                    request.deadline_seconds
-                    if request.deadline_seconds is not None
-                    else self.config.deadline_seconds
-                )
-                if wait > deadline:
-                    registry.counter(
-                        "serving_shed_total",
-                        "requests refused at admission, by reason",
-                        labels={"reason": "deadline"},
-                    ).inc()
-                    response = TuningResponse(
-                        request_id=request.request_id,
-                        tenant=request.tenant,
-                        status="shed",
-                        shed_reason="deadline",
-                        wait_seconds=wait,
-                    )
-                    self._record_response(response)
-                else:
-                    response = self.handle(request)
-                    response.wait_seconds = wait
-                    with self._lock:
-                        self.clock.advance(response.service_seconds)
-                future.set_result(response)
-            except BaseException as exc:  # pragma: no cover — belt and braces
-                if not future.done():
-                    future.set_exception(exc)
+                item = work_queue.get(timeout=remaining)
+            except queue.Empty:
+                break
+            if item is _SENTINEL:
+                return window, True
+            window.append(item)
+        return window, False
+
+    def _serve_window(self, window: list[Any], run_misses: MissRunner) -> None:
+        """Shed what waited past its deadline, serve the rest, resolve
+        every future.  ``wait_seconds`` is the time spent queued."""
+        registry = get_registry(self.registry)
+        admitted: list[tuple[TuningRequest, Any, float]] = []
+        for request, future, enqueued_at in window:
+            wait = max(0.0, time.monotonic() - enqueued_at)
+            registry.histogram(
+                "serving_queue_wait_seconds",
+                "time requests spent queued before a worker took them",
+            ).observe(wait)
+            deadline = (
+                request.deadline_seconds
+                if request.deadline_seconds is not None
+                else self.config.deadline_seconds
+            )
+            if wait <= deadline:
+                admitted.append((request, future, wait))
+                continue
+            registry.counter(
+                "serving_shed_total",
+                "requests refused at admission, by reason",
+                labels={"reason": "deadline"},
+            ).inc()
+            response = TuningResponse(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                status="shed",
+                shed_reason="deadline",
+                wait_seconds=wait,
+            )
+            self._record_response(response)
+            future.set_result(response)
+        try:
+            responses = self._serve([r for r, __, __ in admitted], None, run_misses)
+        except Exception as exc:  # noqa: BLE001 — a lane outlives any request
+            for __, future, __ in admitted:
+                future.set_exception(exc)
+            return
+        for (__, future, wait), response in zip(admitted, responses):
+            response.wait_seconds = wait
+            with self._lock:
+                self.clock.advance(response.service_seconds)
+            future.set_result(response)
+
+    def _retire_lane(self, work_queue: "queue.Queue[Any]") -> None:
+        """Take a lane out of service for good; the last lane to go fails
+        whatever is still queued, and later requests fail fast."""
+        with self._lock:
+            self._live_lanes -= 1
+            if self._live_lanes:
+                return
+        while True:
+            try:
+                item = work_queue.get_nowait()
+            except queue.Empty:
+                return
+            if item is not _SENTINEL:
+                request, future, __ = item
+                future.set_result(self._no_live_workers(request))
 
     def stop(self, timeout: float = 30.0) -> bool:
-        """Drain and join the pool; True when every worker exited.
+        """Drain and join the lanes; True when every worker exited.
 
         Queued work is completed first (sentinels queue behind it).  A
-        worker that fails to join within its slice of *timeout* is
-        counted on the ``serving_workers_hung`` gauge — the acceptance
-        bar for chaos runs is that this stays at zero.
+        lane that fails to join within *timeout*, or whose worker
+        process had to be killed, is counted on the
+        ``serving_workers_hung`` gauge — the acceptance bar for chaos
+        runs is that this stays at zero.
         """
         with self._lock:
             if not self._running:
                 return True
-            procpool = self._procpool
-            if procpool is not None:
-                self._procpool = None
-                self._running = False
-        if procpool is not None:
-            hung = procpool.stop(timeout)
-            with self._lock:
-                self._hung_workers = hung
-            get_registry(self.registry).gauge(
-                "serving_workers_hung",
-                "workers that failed to join at shutdown",
-            ).set(hung)
-            return hung == 0
-        with self._lock:
-            if self._queue is None:
-                return True
-            work_queue = self._queue
-            threads = list(self._threads)
             self._running = False
-        for __ in threads:
+            work_queue, lanes, procpool = self._queue, self._lanes, self._procpool
+        assert work_queue is not None
+        for __ in lanes:
             work_queue.put(_SENTINEL)
         deadline = time.monotonic() + timeout
-        hung = 0
-        for thread in threads:
-            remaining = max(0.0, deadline - time.monotonic())
-            thread.join(timeout=remaining)
-            if thread.is_alive():
-                hung += 1
+        for lane in lanes:
+            lane.join(timeout=max(0.0, deadline - time.monotonic()))
+        hung = {index for index, lane in enumerate(lanes) if lane.is_alive()}
+        if procpool is not None:
+            hung |= procpool.stop(max(0.0, deadline - time.monotonic()))
         with self._lock:
-            self._hung_workers = hung
-            self._threads = []
+            self._hung_workers = len(hung)
             self._queue = None
+            self._lanes = []
+            self._procpool = None
         get_registry(self.registry).gauge(
             "serving_workers_hung",
             "workers that failed to join at shutdown",
-        ).set(hung)
-        return hung == 0
+        ).set(len(hung))
+        return not hung
 
     @property
     def hung_workers(self) -> int:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,52 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "soak: long-running endurance runs, never in default runs"
     )
+
+
+#: How long a test's leftovers get to wind down before they count as leaks.
+LEAK_GRACE_SECONDS = 2.0
+
+
+def _shm_segments():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm")}
+    except FileNotFoundError:  # no POSIX shared memory mount on this platform
+        return set()
+
+
+def _leaks(shm_before, threads_before):
+    leaks = []
+    segments = sorted(_shm_segments() - shm_before)
+    if segments:
+        leaks.append(f"shared-memory segments {segments}")
+    children = [p.name for p in multiprocessing.active_children()]
+    if children:
+        leaks.append(f"child processes {children}")
+    threads = [
+        t.name
+        for t in threading.enumerate()
+        if t.is_alive() and t not in threads_before
+    ]
+    if threads:
+        leaks.append(f"threads {threads}")
+    return leaks
+
+
+@pytest.fixture(autouse=True)
+def _no_leaks():
+    """Fail any test that leaves a ``psm*`` segment, a multiprocessing
+    child, or a thread it started behind (after a short grace)."""
+    shm_before = _shm_segments()
+    threads_before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_SECONDS
+    while True:
+        leaks = _leaks(shm_before, threads_before)
+        if not leaks or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    if leaks:
+        pytest.fail("test leaked " + "; ".join(leaks), pytrace=False)
 
 
 def _text_lines(split_index, rng):

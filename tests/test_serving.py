@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.chaos import (
@@ -11,7 +13,8 @@ from repro.chaos import (
     outage_plan,
     set_default_injector,
 )
-from repro.observability import MetricsRegistry
+from repro.hadoop import MapReduceJob
+from repro.observability import MetricsRegistry, Tracer
 from repro.serving import (
     AdmissionController,
     CacheKey,
@@ -206,7 +209,7 @@ class TestTuningServiceInline:
     ):
         service.handle(TuningRequest(1, "t", wordcount, small_text), now=0.0)
         assert len(service.cache) == 1
-        service.remember(wordcount, small_text, now=10.0)
+        service.remember(wordcount, small_text)
         assert len(service.cache) == 0
         after = service.handle(
             TuningRequest(2, "t", wordcount, small_text), now=20.0
@@ -220,7 +223,7 @@ class TestTuningServiceInline:
         hits = registry.counter("pstorm_matcher_index_hits_total")
         rebuilds = registry.counter("pstorm_matcher_index_rebuilds_total")
 
-        stored = service.remember(wordcount, small_text, now=0.0)
+        stored = service.remember(wordcount, small_text)
         assert stored is not None
 
         response = service.handle(
@@ -234,7 +237,7 @@ class TestTuningServiceInline:
         # With the index now hot, remember() must refresh it alongside
         # the result cache: the next submission sees the new profile on
         # the indexed path without paying another rebuild scan.
-        stored_late = service.remember(maponly_job, small_text, now=10.0)
+        stored_late = service.remember(maponly_job, small_text)
         assert stored_late is not None
         hits_before = hits.value
         late = service.handle(
@@ -284,34 +287,55 @@ class TestTuningServiceInline:
         assert payload["result"]["job_name"] == wordcount.name
 
 
-class TestTuningServiceThreaded:
-    def test_end_to_end_with_cache_hits(self, service, wordcount, small_text):
+def _lane_service(cluster, backend, registry=None, **overrides):
+    defaults = dict(workers=2, queue_capacity=8, backend=backend)
+    defaults.update(overrides)
+    return TuningService(
+        cluster=cluster,
+        config=ServiceConfig(**defaults),
+        seed=0,
+        registry=registry if registry is not None else MetricsRegistry(),
+    )
+
+
+class _LaneCases:
+    """The real frontend's request path, which both backends share: one
+    queue, one lane loop.  Subclasses pick the backend."""
+
+    def test_end_to_end_with_cache_hits(self, cluster, wordcount, small_text):
+        service = _lane_service(cluster, self.backend)
         service.start()
-        futures = [
-            service.submit_request(wordcount, small_text, tenant="t")
-            for __ in range(6)
-        ]
-        responses = [f.result(timeout=60.0) for f in futures]
-        assert service.stop(timeout=30.0)
+        try:
+            futures = [
+                service.submit_request(wordcount, small_text, tenant="t")
+                for __ in range(6)
+            ]
+            responses = [f.result(timeout=60.0) for f in futures]
+        finally:
+            assert service.stop(timeout=30.0)
         assert service.hung_workers == 0
         assert all(r.ok for r in responses)
         assert sum(1 for r in responses if r.cache_hit) >= 4
 
-    def test_closed_service_refuses(self, service, wordcount, small_text):
+    def test_closed_service_refuses(self, cluster, wordcount, small_text):
+        service = _lane_service(cluster, self.backend)
+        with pytest.raises(ServiceClosedError):
+            service.submit_request(wordcount, small_text)
+        service.start()
+        assert service.stop(timeout=30.0)
         with pytest.raises(ServiceClosedError):
             service.submit_request(wordcount, small_text)
 
-    def test_rate_limited_tenant_sheds(self, cluster, wordcount, small_text):
-        service = TuningService(
-            cluster=cluster,
-            config=ServiceConfig(
-                workers=1,
-                queue_capacity=8,
-                tenant_policies={
-                    "hot": TenantPolicy(rate_per_second=0.001, burst=1.0)
-                },
-            ),
-            registry=MetricsRegistry(),
+    def test_rate_limited_tenant_sheds(
+        self, cluster, wordcount, small_text
+    ):
+        service = _lane_service(
+            cluster,
+            self.backend,
+            workers=1,
+            tenant_policies={
+                "hot": TenantPolicy(rate_per_second=0.001, burst=1.0)
+            },
         )
         service.start()
         try:
@@ -321,6 +345,106 @@ class TestTuningServiceThreaded:
             assert err.value.reason == "rate-limited"
         finally:
             assert service.stop(timeout=30.0)
+
+    def test_stop_idempotent(self, cluster):
+        service = _lane_service(cluster, self.backend)
+        service.start()
+        assert service.stop(timeout=30.0)
+        assert service.stop(timeout=30.0)
+
+    def test_request_queued_past_deadline_is_shed(
+        self, cluster, wordcount, small_text
+    ):
+        registry = MetricsRegistry()
+        service = _lane_service(
+            cluster, self.backend, deadline_seconds=1e-9, registry=registry
+        )
+        service.start()
+        try:
+            response = service.submit_request(
+                wordcount, small_text, tenant="t"
+            ).result(timeout=60.0)
+        finally:
+            assert service.stop(timeout=30.0)
+        assert response.status == "shed"
+        assert response.shed_reason == "deadline"
+        assert response.wait_seconds > 1e-9
+        assert (
+            registry.counter(
+                "serving_shed_total", labels={"reason": "deadline"}
+            ).value
+            == 1
+        )
+
+    def test_back_to_back_repeats_hit_the_cache(
+        self, cluster, wordcount, small_text
+    ):
+        """A lane probes the cache when it takes a request, so a repeat
+        queued behind its own miss is answered from the cache."""
+        service = _lane_service(cluster, self.backend, workers=1)
+        service.start()
+        try:
+            futures = [
+                service.submit_request(wordcount, small_text, tenant="t")
+                for __ in range(3)
+            ]
+            responses = [f.result(timeout=120.0) for f in futures]
+        finally:
+            assert service.stop(timeout=30.0)
+        assert all(r.ok for r in responses)
+        assert sum(1 for r in responses if r.cache_hit) >= 1
+
+
+class TestTuningServiceProcesses(_LaneCases):
+    backend = "processes"
+
+    def test_lone_miss_records_queue_wait_and_handle_span(
+        self, cluster, wordcount, small_text
+    ):
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        service = TuningService(
+            cluster=cluster,
+            config=ServiceConfig(workers=1, backend="processes"),
+            seed=0,
+            registry=registry,
+            tracer=tracer,
+        )
+        service.start()
+        try:
+            began = time.monotonic()
+            response = service.submit_request(
+                wordcount, small_text, tenant="t"
+            ).result(timeout=120.0)
+            latency = time.monotonic() - began
+        finally:
+            assert service.stop(timeout=30.0)
+        assert response.ok and not response.cache_hit
+        assert registry.histogram("serving_queue_wait_seconds").count == 1
+        spans = tracer.spans("serving.handle")
+        assert [span.attrs["cache_hit"] for span in spans] == [False]
+        # wait_seconds is time spent queued, not time spent being served.
+        assert response.wait_seconds < 0.5 * latency
+
+
+    def test_unpicklable_job_fails_instead_of_hanging(self, cluster, small_text):
+        job = MapReduceJob(
+            name="lambda-mapper", mapper=lambda key, value, ctx: ctx.emit(key, 1)
+        )
+        service = _lane_service(cluster, self.backend, workers=1)
+        service.start()
+        try:
+            response = service.submit_request(job, small_text).result(
+                timeout=60.0
+            )
+        finally:
+            assert service.stop(timeout=30.0)
+        assert response.status == "failed"
+        assert "pickle" in response.error.lower()
+
+
+class TestTuningServiceThreaded(_LaneCases):
+    backend = "threads"
 
     def test_outage_degrades_without_hanging(self, cluster, wordcount, small_text):
         set_default_injector(FaultInjector(outage_plan(seed=3)))
@@ -364,11 +488,6 @@ class TestTuningServiceThreaded:
             assert service.remember(wordcount, small_text) is None
         finally:
             set_default_injector(None)
-
-    def test_stop_idempotent(self, service):
-        service.start()
-        assert service.stop(timeout=30.0)
-        assert service.stop(timeout=30.0)
 
     def test_store_capacity_bounds_profiles(self, cluster, wordcount, small_text):
         service = TuningService(
