@@ -14,11 +14,12 @@ in-memory *columnar* mirror of exactly the data those filters touch:
   codes, one int64 column per feature name (``-1`` = column absent), so
   the Jaccard stage is a handful of equality comparisons over the whole
   candidate block;
-- per-side CFG *digests* plus a parsed-graph cache and a memo of
-  pairwise :func:`~repro.analysis.cfg_match.cfg_match` verdicts, so the
-  expensive synchronized-walk runs once per distinct (probe, stored)
-  graph pair, not once per row per probe.  Digests are content
-  addresses — equal digests are byte-identical graphs — so the memo and
+- per-side int CFG *digest codes*, indexing a table of content digests,
+  plus a parsed-graph cache and a memo of pairwise
+  :func:`~repro.analysis.cfg_match.cfg_match` verdicts, so the expensive
+  synchronized-walk runs once per distinct (probe, stored) graph pair,
+  not once per row per probe.  Digests are content addresses — equal
+  digests are byte-identical graphs — so the code table, the memo and
   the graph cache outlive writes and rebuilds and are shared by every
   view the builder publishes.
 
@@ -39,18 +40,20 @@ Two classes, one for each side of the write/read split:
 
 Partitions follow :meth:`ProfileStore.index_snapshot`'s key-range
 slices: one slice covering the whole ``Dynamic/`` range on a flat store,
-one per region with ``shard_index=True``.  A one-partition view calls its
-column set directly; a partitioned view scatter-gathers — candidates
-route to partitions by key range, a stacked bounding-box prune skips
-partitions that provably hold no Euclidean survivor, and survivors merge
-in key order.  Partition ranges are disjoint and ordered, so the merged
-lists equal the flat result bit for bit, and the tie-break's global
-``min`` over per-partition winning sort keys is the flat winner (the key
-ends in the job id).
+one per region with ``shard_index=True``.  Candidates are
+:class:`Rows` — one int row array per partition — so a partitioned view
+needs no routing between stages: each stage runs per partition on that
+partition's rows, and a stacked bounding-box prune lets stage 1 skip
+partitions that provably hold no Euclidean survivor.  Partition ranges
+are disjoint and key-ordered, so ``(partition, id rank)`` is sorted-id
+order across the whole view, and the tie-break over every partition's
+candidates at once picks the flat winner.
 
-A republish copies no column arrays: a partition's arrays are frozen
-once per write that touches it and shared, by reference, by every view
-until the next such write.  The builder never mutates a frozen array.
+A republish copies no column arrays: a partition's arrays — including
+the id rank, CFG codes and live-static mask derived at freeze — are
+frozen once per write that touches it and shared, by reference, by every
+view until the next such write.  The builder never mutates a frozen
+array.
 
 Coherence protocol
 ------------------
@@ -76,16 +79,25 @@ two compose deadlock-free.  Probes on a published view take no lock.
 
 Stage parity
 ------------
-Every probe method reproduces its scan-path filter bit for bit: the
-normalized-Euclidean stage clips with the same min/max bounds and sums
-squares in the same float64 order (vectors are ≤6-wide, below numpy's
-pairwise-summation block, see :mod:`repro.core.similarity`); the
-Jaccard stage fails rows with a missing or ``None``-valued probe column
-exactly like :class:`~repro.core.store.JaccardThresholdFilter`; the
-tie-break reproduces the matcher's ``(same_program, |Δsize|,
--similarity, job_id)`` sort key.  ``tests/test_match_index.py`` holds
-the Hypothesis proof over flat and sharded stores, in-process and
-shared-memory views.
+Every stage reproduces its scan-path filter bit for bit, and stages hand
+each other :class:`Rows`, never job-id lists; a job id is built only for
+the tie-break winner.  The normalized-Euclidean stage clips with the
+same min/max bounds and sums squares in the same float64 order (vectors
+are ≤6-wide, below numpy's pairwise-summation block, see
+:mod:`repro.core.similarity`).  The CFG stage takes one memoized verdict
+per distinct digest code among the candidates.  The Jaccard stage fails
+rows with a missing or ``None``-valued probe column exactly like
+:class:`~repro.core.store.JaccardThresholdFilter`.  The tie-break is one
+``np.lexsort`` over ``(id rank, -similarity, |Δsize|, similarity < 1)``
+— the matcher's ``(same_program, |Δsize|, -similarity, job_id)`` sort
+key, with the per-partition id rank offset by the partition's start, so
+it orders exactly as the job id does.  The similarity histogram gets
+one ``observe_many`` of the candidates' similarities in id-rank order,
+the scan path's per-candidate order, so its float sum is bit-identical.
+The id-list methods (:meth:`IndexView.euclidean_stage` and friends) are
+adapters over the same row kernels: ids to rows in, rows to sorted ids
+out.  ``tests/test_match_index.py`` holds the Hypothesis proof over flat
+and sharded stores, in-process and shared-memory views.
 
 A view splits into a picklable meta blob plus named numpy arrays
 (:meth:`IndexView.export_meta` / :meth:`~IndexView.export_arrays`) so
@@ -101,6 +113,7 @@ import json
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,9 +127,10 @@ from .store import DYNAMIC_PREFIX, _columns_for
 if TYPE_CHECKING:
     from .store import ProfileStore
 
-__all__ = ["MatchIndex", "IndexView"]
+__all__ = ["MatchIndex", "IndexView", "Rows"]
 
-#: Code meaning "this row has no value for this static column".
+#: Code meaning "this row has no value for this static column" (and, in
+#: a CFG code column, "this row has no CFG").
 _MISSING = -1
 #: Probe-side sentinel for values never seen in the store; never equals
 #: any stored code (codes are >= -1).
@@ -132,9 +146,10 @@ _VECTOR_COLUMNS = {
     for kind in ("flow", "cost")
 }
 
-#: A winning tie-break sort key: ``(same_program, |Δinput|, -similarity,
-#: job_id)``.
-_TieKey = tuple[int, int, float, str]
+#: The empty row array every stage hands on for a partition without
+#: candidates (read-only: stages never write into row arrays).
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
 
 
 def _cfg_digest(payload: Mapping[str, Any]) -> str:
@@ -143,36 +158,47 @@ def _cfg_digest(payload: Mapping[str, Any]) -> str:
     return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
 
+class Rows:
+    """Candidate rows of one view: one intp array of live row numbers per
+    partition, in the view's partition order.
+
+    The Fig 4.4 stages hand these to each other in place of job-id
+    lists.  Row numbers mean something only to the view that produced
+    them; ``len()`` is the candidate count.
+    """
+
+    __slots__ = ("per_part",)
+
+    def __init__(self, per_part: Sequence[np.ndarray]) -> None:
+        self.per_part = tuple(per_part)
+
+    def __len__(self) -> int:
+        return sum(len(rows) for rows in self.per_part)
+
+
 @dataclass(eq=False)
 class _Columns:
     """One partition's frozen column arrays, shared by reference across
     every view published until a write touches the partition."""
 
     ids: np.ndarray
-    #: Job id -> row, for live rows only.
-    row_of: dict[str, int]
-    #: The ``row_of`` entries whose job has a static row (the same dict
-    #: when every live job has one).
-    static_row_of: dict[str, int]
     active: np.ndarray
     has_static: np.ndarray
+    #: ``active & has_static``: the rows the Jaccard stage may keep.
+    live_static: np.ndarray
+    #: Row -> position of its id among the partition's sorted ids (the
+    #: identity after a rebuild, which ingests rows in sorted order).
+    rank: np.ndarray
     input_bytes: np.ndarray
     matrices: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
     codes: dict[str, np.ndarray]
-    cfg_digests: dict[str, tuple[str | None, ...]]
+    #: side -> per-row index into the view's CFG digest table, or
+    #: ``_MISSING`` for a row without that side's CFG.
+    cfg_codes: dict[str, np.ndarray]
     #: (side, kind) -> (normalizer, bounds, minimums, safe, denominator,
     #: normalized whole matrix, live bounding box); recomputed when a
     #: view brings different normalizer bounds.
     prep: dict[tuple[str, str], tuple[Any, ...]] = field(default_factory=dict)
-
-
-def _with_statics(
-    row_of: dict[str, int], has_static: Sequence[bool]
-) -> dict[str, int]:
-    """The *row_of* entries whose job has a static row."""
-    if all(has_static):
-        return row_of
-    return {job_id: row for job_id, row in row_of.items() if has_static[row]}
 
 
 class _Rows:
@@ -181,7 +207,11 @@ class _Rows:
     def __init__(self, start_key: str) -> None:
         self.start_key = start_key
         self.ids: list[str] = []
+        #: Job id -> row, for live rows only.
         self.row_of: dict[str, int] = {}
+        #: Every row's id in sorted order, and the rows in that order.
+        self.sorted_ids: list[str] = []
+        self.order: list[int] = []
         self.active: list[bool] = []
         self.has_static: list[bool] = []
         self.input_bytes: list[int] = []
@@ -192,20 +222,25 @@ class _Rows:
             key: [] for key in _VECTOR_COLUMNS
         }
         self.codes: dict[str, list[int]] = {}
-        self.cfg_digests: dict[str, list[str | None]] = {"map": [], "reduce": []}
+        self.cfg_codes: dict[str, list[int]] = {"map": [], "reduce": []}
         #: The frozen arrays while no write has touched these rows.
         self.frozen: _Columns | None = None
 
     def freeze(self) -> _Columns:
         if self.frozen is None:
             count = len(self.ids)
-            row_of = dict(self.row_of)
+            rank = np.empty(count, dtype=np.intp)
+            rank[np.asarray(self.order, dtype=np.intp)] = np.arange(
+                count, dtype=np.intp
+            )
+            active = np.asarray(self.active, dtype=bool)
+            has_static = np.asarray(self.has_static, dtype=bool)
             self.frozen = _Columns(
                 ids=np.asarray(self.ids, dtype=object),
-                row_of=row_of,
-                static_row_of=_with_statics(row_of, self.has_static),
-                active=np.asarray(self.active, dtype=bool),
-                has_static=np.asarray(self.has_static, dtype=bool),
+                active=active,
+                has_static=has_static,
+                live_static=active & has_static,
+                rank=rank,
                 input_bytes=np.asarray(self.input_bytes, dtype=np.int64),
                 matrices={
                     key: (
@@ -220,9 +255,9 @@ class _Rows:
                     name: np.asarray(codes, dtype=np.int64)
                     for name, codes in self.codes.items()
                 },
-                cfg_digests={
-                    side: tuple(digests)
-                    for side, digests in self.cfg_digests.items()
+                cfg_codes={
+                    side: np.asarray(codes, dtype=np.int64)
+                    for side, codes in self.cfg_codes.items()
                 },
             )
         return self.frozen
@@ -232,16 +267,17 @@ class IndexView:
     """An immutable, store-free snapshot of one index generation.
 
     Carries everything a probe needs — per-partition matrices, masks,
-    codes, CFG digests, the shared vocabulary and CFG caches, and the
-    normalizer bounds of its generation — so it answers every stage
+    codes, CFG digest codes, the shared vocabulary and CFG caches, and
+    the normalizer bounds of its generation — so it answers every stage
     without locks, from any thread or process.  The arrays may be
     zero-copy views over ``multiprocessing.shared_memory`` segments (see
     :mod:`repro.core.shm_index`); the view never writes to them.
 
-    The factorization vocabulary and the CFG payload/graph/verdict dicts
-    are shared with the builder and may *grow* after publication: codes
-    are append-only and digests are content addresses, so an entry a
-    view's rows never reference cannot change its answers.
+    The factorization vocabulary, the CFG digest table and the CFG
+    payload/graph/verdict dicts are shared with the builder and may
+    *grow* after publication: codes are append-only and digests are
+    content addresses, so an entry a view's rows never reference cannot
+    change its answers.
     """
 
     def __init__(
@@ -252,6 +288,7 @@ class IndexView:
         parts: Sequence[_Columns],
         normalizers: Mapping[tuple[str, str], MinMaxNormalizer],
         vocab: dict[str, dict[Any, int]],
+        cfg_table: list[str],
         cfg_payloads: dict[str, dict[str, Any]],
         cfg_graphs: dict[str, ControlFlowGraph] | None = None,
         cfg_memo: dict[tuple[str, str], bool] | None = None,
@@ -260,8 +297,14 @@ class IndexView:
         self.topology_version = int(topology_version)
         self._starts = tuple(starts)
         self._parts = tuple(parts)
+        #: Each partition's first global id rank: partitions are
+        #: key-ordered, so offset + in-partition rank orders the view.
+        self._offsets = tuple(
+            accumulate((len(part.ids) for part in self._parts[:-1]), initial=0)
+        )
         self._normalizers = dict(normalizers)
         self._vocab = vocab
+        self._cfg_table = cfg_table
         self._cfg_payloads = cfg_payloads
         self._cfg_graphs = {} if cfg_graphs is None else cfg_graphs
         self._cfg_memo = {} if cfg_memo is None else cfg_memo
@@ -271,42 +314,35 @@ class IndexView:
         return len(self._parts)
 
     # ------------------------------------------------------------------
-    # Scatter-gather plumbing
+    # Id adapters (the id-list stage methods' way in and out)
     # ------------------------------------------------------------------
-    def _grouped(
-        self, candidates: Iterable[str]
-    ) -> list[tuple[_Columns, list[str]]]:
-        """Route candidate ids to partitions, in partition (= key range =
-        sorted job id) order; the one-partition case routes nothing."""
-        if len(self._parts) == 1:
-            return [(self._parts[0], list(candidates))]
-        buckets: list[list[str]] = [[] for _ in self._parts]
-        for job_id in candidates:
-            position = bisect_right(self._starts, DYNAMIC_PREFIX + job_id) - 1
-            buckets[max(0, position)].append(job_id)
-        return [
-            (part, bucket) for part, bucket in zip(self._parts, buckets) if bucket
-        ]
+    def _rows_of(self, candidates: Iterable[str]) -> Rows:
+        """The live rows of the candidate ids, ascending per partition."""
+        wanted = set(candidates)
+        per_part = []
+        for part in self._parts:
+            rows = np.asarray(
+                [
+                    row
+                    for row, job_id in enumerate(part.ids.tolist())
+                    if job_id in wanted
+                ],
+                dtype=np.intp,
+            )
+            per_part.append(rows[part.active[rows]])
+        return Rows(per_part)
 
-    def _gather(
-        self,
-        candidates: list[str],
-        kernel: Callable[[_Columns, list[str]], list[str]],
-    ) -> list[str]:
-        if len(self._parts) == 1:
-            return kernel(self._parts[0], candidates)
-        # Disjoint unions of per-partition survivors: sorting yields the
-        # flat path's sorted list bit for bit.
+    def _ids_of(self, rows: Rows) -> list[str]:
         return sorted(
             job_id
-            for part, subset in self._grouped(candidates)
-            for job_id in kernel(part, subset)
+            for part, part_rows in zip(self._parts, rows.per_part)
+            for job_id in part.ids[part_rows].tolist()
         )
 
     def _pruned(
         self, side: str, kind: str, probes: np.ndarray, threshold: float
-    ) -> Sequence[_Columns]:
-        """Drop partitions that provably hold no euclidean survivor.
+    ) -> list[int]:
+        """Positions of the partitions that may hold a euclidean survivor.
 
         One stacked broadcast prices every partition's live bounding
         box against the probe block — elementwise the *same* clip /
@@ -318,7 +354,7 @@ class IndexView:
         one row of this broadcast instead of a descent into its kernel.
         """
         if len(self._parts) <= 1:
-            return self._parts
+            return list(range(len(self._parts)))
         kept: list[int] = []
         boxed: list[tuple[int, tuple[Any, ...]]] = []
         for position, part in enumerate(self._parts):
@@ -335,7 +371,7 @@ class IndexView:
             if probes.shape[1] != minimums.shape[0]:
                 # Malformed probe: let the partitions raise exactly as
                 # a flat view would.
-                return self._parts
+                return list(range(len(self._parts)))
             normalized = np.where(
                 safe, np.clip((probes - minimums) / denominator, 0.0, 1.0), 0.0
             )
@@ -352,21 +388,11 @@ class IndexView:
             kept.extend(
                 position for (position, __), keep in zip(boxed, survives) if keep
             )
-        return [self._parts[position] for position in sorted(kept)]
+        return sorted(kept)
 
     # ------------------------------------------------------------------
-    # Per-partition kernels
+    # Per-partition kernels (rows in, rows out)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _candidate_rows(
-        part: _Columns, candidates: Iterable[str], require_static: bool = False
-    ) -> tuple[list[str], np.ndarray]:
-        """Map candidate ids to live row indices (of jobs with a static
-        row, with *require_static*), preserving input order."""
-        row_of = part.static_row_of if require_static else part.row_of
-        ids = [job_id for job_id in candidates if job_id in row_of]
-        return ids, np.asarray([row_of[job_id] for job_id in ids], dtype=np.intp)
-
     def _euclidean_prep(
         self, part: _Columns, side: str, kind: str
     ) -> tuple[Any, ...] | None:
@@ -424,9 +450,10 @@ class IndexView:
         kind: str,
         probes: np.ndarray,
         threshold: float,
-        candidates: list[str] | None,
-    ) -> list[list[str]]:
-        """Price a (K, F) block of probes; row k answers probe k.
+        rows: np.ndarray | None,
+    ) -> list[np.ndarray]:
+        """Price a (K, F) block of probes over *rows* (None: every row);
+        entry k holds probe k's survivors.
 
         The K == 1 path is the scan-parity reference; the batched path
         broadcasts the same clipped normalization and the same float64
@@ -434,7 +461,7 @@ class IndexView:
         pairwise-summation block), so every batch row is bit-identical
         to its scalar twin.
         """
-        empty: list[list[str]] = [[] for _ in range(probes.shape[0])]
+        empty = [_NO_ROWS] * probes.shape[0]
         prep = self._euclidean_prep(part, side, kind)
         if prep is None:
             return empty
@@ -458,15 +485,12 @@ class IndexView:
             floors = np.sqrt((near_deltas * near_deltas).sum(axis=1))
             if bool((floors > threshold).all()):
                 return empty
-        if candidates is None:
-            ids_arr = part.ids
-            if len(ids_arr) == 0:
+        if rows is None:
+            if len(part.ids) == 0:
                 return empty
             keep_base = part.active & valid
             normalized = normalized_all
         else:
-            ids, rows = self._candidate_rows(part, candidates)
-            ids_arr = np.asarray(ids, dtype=object)
             if len(rows) == 0:
                 return empty
             keep_base = part.active[rows] & valid[rows]
@@ -475,14 +499,10 @@ class IndexView:
         # axis in the same order the scalar path uses.
         deltas = normalized[np.newaxis, :, :] - normalized_probes[:, np.newaxis, :]
         distances = np.sqrt((deltas * deltas).sum(axis=2))
-        # Survivor extraction is fancy-indexed, not a per-row Python
-        # loop — the difference between O(survivors) and O(store size)
-        # per probe.  Same id set either way, so the sorted lists are
-        # bit-identical.
-        return [
-            sorted(ids_arr[np.flatnonzero(row_keep)].tolist())
-            for row_keep in keep_base & (distances <= threshold)
-        ]
+        keep = keep_base & (distances <= threshold)
+        if rows is None:
+            return [np.flatnonzero(row_keep) for row_keep in keep]
+        return [rows[row_keep] for row_keep in keep]
 
     def _graph_for(self, digest: str) -> ControlFlowGraph:
         graph = self._cfg_graphs.get(digest)
@@ -491,149 +511,199 @@ class IndexView:
             self._cfg_graphs[digest] = graph
         return graph
 
+    def _cfg_verdict(
+        self, probe_cfg: ControlFlowGraph, probe_key: str, code: int
+    ) -> bool:
+        """The memoized synchronized-walk verdict against one digest code."""
+        digest = self._cfg_table[code]
+        verdict = self._cfg_memo.get((probe_key, digest))
+        if verdict is None:
+            verdict = cfg_match(probe_cfg, self._graph_for(digest))
+            self._cfg_memo[(probe_key, digest)] = verdict
+        return verdict
+
     def _cfg_part(
         self,
         part: _Columns,
         side: str,
         probe_cfg: ControlFlowGraph,
         probe_key: str,
-        candidates: list[str],
-    ) -> list[str]:
-        digests = part.cfg_digests[side]
-        survivors = []
-        ids, rows = self._candidate_rows(part, candidates, require_static=True)
-        for job_id, row in zip(ids, rows.tolist()):
-            digest = digests[row]
-            if digest is None:
-                continue
-            verdict = self._cfg_memo.get((probe_key, digest))
-            if verdict is None:
-                verdict = cfg_match(probe_cfg, self._graph_for(digest))
-                self._cfg_memo[(probe_key, digest)] = verdict
-            if verdict:
-                survivors.append(job_id)
-        return sorted(survivors)
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """One verdict per distinct digest code among *rows*, taken back
+        to every row through a code-indexed lookup table (slot 0 is
+        ``_MISSING``: rows without a static row or without a CFG)."""
+        slots = part.cfg_codes[side][rows] + 1
+        verdicts = np.zeros(len(self._cfg_table) + 1, dtype=bool)
+        verdicts[slots] = True
+        verdicts[0] = False
+        for slot in np.flatnonzero(verdicts).tolist():
+            verdicts[slot] = self._cfg_verdict(probe_cfg, probe_key, slot - 1)
+        return rows[verdicts[slots]]
+
+    def _probe_code(self, name: str, value: Any) -> int:
+        """The stored code of a probe value (``_UNSEEN`` if never stored)."""
+        try:
+            return self._vocab.get(name, {}).get(value, _UNSEEN)
+        except TypeError:  # unhashable value
+            return _UNSEEN
 
     def _jaccard_part(
         self,
         part: _Columns,
         probe: Mapping[str, str],
         threshold: float,
-        candidates: list[str],
-    ) -> list[str]:
-        ids, rows = self._candidate_rows(part, candidates, require_static=True)
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        rows = rows[part.live_static[rows]]
         if len(rows) == 0:
-            return []
+            return _NO_ROWS
         agreements = np.zeros(len(rows), dtype=np.int64)
         failed = np.zeros(len(rows), dtype=bool)
         for name, value in probe.items():
             column = part.codes.get(name)
             if column is None:
-                failed[:] = True
-                break
+                return _NO_ROWS
             codes = column[rows]
-            vocab = self._vocab.get(name, {})
             # The scan filter fails any row whose stored value is
             # absent *or* None for a probe column.
-            none_code = vocab.get(None, _UNSEEN)
-            failed |= (codes == _MISSING) | (codes == none_code)
-            try:
-                probe_code = vocab.get(value, _UNSEEN)
-            except TypeError:
-                probe_code = _UNSEEN
-            agreements += codes == probe_code
+            failed |= codes == _MISSING
+            none_code = self._vocab.get(name, {}).get(None, _UNSEEN)
+            if none_code != _UNSEEN:
+                failed |= codes == none_code
+            agreements += codes == self._probe_code(name, value)
         if probe:
             scores = agreements / len(probe)
         else:
             scores = np.ones(len(rows), dtype=np.float64)
-        keep = (~failed) & (scores >= threshold)
-        return sorted(job_id for job_id, ok in zip(ids, keep.tolist()) if ok)
+        return rows[(~failed) & (scores >= threshold)]
 
-    def _tie_break_part(
-        self,
-        part: _Columns,
-        candidates: list[str],
-        input_bytes: int,
-        side_statics: Mapping[str, str],
-        observe: Callable[[float], None] | None,
-    ) -> _TieKey | None:
-        """The winning scan-path sort key among *candidates*, or None.
-
-        *observe* fires once per live candidate in sorted-id order.
-        """
-        ids, rows = self._candidate_rows(part, sorted(candidates))
-        if not ids:
-            return None
+    def _similarities(
+        self, part: _Columns, rows: np.ndarray, side_statics: Mapping[str, str]
+    ) -> np.ndarray:
+        """Each row's Jaccard similarity to the probe statics, as the
+        scan-path tie-break computes it."""
+        if not side_statics:
+            return np.ones(len(rows), dtype=np.float64)
         agreements = np.zeros(len(rows), dtype=np.int64)
         for name, value in side_statics.items():
             column = part.codes.get(name)
-            codes = (
-                column[rows]
-                if column is not None
-                else np.full(len(rows), _MISSING, dtype=np.int64)
-            )
-            vocab = self._vocab.get(name, {})
-            try:
-                probe_code = vocab.get(value, _UNSEEN)
-            except TypeError:
-                probe_code = _UNSEEN
-            equal = codes == probe_code
+            if column is None:
+                # The scan path reads a missing stored value as "",
+                # which agrees only when the probe value is "" too.
+                agreements += value == ""
+                continue
+            codes = column[rows]
+            equal = codes == self._probe_code(name, value)
             if value == "":
-                # The scan path reads missing stored values as "",
-                # which agrees when the probe value is "" too.
                 equal |= codes == _MISSING
             agreements += equal
-        if side_statics:
-            similarities = agreements / len(side_statics)
-        else:
-            similarities = np.ones(len(rows), dtype=np.float64)
-        deltas = np.abs(part.input_bytes[rows] - np.int64(input_bytes))
-        best: _TieKey | None = None
-        for position, job_id in enumerate(ids):
-            similarity = float(similarities[position])
-            if observe is not None:
-                observe(similarity)
-            key = (
-                0 if similarity >= 1.0 else 1,
-                int(deltas[position]),
-                -similarity,
-                job_id,
-            )
-            if best is None or key < best:
-                best = key
-        return best
+        return agreements / len(side_statics)
 
     # ------------------------------------------------------------------
-    # Probe stages (mirror the scan-path filters bit for bit)
+    # Row stages (mirror the scan-path filters bit for bit)
     # ------------------------------------------------------------------
-    def _euclidean(
+    def euclidean_rows(
         self,
         side: str,
         kind: str,
-        probes: np.ndarray,
+        probes: Sequence[Sequence[float]],
         threshold: float,
-        candidates: list[str] | None,
-    ) -> list[list[str]]:
-        if len(self._parts) == 1:
-            return self._euclidean_part(
-                self._parts[0], side, kind, probes, threshold, candidates
-            )
+        candidates: Rows | None = None,
+    ) -> list[Rows]:
+        """One broadcast pricing a (K, F) block of probes against
+        *candidates* (None: every row); entry k answers probe k, exactly
+        as a block of that probe alone would."""
+        block = np.asarray(probes, dtype=np.float64)
+        if block.ndim != 2:
+            raise ValueError(f"expected a (K, F) probe block, got {block.shape}")
+        answers = [[_NO_ROWS] * len(self._parts) for __ in range(block.shape[0])]
         if candidates is None:
-            groups: Sequence[tuple[_Columns, list[str] | None]] = [
-                (part, None)
-                for part in self._pruned(side, kind, probes, threshold)
-            ]
+            positions = self._pruned(side, kind, block, threshold)
         else:
-            groups = self._grouped(candidates)
-        per_partition = [
-            self._euclidean_part(part, side, kind, probes, threshold, subset)
-            for part, subset in groups
-        ]
-        return [
-            sorted(job_id for rows in per_partition for job_id in rows[k])
-            for k in range(probes.shape[0])
-        ]
+            positions = [
+                position
+                for position, rows in enumerate(candidates.per_part)
+                if len(rows)
+            ]
+        for position in positions:
+            rows = None if candidates is None else candidates.per_part[position]
+            survivors = self._euclidean_part(
+                self._parts[position], side, kind, block, threshold, rows
+            )
+            for answer, part_rows in zip(answers, survivors):
+                answer[position] = part_rows
+        return [Rows(answer) for answer in answers]
 
+    def cfg_rows(
+        self, side: str, probe_cfg: ControlFlowGraph, candidates: Rows
+    ) -> Rows:
+        """The *candidates* whose *side* CFG matches *probe_cfg*."""
+        probe_key = _cfg_digest(probe_cfg.to_dict())
+        return Rows(
+            self._cfg_part(part, side, probe_cfg, probe_key, rows)
+            if len(rows)
+            else rows
+            for part, rows in zip(self._parts, candidates.per_part)
+        )
+
+    def jaccard_rows(
+        self, probe: Mapping[str, str], threshold: float, candidates: Rows
+    ) -> Rows:
+        """The *candidates* whose statics score at least *threshold*."""
+        return Rows(
+            self._jaccard_part(part, probe, threshold, rows) if len(rows) else rows
+            for part, rows in zip(self._parts, candidates.per_part)
+        )
+
+    def tie_break_rows(
+        self,
+        candidates: Rows,
+        input_bytes: int,
+        side_statics: Mapping[str, str],
+        observe_many: Callable[[np.ndarray], None] | None = None,
+    ) -> str | None:
+        """The scan-path tie-break winner's job id, or None when empty.
+
+        One ``np.lexsort`` over ``(id rank, -similarity, |Δsize|,
+        similarity < 1)`` — last key first — orders the candidates
+        exactly as the scan path's ``(same_program, |stored - input|,
+        -similarity, job_id)`` key.  *observe_many* receives every
+        candidate's similarity in id-rank (= sorted-id) order, the
+        scan path's per-candidate order.
+        """
+        located = [
+            (position, rows)
+            for position, rows in enumerate(candidates.per_part)
+            if len(rows)
+        ]
+        if not located:
+            return None
+        keys = []
+        for position, rows in located:
+            part = self._parts[position]
+            keys.append(
+                (
+                    part.rank[rows] + self._offsets[position],
+                    self._similarities(part, rows, side_statics),
+                    np.abs(part.input_bytes[rows] - np.int64(input_bytes)),
+                )
+            )
+        rank, similarity, delta = (
+            keys[0] if len(keys) == 1 else map(np.concatenate, zip(*keys))
+        )
+        if observe_many is not None:
+            observe_many(similarity[np.argsort(rank, kind="stable")])
+        best = int(np.lexsort((rank, -similarity, delta, similarity < 1.0))[0])
+        for position, rows in located:
+            if best < len(rows):
+                break
+            best -= len(rows)
+        return self._parts[position].ids[rows[best]]
+
+    # ------------------------------------------------------------------
+    # Id-list stages: adapters over the row stages
+    # ------------------------------------------------------------------
     def euclidean_stage(
         self,
         side: str,
@@ -643,41 +713,23 @@ class IndexView:
         candidates: list[str] | None = None,
     ) -> list[str]:
         """Vectorized twin of :meth:`ProfileStore.euclidean_stage`."""
-        probes = np.asarray([probe], dtype=np.float64)
-        return self._euclidean(side, kind, probes, threshold, candidates)[0]
-
-    def euclidean_stage_batch(
-        self,
-        side: str,
-        kind: str,
-        probes: Sequence[Sequence[float]],
-        threshold: float,
-    ) -> list[list[str]]:
-        """One broadcast pricing K probes; row k == ``euclidean_stage`` of probe k."""
-        block = np.asarray(probes, dtype=np.float64)
-        if block.ndim != 2:
-            raise ValueError(f"expected a (K, F) probe block, got {block.shape}")
-        return self._euclidean(side, kind, block, threshold, None)
+        rows = None if candidates is None else self._rows_of(candidates)
+        return self._ids_of(
+            self.euclidean_rows(side, kind, [probe], threshold, rows)[0]
+        )
 
     def cfg_stage(
         self, side: str, probe_cfg: ControlFlowGraph, candidates: list[str]
     ) -> list[str]:
         """Memoized twin of :meth:`ProfileStore.cfg_stage`."""
-        probe_key = _cfg_digest(probe_cfg.to_dict())
-        return self._gather(
-            candidates,
-            lambda part, subset: self._cfg_part(
-                part, side, probe_cfg, probe_key, subset
-            ),
-        )
+        return self._ids_of(self.cfg_rows(side, probe_cfg, self._rows_of(candidates)))
 
     def jaccard_stage(
         self, probe: Mapping[str, str], threshold: float, candidates: list[str]
     ) -> list[str]:
         """Vectorized twin of :meth:`ProfileStore.jaccard_stage`."""
-        return self._gather(
-            candidates,
-            lambda part, subset: self._jaccard_part(part, probe, threshold, subset),
+        return self._ids_of(
+            self.jaccard_rows(probe, threshold, self._rows_of(candidates))
         )
 
     def tie_break(
@@ -686,27 +738,14 @@ class IndexView:
         input_bytes: int,
         side_statics: Mapping[str, str],
         side: str,
-        observe: Callable[[float], None] | None = None,
     ) -> str:
-        """Vectorized twin of ``ProfileMatcher._tie_break``.
-
-        Computes every candidate's Jaccard similarity against the probe
-        statics column-wise, then applies the exact scan-path sort key
-        ``(same_program, |stored - input|, -similarity, job_id)``.
-        *observe* receives each candidate's similarity in sorted-id
-        order (partition by partition in key order, which *is* sorted-id
-        order), matching the scan path's per-candidate histogram.
-        """
-        best: _TieKey | None = None
-        for part, subset in self._grouped(candidates):
-            key = self._tie_break_part(
-                part, subset, input_bytes, side_statics, observe
-            )
-            if key is not None and (best is None or key < best):
-                best = key
-        if best is None:
+        """Vectorized twin of ``ProfileMatcher._tie_break``."""
+        winner = self.tie_break_rows(
+            self._rows_of(candidates), input_bytes, side_statics
+        )
+        if winner is None:
             raise KeyError(f"no indexed candidates among {candidates!r}")
-        return best[3]
+        return winner
 
     # ------------------------------------------------------------------
     # Split codec (meta blob + named arrays)
@@ -718,23 +757,27 @@ class IndexView:
         for position, part in enumerate(self._parts):
             arrays[f"{position}:active"] = part.active
             arrays[f"{position}:has_static"] = part.has_static
+            arrays[f"{position}:rank"] = part.rank
             arrays[f"{position}:input_bytes"] = part.input_bytes
             for (side, kind), (matrix, valid) in part.matrices.items():
                 arrays[f"{position}:mat:{side}:{kind}"] = matrix
                 arrays[f"{position}:valid:{side}:{kind}"] = valid
             for name, column in part.codes.items():
                 arrays[f"{position}:code:{name}"] = column
+            for side, column in part.cfg_codes.items():
+                arrays[f"{position}:cfg:{side}"] = column
         return arrays
 
     def export_meta(self) -> dict[str, Any]:
         """Everything that is not a big array, as one picklable blob."""
+        table = list(self._cfg_table)
         referenced = sorted(
             {
-                digest
+                table[code]
                 for part in self._parts
-                for digests in part.cfg_digests.values()
-                for digest in digests
-                if digest is not None
+                for column in part.cfg_codes.values()
+                for code in np.unique(column).tolist()
+                if code != _MISSING
             }
         )
         return {
@@ -745,11 +788,11 @@ class IndexView:
                 {
                     "ids": tuple(part.ids.tolist()),
                     "code_names": sorted(part.codes),
-                    "cfg_digests": part.cfg_digests,
                 }
                 for part in self._parts
             ],
             "vocab": self._vocab,
+            "cfg_table": table,
             "cfg_payloads": {
                 digest: self._cfg_payloads[digest] for digest in referenced
             },
@@ -770,21 +813,15 @@ class IndexView:
         """
         parts = []
         for position, part in enumerate(meta["parts"]):
-            ids = part["ids"]
             active = arrays[f"{position}:active"]
             has_static = arrays[f"{position}:has_static"]
-            row_of = {
-                job_id: row
-                for row, (job_id, live) in enumerate(zip(ids, active.tolist()))
-                if live
-            }
             parts.append(
                 _Columns(
-                    ids=np.asarray(ids, dtype=object),
-                    row_of=row_of,
-                    static_row_of=_with_statics(row_of, has_static.tolist()),
+                    ids=np.asarray(part["ids"], dtype=object),
                     active=active,
                     has_static=has_static,
+                    live_static=active & has_static,
+                    rank=arrays[f"{position}:rank"],
                     input_bytes=arrays[f"{position}:input_bytes"],
                     matrices={
                         key: (
@@ -797,7 +834,10 @@ class IndexView:
                         name: arrays[f"{position}:code:{name}"]
                         for name in part["code_names"]
                     },
-                    cfg_digests=part["cfg_digests"],
+                    cfg_codes={
+                        side: arrays[f"{position}:cfg:{side}"]
+                        for side in _CFG_COLUMNS
+                    },
                 )
             )
         return cls(
@@ -810,6 +850,7 @@ class IndexView:
                 for key, payload in meta["normalizers"].items()
             },
             vocab=meta["vocab"],
+            cfg_table=meta["cfg_table"],
             cfg_payloads=meta["cfg_payloads"],
         )
 
@@ -855,7 +896,10 @@ class MatchIndex:
         self._starts: list[str] = []
         self._vocab: dict[str, dict[Any, int]] = {}
         #: Content-addressed CFG caches: they outlive rebuilds and are
-        #: shared by every published view.
+        #: shared by every published view.  A digest's code is its
+        #: position in the append-only table.
+        self._cfg_table: list[str] = []
+        self._cfg_code_of: dict[str, int] = {}
         self._cfg_payloads: dict[str, dict[str, Any]] = {}
         self._cfg_graphs: dict[str, ControlFlowGraph] = {}
         self._cfg_memo: dict[tuple[str, str], bool] = {}
@@ -880,6 +924,9 @@ class MatchIndex:
         rows_before = len(part.ids)
         part.ids.append(job_id)
         part.row_of[job_id] = rows_before
+        position = bisect_right(part.sorted_ids, job_id)
+        part.sorted_ids.insert(position, job_id)
+        part.order.insert(position, rows_before)
         part.active.append(True)
         part.input_bytes.append(int(dynamic.get("INPUT_BYTES", 0)))
         for key, columns in _VECTOR_COLUMNS.items():
@@ -896,11 +943,14 @@ class MatchIndex:
             payload = None if static_columns is None else static_columns.get(cfg_column)
             if payload:
                 digest = _cfg_digest(payload)
-                if digest not in self._cfg_payloads:
+                code = self._cfg_code_of.get(digest)
+                if code is None:
+                    code = self._cfg_code_of[digest] = len(self._cfg_table)
+                    self._cfg_table.append(digest)
                     self._cfg_payloads[digest] = dict(payload)
-                part.cfg_digests[side].append(digest)
+                part.cfg_codes[side].append(code)
             else:
-                part.cfg_digests[side].append(None)
+                part.cfg_codes[side].append(_MISSING)
         seen: set[str] = set()
         if static_columns is not None:
             for name, value in static_columns.items():
@@ -1053,6 +1103,7 @@ class MatchIndex:
                         for key in _VECTOR_COLUMNS
                     },
                     vocab=self._vocab,
+                    cfg_table=self._cfg_table,
                     cfg_payloads=self._cfg_payloads,
                     cfg_graphs=self._cfg_graphs,
                     cfg_memo=self._cfg_memo,

@@ -51,7 +51,7 @@ from .similarity import (
 from .store import DYNAMIC_PREFIX, STATIC_PREFIX, ProfileStore
 
 if TYPE_CHECKING:
-    from .match_index import IndexView
+    from .match_index import IndexView, Rows
 
 __all__ = [
     "ProfileMatcher",
@@ -102,26 +102,26 @@ class MatchOutcome:
 
 
 class Stage1Batch:
-    """Survivors of one stage-1 broadcast, pinned to an index generation.
+    """Survivor rows of one stage-1 broadcast, pinned to the index view
+    (and so the generation) that priced them.
 
     Produced by :meth:`ProfileMatcher.precompute_stage1`; consumed by
-    :meth:`ProfileMatcher.match_side`, which discards it the moment the
-    view generation no longer matches — a store write between the
-    broadcast and an item's match invalidates the whole batch, keeping
-    batched results byte-identical to sequential ones.
+    :meth:`ProfileMatcher.match_side`, which discards it the moment its
+    side's view is not the pinned one — a store write (or a rebuild that
+    renumbers rows) between the broadcast and an item's match
+    invalidates the whole batch, keeping batched results byte-identical
+    to sequential ones.
     """
 
     def __init__(
         self,
-        generation: int,
-        by_probe: dict[int, dict[str, list[str]]],
+        view: "IndexView",
+        by_probe: "dict[int, dict[str, Rows]]",
     ) -> None:
-        self.generation = generation
+        self.view = view
         self._by_probe = by_probe
 
-    def survivors_for(
-        self, features: "JobFeatures", side: str
-    ) -> list[str] | None:
+    def survivors_for(self, features: "JobFeatures", side: str) -> "Rows | None":
         return self._by_probe.get(id(features), {}).get(side)
 
 
@@ -274,8 +274,8 @@ class ProfileMatcher:
             return None
 
     def _index_stage(
-        self, stage: str, prefix: str, call: Callable[[], list[str]]
-    ) -> list[str]:
+        self, stage: str, prefix: str, call: Callable[[], "Rows"]
+    ) -> "Rows":
         """Run one indexed stage with scan-path observability parity.
 
         Emits the same ``pstorm.store.probe`` span and candidate-size
@@ -308,30 +308,31 @@ class ProfileMatcher:
         view: "IndexView",
         features: JobFeatures,
         side: str,
-        stage1: list[str] | None = None,
+        stage1: "Rows | None" = None,
     ) -> SideMatch:
         """The Fig 4.4 workflow over one index view.
 
         Stage-for-stage mirror of :meth:`_match_side_inner` — same
         thresholds, same funnel keys, same terminal stages — with the
-        store scans replaced by index probes.  *stage1* short-circuits
-        the dynamic filter with survivors a batched broadcast already
-        computed (:meth:`precompute_stage1`); the broadcast kernel is
-        bit-identical to the scalar stage, so the funnel and outcome are
-        byte-identical either way.
+        store scans replaced by index probes that hand each other row
+        arrays; only the winner's job id is ever built.  *stage1*
+        short-circuits the dynamic filter with survivors a batched
+        broadcast already computed (:meth:`precompute_stage1`); the
+        broadcast kernel is bit-identical to the scalar stage, so the
+        funnel and outcome are byte-identical either way.
         """
         flow, costs, statics, cfg = features.side_vectors(side)
         funnel: dict[str, int] = {}
 
         if stage1 is not None:
-            survivors = list(stage1)
+            survivors = stage1
         else:
             survivors = self._index_stage(
                 f"euclidean-{side}-flow",
                 DYNAMIC_PREFIX,
-                lambda: view.euclidean_stage(
-                    side, "flow", list(flow), self._theta_eucl(len(flow))
-                ),
+                lambda: view.euclidean_rows(
+                    side, "flow", [flow], self._theta_eucl(len(flow))
+                )[0],
             )
         funnel["dynamic"] = len(survivors)
         if not survivors:
@@ -342,7 +343,7 @@ class ProfileMatcher:
             survivors = self._index_stage(
                 f"cfg-{side}",
                 STATIC_PREFIX,
-                lambda: view.cfg_stage(side, cfg, survivors),
+                lambda: view.cfg_rows(side, cfg, survivors),
             )
         funnel["cfg"] = len(survivors)
 
@@ -350,7 +351,7 @@ class ProfileMatcher:
             survivors = self._index_stage(
                 "jaccard",
                 STATIC_PREFIX,
-                lambda: view.jaccard_stage(
+                lambda: view.jaccard_rows(
                     statics, self.jaccard_threshold, survivors
                 ),
             )
@@ -363,34 +364,32 @@ class ProfileMatcher:
             buckets=DEFAULT_BUCKETS,
         )
         if survivors:
-            winner = view.tie_break(
+            winner = view.tie_break_rows(
                 survivors,
                 features.input_bytes,
                 statics,
-                side,
-                observe=score_hist.observe,
+                observe_many=score_hist.observe_many,
             )
             return SideMatch(side, winner, "static", funnel)
 
         fallback = self._index_stage(
             f"euclidean-{side}-cost",
             DYNAMIC_PREFIX,
-            lambda: view.euclidean_stage(
+            lambda: view.euclidean_rows(
                 side,
                 "cost",
-                list(costs),
+                [costs],
                 self._theta_eucl(6),
                 candidates=stage1_survivors,
-            ),
+            )[0],
         )
         funnel["cost-fallback"] = len(fallback)
         if fallback:
-            winner = view.tie_break(
+            winner = view.tie_break_rows(
                 fallback,
                 features.input_bytes,
                 statics,
-                side,
-                observe=score_hist.observe,
+                observe_many=score_hist.observe_many,
             )
             return SideMatch(side, winner, "cost-fallback", funnel)
         return SideMatch(side, None, "no-match", funnel)
@@ -409,15 +408,11 @@ class ProfileMatcher:
             "pstorm.match_side", side=side, job=features.job_name
         ) as span:
             view = self._probe_view()
-            precomputed: list[str] | None = None
-            # The broadcast survivors are only valid against the exact
-            # generation they were priced at; any write (or republish)
+            precomputed: "Rows | None" = None
+            # The broadcast survivor rows are only valid against the
+            # exact view they were priced on; any write (or republish)
             # since then re-runs the scalar stage instead.
-            if (
-                view is not None
-                and stage1 is not None
-                and view.generation == stage1.generation
-            ):
+            if view is not None and stage1 is not None and view is stage1.view:
                 precomputed = stage1.survivors_for(features, side)
             match: SideMatch | None = None
             if view is not None:
@@ -519,7 +514,7 @@ class ProfileMatcher:
                 per_side["reduce"].append(
                     (features, features.side_vectors("reduce")[0])
                 )
-        by_probe: dict[int, dict[str, list[str]]] = {
+        by_probe: "dict[int, dict[str, Rows]]" = {
             id(features): {} for features in features_list
         }
         registry = get_registry(self.registry)
@@ -537,10 +532,10 @@ class ProfileMatcher:
                     prefix=DYNAMIC_PREFIX,
                     via="index",
                 ):
-                    survivors = view.euclidean_stage_batch(
+                    survivors = view.euclidean_rows(
                         side,
                         "flow",
-                        [list(flow) for __, flow in entries],
+                        [flow for __, flow in entries],
                         self._theta_eucl(widths.pop()),
                     )
                 for (features, __), row in zip(entries, survivors):
@@ -553,7 +548,7 @@ class ProfileMatcher:
             "probes coalesced into one stage-1 broadcast",
             buckets=COUNT_BUCKETS,
         ).observe(len(features_list))
-        return Stage1Batch(generation=view.generation, by_probe=by_probe)
+        return Stage1Batch(view, by_probe)
 
     # ------------------------------------------------------------------
     def match_job(

@@ -9,6 +9,7 @@ eviction), and the three export formats.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +114,66 @@ class TestHistogram:
             one_by_one.observe(value)
             batched.observe(value)
         for value in values:
+            one_by_one.observe(value)
+        batched.observe_many(values)
+        assert batched.bucket_counts() == one_by_one.bucket_counts()
+        assert batched.count == one_by_one.count
+        assert batched.sum.hex() == one_by_one.sum.hex()
+        assert repr(batched.minimum) == repr(one_by_one.minimum)
+        assert repr(batched.maximum) == repr(one_by_one.maximum)
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, width=64)
+            | st.sampled_from(
+                [0.0, -0.0, 1.0, 2.0, 1e6, math.inf, -math.inf, math.nan]
+            ),
+            max_size=160,
+        ),
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, math.nan]),
+            max_size=5,
+        ),
+    )
+    def test_observe_many_of_an_ndarray_equals_repeated_observe(
+        self, values, earlier
+    ):
+        # Bucket bounds themselves, ±inf and NaN: bisect_left counts NaN
+        # in bucket 0 and the scalar min/max never take it.
+        one_by_one = Histogram("h", buckets=(0.0, 1.0, 2.0, 1e6))
+        batched = Histogram("h", buckets=(0.0, 1.0, 2.0, 1e6))
+        for value in earlier:
+            one_by_one.observe(value)
+        batched.observe_many(np.asarray(earlier, dtype=np.float64))
+        for value in values:
+            one_by_one.observe(value)
+        batched.observe_many(np.asarray(values, dtype=np.float64))
+        assert batched.bucket_counts() == one_by_one.bucket_counts()
+        assert batched.count == one_by_one.count
+        assert batched.sum.hex() == one_by_one.sum.hex()
+        assert repr(batched.minimum) == repr(one_by_one.minimum)
+        assert repr(batched.maximum) == repr(one_by_one.maximum)
+
+    @pytest.mark.parametrize("size", [4, 200])
+    def test_observe_many_keeps_the_first_of_equal_extremes(self, size):
+        # Both the per-value path (short batches) and the vectorized one.
+        values = [math.nan, 0.0, -0.0, math.nan] * (size // 4)
+        hist = Histogram("h", buckets=(0.0,))
+        hist.observe_many(np.asarray(values))
+        assert repr(hist.minimum) == repr(hist.maximum) == "0.0"
+        assert hist.bucket_counts() == [(0.0, size), (math.inf, size)]
+
+    def test_observe_many_of_a_long_batch_equals_repeated_observe(self):
+        rng = np.random.default_rng(7)
+        # Finite, so the bit-identical sum pins the summation order.
+        values = np.concatenate(
+            [rng.choice([0.0, -0.0, 1.0, 2.0, 1e6], 300), rng.normal(1.0, 3.0, 300)]
+        )
+        rng.shuffle(values)
+        one_by_one = Histogram("h", buckets=(0.0, 1.0, 2.0, 1e6))
+        batched = Histogram("h", buckets=(0.0, 1.0, 2.0, 1e6))
+        for value in values.tolist():
             one_by_one.observe(value)
         batched.observe_many(values)
         assert batched.bucket_counts() == one_by_one.bucket_counts()
