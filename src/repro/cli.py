@@ -26,10 +26,9 @@ Commands:
   profiles first, making a create→snapshot→restore round trip
   self-contained.
 - ``compact --data-dir DIR`` — force a full compaction of every region
-  store under DIR: merges each store's tables into one deep run and
-  rewrites them in the current binary block-sharded SSTable format
-  (migrating any legacy ``sst_*.json`` tables), then prints per-level
-  table/block counts and the on-disk format tally as JSON.
+  store under DIR: merges each store's tables into one deep run of
+  block-sharded SSTables, then prints per-level table/block counts as
+  JSON.
 
 ``demo`` and ``serve`` accept ``--data-dir DIR`` to run over a durable
 (restorable) profile store instead of the in-memory default.
@@ -526,10 +525,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     """Force-compact a durable store and print its resulting layout.
 
-    The summary JSON reports how many regions were compacted, how many
-    legacy JSON tables were migrated to binary blocks, and the
-    per-level table/block counts afterwards — so a migration run is
-    verifiable from stdout alone (the CI smoke asserts on it).
+    The summary JSON reports how many regions were compacted and the
+    per-level table/block counts afterwards — so the resulting layout
+    is verifiable from stdout alone (the CI smoke asserts on it).
     """
     from .core.store import ProfileStore
     from .observability import MetricsRegistry
@@ -729,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = commands.add_parser(
         "compact",
-        help="fully compact a durable store (migrates legacy JSON SSTables)",
+        help="fully compact a durable store and print its SSTable layout",
     )
     add_data_dir(compact, required=True)
     compact.set_defaults(handler=_cmd_compact)

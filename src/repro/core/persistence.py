@@ -28,7 +28,6 @@ __all__ = [
     "store_from_dict",
     "snapshot_store",
     "restore_store",
-    "compact_store",
 ]
 
 FORMAT_VERSION = 1
@@ -132,14 +131,3 @@ def restore_store(data_dir: str | Path, **kwargs: Any) -> ProfileStore:
     the last :func:`snapshot_store` checkpoint when one exists.
     """
     return ProfileStore.restore(data_dir, **kwargs)
-
-
-def compact_store(store: ProfileStore, force: bool = True) -> dict[str, Any]:
-    """Fully compact every region store; returns the layout summary.
-
-    On a durable store this rewrites every surviving SSTable in the
-    substrate's current format — the explicit-intent entry point for
-    migrating legacy one-JSON-blob ``sst_*.json`` tables to the binary
-    block-sharded format (``repro compact --data-dir`` wraps it).
-    """
-    return store.compact(force=force)

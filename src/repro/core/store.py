@@ -280,10 +280,6 @@ class ProfileStore:
             freshly created substrate.
         merge_threshold: auto-merge floor for a freshly created
             substrate (``None`` = merges off).
-        sstable_format: durable SSTable format for a freshly created
-            substrate — ``"binary"`` (block-sharded, default) or
-            ``"json"`` (legacy).  A restored substrate keeps whatever
-            format its ``cluster.json`` records.
         shard_index: partition the match index by region — one
             partition per region of the Dynamic key range, probed
             scatter-gather — instead of one flat partition.
@@ -303,7 +299,6 @@ class ProfileStore:
         split_threshold: int | None = None,
         replication: int = 1,
         merge_threshold: int | None = None,
-        sstable_format: str = "binary",
         shard_index: bool = False,
     ) -> None:
         #: Observability sinks; None falls back to the module defaults.
@@ -327,7 +322,6 @@ class ProfileStore:
                 group_commit=group_commit,
                 replication=replication,
                 merge_threshold=merge_threshold,
-                sstable_format=sstable_format,
                 **cluster_kwargs,
             )
         #: Whether writes persist (the substrate owns the actual files).
@@ -741,15 +735,11 @@ class ProfileStore:
         """Fully compact every region store; returns a layout summary.
 
         Each unique region store is flushed and force-compacted into
-        one deep run, which rewrites every surviving table in the
-        substrate's current ``sstable_format`` — so on a durable store
-        this is the legacy-JSON → binary-block migration
-        (``repro compact`` is the CLI surface).  ``force=False`` skips
-        stores already down to a single table.
+        one deep run (``repro compact`` is the CLI surface).
+        ``force=False`` skips stores already down to a single table.
 
-        The summary reports per-level table/block counts across all
-        regions, the on-disk format tally, and how many legacy JSON
-        tables were rewritten to binary.
+        The summary reports the regions compacted and the per-level
+        table/block counts across all of them.
         """
         with self._lock:
             stores: list[Any] = []
@@ -758,23 +748,10 @@ class ProfileStore:
                 if id(region.store) not in seen:
                     seen.add(id(region.store))
                     stores.append(region.store)
-            migrated = 0
             for store in stores:
-                legacy = sum(
-                    1
-                    for run in store.levels
-                    for table in run
-                    if table.storage_format == "json"
-                )
                 store.flush()
                 store.compact(force=force)
-                if store.sstable_format == "binary":
-                    migrated += legacy
-            # Re-persist the cluster meta: a pre-upgrade directory that
-            # was just migrated must record the format it now holds.
-            self.hbase._write_meta()
             level_stats: dict[int, dict[str, int]] = {}
-            formats: dict[str, int] = {}
             for store in stores:
                 for level, run in enumerate(store.levels):
                     for table in run:
@@ -783,18 +760,13 @@ class ProfileStore:
                         )
                         stats["tables"] += 1
                         stats["blocks"] += table.num_blocks
-                        formats[table.storage_format] = (
-                            formats.get(table.storage_format, 0) + 1
-                        )
         get_registry(self.registry).counter(
             "pstorm_store_compactions_total", "forced full-store compactions"
         ).inc()
         return {
             "regions": len(stores),
-            "migrated_tables": migrated,
             "tables": sum(stats["tables"] for stats in level_stats.values()),
             "blocks": sum(stats["blocks"] for stats in level_stats.values()),
-            "formats": formats,
             "levels": [
                 {"level": level, **level_stats[level]}
                 for level in sorted(level_stats)

@@ -35,7 +35,7 @@ from .filters import (
 from .region import Cell, Region, decode_cells, encode_cells
 from .regionserver import RegionServer, ServerMetrics
 from .sstable import BlockCache, BlockFile, BlockMeta
-from .storage import TOMBSTONE, HFile, LsmStore, ProbeResult, SSTable, WalEntry
+from .storage import TOMBSTONE, LsmStore, ProbeResult, SSTable
 from .table import HTable
 from .wal import WalRecord, WriteAheadLog, decode_frame, decode_frames, encode_frame
 
@@ -72,12 +72,10 @@ __all__ = [
     "BlockCache",
     "BlockFile",
     "BlockMeta",
-    "HFile",
     "SSTable",
     "ProbeResult",
     "TOMBSTONE",
     "LsmStore",
-    "WalEntry",
     "WalRecord",
     "WriteAheadLog",
     "encode_frame",

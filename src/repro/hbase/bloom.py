@@ -6,9 +6,9 @@ format (:mod:`repro.hbase.sstable`) carries one filter per ~4 KiB cell
 block, serialized in the file footer: a cold probe binary-searches the
 block index to the single candidate block and consults only that
 block's filter, so the worst-case read is one block per table whose
-filter *might* match — not one whole file.  Legacy JSON tables keep a
-table-level filter in the manifest (their file is one block).  Either
-way a ``get`` touches only the blocks the filters pass
+filter *might* match — not one whole file.  An in-memory table keeps
+one table-level filter instead.  Either way a ``get`` touches only the
+blocks the filters pass
 (``bloom_skipped_blocks_total`` counts the ones it didn't, per block).
 
 The filter is the textbook double-hashing construction — ``k`` probe

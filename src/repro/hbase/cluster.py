@@ -26,10 +26,8 @@ directory that already holds ``cluster.json`` *restores* it: regions
 re-attach to their directories (SSTables load lazily, WAL tails replay)
 and orphaned region directories a crash left behind are swept, so
 recovery cost is manifest-sized, not store-sized.  All region stores of
-a durable cluster read binary SSTable blocks through one shared LRU
-:class:`~repro.hbase.sstable.BlockCache`, and the cluster's
-``sstable_format``/``block_size`` persist in ``cluster.json`` so a
-reopen keeps writing the format it wrote before.  Splits and merges
+a durable cluster read SSTable blocks through one shared LRU
+:class:`~repro.hbase.sstable.BlockCache`.  Splits and merges
 commit crash-safely: the successor regions are written durably, then
 ``cluster.json`` swaps to them atomically, then the predecessor
 directories are removed — a crash between any two steps recovers either
@@ -52,7 +50,7 @@ from .catalog import MetaCatalog
 from .errors import TableExistsError, TableNotFoundError
 from .region import Region, decode_cells, encode_cells
 from .regionserver import RegionServer
-from .sstable import DEFAULT_BLOCK_SIZE, DEFAULT_CACHE_BYTES, BlockCache
+from .sstable import BlockCache
 from .storage import LsmStore
 from .table import HTable
 
@@ -76,14 +74,6 @@ class HBaseCluster:
         merge_threshold: when set, a region that shrinks below this many
             rows after a delete merges with its smaller adjacent sibling
             (provided the result stays under the split threshold).
-        sstable_format: durable SSTable format every region store
-            writes — ``"binary"`` (block-sharded, default) or ``"json"``
-            (legacy).  Persisted in ``cluster.json``, so a reopened
-            cluster keeps writing what it wrote before regardless of
-            the constructor default.
-        block_size: target bytes per binary cell block (persisted too).
-        block_cache_bytes: capacity of the one :class:`BlockCache`
-            shared by every region store of a durable cluster.
     """
 
     def __init__(
@@ -97,9 +87,6 @@ class HBaseCluster:
         group_commit: int = 1,
         replication: int = 1,
         merge_threshold: int | None = None,
-        sstable_format: str = "binary",
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        block_cache_bytes: int | None = None,
     ) -> None:
         if num_region_servers < 1:
             raise ValueError("need at least one region server")
@@ -107,8 +94,6 @@ class HBaseCluster:
             raise ValueError("replication must be at least 1")
         if merge_threshold is not None and merge_threshold < 1:
             raise ValueError("merge_threshold must be positive (or None)")
-        if sstable_format not in ("binary", "json"):
-            raise ValueError(f"unknown sstable_format {sstable_format!r}")
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.group_commit = group_commit
         meta = None
@@ -124,23 +109,10 @@ class HBaseCluster:
                 merge_threshold = (
                     None if restored_merge is None else int(restored_merge)
                 )
-                sstable_format = str(meta.get("sstable_format", sstable_format))
-                block_size = int(meta.get("block_size", block_size))
-        self.sstable_format = sstable_format
-        self.block_size = block_size
         #: One LRU block cache shared by every region store (durable
         #: clusters only; in-memory stores never read blocks).
         self.block_cache: BlockCache | None = (
-            BlockCache(
-                capacity_bytes=(
-                    DEFAULT_CACHE_BYTES
-                    if block_cache_bytes is None
-                    else block_cache_bytes
-                ),
-                registry=registry,
-            )
-            if self.data_dir is not None
-            else None
+            BlockCache(registry=registry) if self.data_dir is not None else None
         )
         #: Observability sinks; None falls back to the module defaults.
         #: Handed to every region server and table of this cluster.
@@ -184,8 +156,6 @@ class HBaseCluster:
         return LsmStore(
             data_dir=path,
             group_commit=self.group_commit,
-            sstable_format=self.sstable_format,
-            block_size=self.block_size,
             block_cache=self.block_cache,
             value_encoder=encode_cells,
             value_decoder=decode_cells,
@@ -233,8 +203,6 @@ class HBaseCluster:
             "split_threshold": self.split_threshold,
             "merge_threshold": self.merge_threshold,
             "replication": self.replication,
-            "sstable_format": self.sstable_format,
-            "block_size": self.block_size,
             "next_region_dir": self._next_region_dir,
             "tables": tables,
         }
@@ -323,9 +291,8 @@ class HBaseCluster:
         """Flush then fully compact every region's store.
 
         With ``force=True`` (the default) single-table stores are
-        rewritten too, so every surviving SSTable ends up in the
-        cluster's current ``sstable_format`` — the legacy-JSON →
-        binary-block migration in one call.  Returns regions compacted.
+        rewritten too, so every store ends as one deep run.  Returns
+        regions compacted.
         """
         compacted = 0
         seen: set[int] = set()

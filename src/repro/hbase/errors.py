@@ -73,9 +73,10 @@ class CorruptSSTableError(HBaseError):
     """A binary SSTable block or footer failed framing or checksum checks.
 
     Raised when a block read hits a torn frame, a CRC mismatch, a
-    malformed footer, or a truncated trailer — the read path surfaces
-    the damage as this one typed diagnosis instead of returning garbage
-    bytes as data.  Like :class:`CorruptWalError` it is not retryable:
+    malformed footer, or a truncated trailer, and when a manifest entry
+    names a table in a format other than binary blocks (a v1 entry with
+    no ``format`` field) — the read path surfaces the damage as this one
+    typed diagnosis instead of returning garbage bytes as data.  Like :class:`CorruptWalError` it is not retryable:
     the bytes will not get better; the caller falls back (re-open,
     re-replicate, or restore from snapshot) instead of looping.
     """

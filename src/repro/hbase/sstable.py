@@ -1,13 +1,14 @@
 """Binary block-sharded SSTable files: framed blocks, footer index, cache.
 
-The legacy durable format wrote one JSON blob per SSTable, so a cold
-point read parsed the *entire* table on first touch.  This module is
-the real-LSM answer (the Bigtable/HBase file shape): an ``sst_*.bin``
-file is a sequence of length+CRC32-framed **cell blocks** (target
-``block_size`` bytes of encoded cells each, same frame layout as the
-WAL — see :mod:`repro.hbase.wal`), followed by a framed JSON **footer**
-carrying a first-key block index and one serialized Bloom filter *per
-block*, and a fixed 16-byte trailer locating the footer::
+This is the one durable SSTable format.  A one-JSON-blob table would
+make a cold point read parse the *entire* table on first touch; this
+module is the real-LSM answer (the Bigtable/HBase file shape): an
+``sst_*.bin`` file is a sequence of length+CRC32-framed **cell
+blocks** (target ``block_size`` bytes of encoded cells each, same frame
+layout as the WAL — see :mod:`repro.hbase.wal`), followed by a framed
+JSON **footer** carrying a first-key block index and one serialized
+Bloom filter *per block*, and a fixed 16-byte trailer locating the
+footer::
 
     +---------+---------+     +---------+----------+-----------------+
     | block 0 | block 1 | ... | block N | footer   | trailer         |
@@ -50,6 +51,8 @@ __all__ = [
     "MAGIC",
     "TRAILER_SIZE",
     "DEFAULT_BLOCK_SIZE",
+    "BLOOM_FPR",
+    "BLOOM_SEED",
     "BlockMeta",
     "BlockFile",
     "BlockCache",
@@ -70,6 +73,12 @@ _TAG_VALUE_LEN = struct.Struct(">BI")
 #: Target bytes of encoded cells per block (a block never splits a
 #: cell, so one oversized cell makes one oversized block).
 DEFAULT_BLOCK_SIZE = 4096
+
+#: Bloom filter target false-positive rate and hash seed (per block on
+#: disk; :class:`~repro.hbase.storage.SSTable` uses them per in-memory
+#: table too).
+BLOOM_FPR = 0.01
+BLOOM_SEED = 0
 
 #: Default capacity of a shared :class:`BlockCache`.
 DEFAULT_CACHE_BYTES = 8 * 1024 * 1024
@@ -221,8 +230,6 @@ def write_block_file(
     values: tuple[Any, ...],
     value_encoder: Callable[[Any], Any] | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    bloom_fpr: float = 0.01,
-    bloom_seed: int = 0,
     on_block: Callable[[], None] | None = None,
     on_footer: Callable[[], None] | None = None,
 ) -> tuple[list[BlockMeta], list[BloomFilter]]:
@@ -247,8 +254,8 @@ def write_block_file(
         handle.write(frame)
         bloom = BloomFilter(
             capacity=max(1, len(block_keys)),
-            target_fpr=bloom_fpr,
-            seed=bloom_seed,
+            target_fpr=BLOOM_FPR,
+            seed=BLOOM_SEED,
         )
         for key in block_keys:
             bloom.add(key)

@@ -31,11 +31,11 @@ plus a footer with a first-key block index and one Bloom filter per
 block.  A cold point read binary-searches the index to the single
 candidate block, consults only that block's Bloom, and ``seek``+reads
 exactly one frame through a cluster-shared LRU :class:`BlockCache` —
-instead of parsing the whole table.  Legacy one-JSON-blob ``sst_*.json``
-tables (manifest entries without a ``format`` field) stay readable
-transparently, and any compaction rewrites them into the current
-format (``compact(force=True)``, surfaced as ``repro compact``,
-migrates even a single remaining table).
+instead of parsing the whole table.  It is the only format a store
+writes or reads: a manifest entry in any other format (a v1 entry with
+no ``format`` field, from the retired one-JSON-blob ``sst_*.json``
+tables) fails the open with
+:class:`~repro.hbase.errors.CorruptSSTableError` naming the table file.
 
 Without ``data_dir`` the store behaves exactly like the pre-durability
 substrate (no files, no chaos consults), so every in-memory test and
@@ -53,7 +53,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from ..observability import MetricsRegistry, get_registry
 from .bloom import BloomFilter
+from .errors import CorruptSSTableError
 from .sstable import (
+    BLOOM_FPR,
+    BLOOM_SEED,
     DEFAULT_BLOCK_SIZE,
     TOMBSTONE,
     BlockCache,
@@ -66,8 +69,6 @@ if TYPE_CHECKING:
     from ..chaos import FaultInjector
 
 __all__ = [
-    "WalEntry",
-    "HFile",
     "SSTable",
     "LsmStore",
     "TOMBSTONE",
@@ -75,14 +76,16 @@ __all__ = [
     "BlockCache",
 ]
 
-#: Compat alias: the WAL record type used to be defined here.
-WalEntry = WalRecord
-
 MANIFEST_NAME = "manifest.json"
 WAL_NAME = "wal.log"
 #: v1 manifests predate block sharding: their entries carry no
-#: ``format`` field and are read as legacy one-JSON-blob tables.
+#: ``format`` field, and an open rejects them.
 MANIFEST_VERSION = 2
+#: The one table format a manifest entry may name.
+SSTABLE_FORMAT = "binary"
+#: Per-level capacity multiplier: level *n* holds up to
+#: ``flush_threshold * LEVEL_FANOUT**n`` entries before cascading.
+LEVEL_FANOUT = 4
 
 
 class ProbeResult(NamedTuple):
@@ -112,11 +115,10 @@ class SSTable:
     Key ranges always live in memory (they come from the manifest); the
     key/value arrays may be loaded lazily from disk on first touch, so
     a freshly restored store pays only for the blocks its reads
-    actually visit.  A binary table additionally carries a
+    actually visit.  A durable table carries a
     :class:`~repro.hbase.sstable.BlockFile`, whose footer index and
     per-block Bloom filters let :meth:`probe` read exactly one block;
-    a legacy JSON table keeps a table-level ``bloom`` from the manifest
-    and loads whole (its file *is* one block).
+    an in-memory table keeps a table-level ``bloom`` instead.
     """
 
     __slots__ = (
@@ -125,11 +127,9 @@ class SSTable:
         "min_key",
         "max_key",
         "bloom",
-        "storage_format",
         "_num_keys",
         "_keys",
         "_values",
-        "_loader",
         "_block_file",
     )
 
@@ -143,17 +143,13 @@ class SSTable:
         min_key: str | None = None,
         max_key: str | None = None,
         num_keys: int | None = None,
-        loader: Callable[[], tuple[tuple[str, ...], tuple[Any, ...]]] | None = None,
         block_file: BlockFile | None = None,
-        storage_format: str = "memory",
     ) -> None:
         self.file_id = file_id
         self.level = level
         self.bloom = bloom
-        self.storage_format = storage_format
         self._keys = keys
         self._values = values
-        self._loader = loader
         self._block_file = block_file
         if keys is not None:
             self.min_key = keys[0] if keys else ""
@@ -166,17 +162,12 @@ class SSTable:
 
     @classmethod
     def from_mapping(
-        cls,
-        file_id: int,
-        entries: dict[str, Any],
-        level: int = 0,
-        bloom_fpr: float = 0.01,
-        bloom_seed: int = 0,
+        cls, file_id: int, entries: dict[str, Any], level: int = 0
     ) -> "SSTable":
         keys = tuple(sorted(entries))
         values = tuple(entries[k] for k in keys)
         bloom = BloomFilter(
-            capacity=max(1, len(keys)), target_fpr=bloom_fpr, seed=bloom_seed
+            capacity=max(1, len(keys)), target_fpr=BLOOM_FPR, seed=BLOOM_SEED
         )
         for key in keys:
             bloom.add(key)
@@ -185,14 +176,11 @@ class SSTable:
     # ------------------------------------------------------------------
     def _ensure_loaded(self) -> None:
         if self._keys is None:
-            if self._block_file is not None:
-                self._keys, self._values = self._block_file.read_all()
-            elif self._loader is not None:
-                self._keys, self._values = self._loader()
-            else:
+            if self._block_file is None:
                 raise RuntimeError(
-                    f"SSTable {self.file_id} has neither data nor a loader"
+                    f"SSTable {self.file_id} has neither data nor a block file"
                 )
+            self._keys, self._values = self._block_file.read_all()
 
     def attach_block_file(self, block_file: BlockFile) -> None:
         """Adopt the durable block layout a flush/compaction just wrote.
@@ -202,7 +190,6 @@ class SSTable:
         it makes ``num_blocks`` and cache invalidation exact now.
         """
         self._block_file = block_file
-        self.storage_format = "binary"
 
     @property
     def loaded(self) -> bool:
@@ -224,7 +211,7 @@ class SSTable:
 
     @property
     def num_blocks(self) -> int:
-        """Durable cell blocks in this table (1 for legacy/in-memory)."""
+        """Durable cell blocks in this table (1 for in-memory)."""
         if self._block_file is not None:
             return self._block_file.num_blocks
         return 1 if self._num_keys else 0
@@ -288,10 +275,6 @@ class SSTable:
         return zip(self._keys, self._values)  # type: ignore[arg-type]
 
 
-#: Compat alias: flushed runs used to be called HFiles.
-HFile = SSTable
-
-
 class LsmStore:
     """One column-family store with the HBase write path.
 
@@ -302,17 +285,8 @@ class LsmStore:
         data_dir: directory for WAL + SSTable files + manifest; ``None``
             (default) keeps the store purely in memory.  Opening a store
             on a directory that already holds a manifest *recovers* it.
-        level_fanout: per-level capacity multiplier (level *n* holds up
-            to ``flush_threshold * fanout**n`` entries before cascading).
-        bloom_fpr / bloom_seed: Bloom filter configuration (per block in
-            the binary format, per table for legacy JSON).
         group_commit: WAL records buffered per fsync (durable mode).
-        sstable_format: ``"binary"`` (default, block-sharded) or
-            ``"json"`` (the legacy one-blob-per-table format, kept for
-            migration tests and benchmarks).  Existing tables of the
-            *other* format stay readable either way; new flushes and
-            compactions write this one.
-        block_size: target bytes of encoded cells per binary block.
+        block_size: target bytes of encoded cells per SSTable block.
         block_cache: a :class:`~repro.hbase.sstable.BlockCache` to read
             binary blocks through — pass one shared instance across
             region stores (the cluster does); ``None`` in durable mode
@@ -330,11 +304,7 @@ class LsmStore:
         flush_threshold: int = 64,
         compaction_threshold: int = 4,
         data_dir: Path | str | None = None,
-        level_fanout: int = 4,
-        bloom_fpr: float = 0.01,
-        bloom_seed: int = 0,
         group_commit: int = 1,
-        sstable_format: str = "binary",
         block_size: int = DEFAULT_BLOCK_SIZE,
         block_cache: BlockCache | None = None,
         value_encoder: Callable[[Any], Any] | None = None,
@@ -343,19 +313,13 @@ class LsmStore:
         registry: MetricsRegistry | None = None,
         clock: Any = None,
     ) -> None:
-        if sstable_format not in ("binary", "json"):
-            raise ValueError(f"unknown sstable_format {sstable_format!r}")
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.flush_threshold = flush_threshold
         self.compaction_threshold = compaction_threshold
-        self.level_fanout = level_fanout
-        self.bloom_fpr = bloom_fpr
-        self.bloom_seed = bloom_seed
         self.registry = registry
         self.chaos = chaos
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self.sstable_format = sstable_format
         self.block_size = block_size
         if block_cache is None and self.data_dir is not None:
             block_cache = BlockCache(registry=registry)
@@ -416,22 +380,9 @@ class LsmStore:
     # ------------------------------------------------------------------
     # Durable attach / manifest
     # ------------------------------------------------------------------
-    def _sst_path(self, file_id: int, fmt: str | None = None) -> Path:
+    def _sst_path(self, file_id: int) -> Path:
         assert self.data_dir is not None
-        suffix = "bin" if (fmt or self.sstable_format) == "binary" else "json"
-        return self.data_dir / f"sst_{file_id:06d}.{suffix}"
-
-    def _sst_loader(self, file_id: int):
-        def load() -> tuple[tuple[str, ...], tuple[Any, ...]]:
-            payload = json.loads(self._sst_path(file_id, "json").read_text())
-            keys = tuple(payload["keys"])
-            values = tuple(
-                TOMBSTONE if tag == 0 else self._decode_value(raw)
-                for tag, raw in payload["values"]
-            )
-            return keys, values
-
-        return load
+        return self.data_dir / f"sst_{file_id:06d}.bin"
 
     def _attach(self) -> list[WalRecord]:
         """Recover levels + counters from the manifest (when one exists)
@@ -467,65 +418,51 @@ class LsmStore:
         return records
 
     def _attach_table(self, level: int, entry: dict[str, Any]) -> SSTable:
-        """One manifest entry → a lazy SSTable of the recorded format.
+        """One manifest entry → a lazy SSTable over its block file.
 
-        Entries without a ``format`` field are legacy (manifest v1)
-        JSON tables: they carry a serialized table-level Bloom.  Binary
-        entries carry none — their per-block Blooms live in the file
-        footer, loaded on first probe.
+        The entry carries no Bloom: the per-block filters live in the
+        file footer, loaded on first probe.  An entry in any other
+        format (v1 entries have no ``format`` field) is rejected.
         """
         file_id = int(entry["file_id"])
-        fmt = entry.get("format", "json")
-        common = dict(
-            level=level,
-            min_key=entry["min_key"],
-            max_key=entry["max_key"],
-            num_keys=int(entry["num_keys"]),
-        )
-        if fmt == "binary":
-            return SSTable(
-                file_id,
-                None,
-                None,
-                block_file=BlockFile(
-                    self._sst_path(file_id, "binary"),
-                    value_decoder=self._decode_value,
-                    cache=self.block_cache,
-                ),
-                storage_format="binary",
-                **common,
+        fmt = entry.get("format")
+        if fmt != SSTABLE_FORMAT:
+            raise CorruptSSTableError(
+                f"sst_{file_id:06d} in {self.data_dir}: manifest entry has "
+                f"format {fmt!r}, expected {SSTABLE_FORMAT!r} (one-JSON-blob "
+                "tables are no longer read)"
             )
         return SSTable(
             file_id,
             None,
             None,
-            bloom=BloomFilter.from_dict(entry["bloom"]),
-            loader=self._sst_loader(file_id),
-            storage_format="json",
-            **common,
+            level=level,
+            min_key=entry["min_key"],
+            max_key=entry["max_key"],
+            num_keys=int(entry["num_keys"]),
+            block_file=BlockFile(
+                self._sst_path(file_id),
+                value_decoder=self._decode_value,
+                cache=self.block_cache,
+            ),
         )
 
     def _commit_manifest(self) -> None:
         assert self.data_dir is not None
         levels = []
         for run in self.levels:
-            entries = []
-            for table in run:
-                entry: dict[str, Any] = {
-                    "file_id": table.file_id,
-                    "num_keys": table.num_keys,
-                    "min_key": table.min_key,
-                    "max_key": table.max_key,
-                    "format": table.storage_format,
-                }
-                if table.storage_format != "binary":
-                    # Binary tables keep their (per-block) Blooms in the
-                    # file footer; duplicating a table-level filter here
-                    # would bloat the manifest for no read-path gain.
-                    assert table.bloom is not None
-                    entry["bloom"] = table.bloom.to_dict()
-                entries.append(entry)
-            levels.append(entries)
+            levels.append(
+                [
+                    {
+                        "file_id": table.file_id,
+                        "num_keys": table.num_keys,
+                        "min_key": table.min_key,
+                        "max_key": table.max_key,
+                        "format": SSTABLE_FORMAT,
+                    }
+                    for table in run
+                ]
+            )
         payload = {
             "version": MANIFEST_VERSION,
             "next_file_id": self._next_file_id,
@@ -538,12 +475,6 @@ class LsmStore:
         tmp.write_text(json.dumps(payload))
         os.replace(tmp, self.data_dir / MANIFEST_NAME)
 
-    def _write_sstable_file(self, table: SSTable) -> None:
-        if self.sstable_format == "binary":
-            self._write_binary_sstable(table)
-        else:
-            self._write_json_sstable(table)
-
     def _write_binary_sstable(self, table: SSTable) -> None:
         """Stream the table into an ``sst_*.bin`` block file.
 
@@ -554,7 +485,7 @@ class LsmStore:
         would.
         """
         assert self.data_dir is not None
-        path = self._sst_path(table.file_id, "binary")
+        path = self._sst_path(table.file_id)
         tmp = path.with_suffix(".tmp")
         with open(tmp, "wb") as handle:
             metas, blooms = write_block_file(
@@ -563,8 +494,6 @@ class LsmStore:
                 table.values,
                 value_encoder=self._encode_value,
                 block_size=self.block_size,
-                bloom_fpr=self.bloom_fpr,
-                bloom_seed=self.bloom_seed,
                 on_block=lambda: self._chaos_point("sst-block"),
                 on_footer=lambda: self._chaos_point("sst-footer"),
             )
@@ -583,27 +512,10 @@ class LsmStore:
             )
         )
 
-    def _write_json_sstable(self, table: SSTable) -> None:
-        assert self.data_dir is not None
-        payload = {
-            "file_id": table.file_id,
-            "level": table.level,
-            "keys": list(table.keys),
-            "values": [
-                [0, None] if value is TOMBSTONE else [1, self._encode_value(value)]
-                for value in table.values
-            ],
-        }
-        path = self._sst_path(table.file_id, "json")
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
-        table.storage_format = "json"
-
     def _remove_sstable_file(self, table: SSTable) -> None:
         """Delete a replaced table's file and evict its cached blocks."""
-        path = self._sst_path(table.file_id, table.storage_format)
-        if self.block_cache is not None and table.storage_format == "binary":
+        path = self._sst_path(table.file_id)
+        if self.block_cache is not None:
             self.block_cache.drop_file(str(path))
         path.unlink(missing_ok=True)
 
@@ -695,16 +607,10 @@ class LsmStore:
         if not self.memstore:
             return
         self.wal_log.sync()  # an SSTable must never outrun its log
-        table = SSTable.from_mapping(
-            self._next_file_id,
-            self.memstore,
-            level=0,
-            bloom_fpr=self.bloom_fpr,
-            bloom_seed=self.bloom_seed,
-        )
+        table = SSTable.from_mapping(self._next_file_id, self.memstore, level=0)
         self._next_file_id += 1
         if self.data_dir is not None:
-            self._write_sstable_file(table)
+            self._write_binary_sstable(table)
             self._chaos_point("lsm-flush")
         self.levels[0].append(table)
         self.memstore = {}
@@ -724,7 +630,7 @@ class LsmStore:
     # Compaction
     # ------------------------------------------------------------------
     def _level_capacity(self, level: int) -> int:
-        return self.flush_threshold * (self.level_fanout ** level)
+        return self.flush_threshold * (LEVEL_FANOUT ** level)
 
     def _level_entries(self, level: int) -> int:
         if level >= len(self.levels):
@@ -763,20 +669,14 @@ class LsmStore:
         merged = self._merge_runs(sink, source, drop_tombstones=drop)
         replaced = source + sink
         if merged:
-            table = SSTable.from_mapping(
-                self._next_file_id,
-                merged,
-                level=target,
-                bloom_fpr=self.bloom_fpr,
-                bloom_seed=self.bloom_seed,
-            )
+            table = SSTable.from_mapping(self._next_file_id, merged, level=target)
             self._next_file_id += 1
             new_run = [table]
         else:
             new_run = []
         if self.data_dir is not None:
             for table in new_run:
-                self._write_sstable_file(table)
+                self._write_binary_sstable(table)
             self._chaos_point("lsm-compact")
         self.levels[level] = []
         self.levels[target] = new_run
@@ -803,11 +703,8 @@ class LsmStore:
     def compact(self, force: bool = False) -> None:
         """Force a full compaction: merge every table into one deep run.
 
-        With ``force=True`` even a single remaining table is rewritten
-        — the migration path: rewriting always emits the store's
-        current ``sstable_format``, so a forced compaction converts
-        legacy JSON tables to binary blocks (or back, for a
-        ``sstable_format="json"`` store).
+        With ``force=True`` even a single remaining table is rewritten,
+        so the store ends as exactly one deep run.
         """
         tables = [table for run in self.levels for table in run]
         if not tables:
@@ -819,18 +716,12 @@ class LsmStore:
         deepest = max(1, len(self.levels) - 1)
         new_run: list[SSTable] = []
         if merged:
-            table = SSTable.from_mapping(
-                self._next_file_id,
-                merged,
-                level=deepest,
-                bloom_fpr=self.bloom_fpr,
-                bloom_seed=self.bloom_seed,
-            )
+            table = SSTable.from_mapping(self._next_file_id, merged, level=deepest)
             self._next_file_id += 1
             new_run = [table]
         if self.data_dir is not None:
             for table in new_run:
-                self._write_sstable_file(table)
+                self._write_binary_sstable(table)
             self._chaos_point("lsm-compact")
         self.levels = [[] for __ in range(deepest)] + [new_run]
         self.compactions += 1
@@ -940,9 +831,6 @@ class LsmStore:
         restored = LsmStore(
             flush_threshold=self.flush_threshold,
             compaction_threshold=self.compaction_threshold,
-            level_fanout=self.level_fanout,
-            bloom_fpr=self.bloom_fpr,
-            bloom_seed=self.bloom_seed,
             value_encoder=self._value_encoder,
             value_decoder=self._value_decoder,
             registry=self.registry,

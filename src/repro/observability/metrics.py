@@ -413,11 +413,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name, description, labels, **kwargs):
-        _check_name(name)
         key = (name, _label_key(labels))
         with self._lock:
             instrument = self._instruments.get(key)
             if instrument is None:
+                _check_name(name)
                 instrument = cls(name, description, labels, **kwargs)
                 self._instruments[key] = instrument
             elif not isinstance(instrument, cls):

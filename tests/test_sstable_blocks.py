@@ -11,14 +11,13 @@ Four proofs for the ``sst_*.bin`` format:
   table consults one per-block filter, not eight, and a key falling in
   the gap between blocks consults none (the regression pin for the
   counter-semantics fix);
-* Hypothesis: a binary durable store, a legacy-JSON durable store, and
-  a plain dict agree on every get and scan — hot, after a cold reopen,
-  and after a forced compaction — for arbitrary put/delete histories.
+* Hypothesis: a durable store and a plain dict agree on every get and
+  scan — hot, after a cold reopen, and after a forced compaction — for
+  arbitrary put/delete histories.
 
-Plus the migration story: legacy ``sst_*.json`` tables are readable in
-place and ``compact(force=True)`` rewrites them to binary, including on
-a pre-upgrade ``ProfileStore`` directory whose cluster meta predates the
-``sstable_format`` field.
+Plus legacy input: a manifest entry of the retired one-JSON-blob
+format fails the open with a typed :class:`CorruptSSTableError`, and
+``ProfileStore.compact`` leaves only ``sst_*.bin`` files behind.
 """
 
 import json
@@ -33,6 +32,7 @@ from repro.core.store import ProfileStore
 from repro.hbase import (
     BlockCache,
     BlockFile,
+    BloomFilter,
     CorruptSSTableError,
     LsmStore,
     TOMBSTONE,
@@ -345,7 +345,7 @@ class TestBloomBlockCounters:
 
 
 # ======================================================================
-# Hypothesis: binary == legacy JSON == dict, hot / cold / compacted
+# Hypothesis: durable store == dict, hot / cold / compacted
 # ======================================================================
 
 _OPS = st.lists(
@@ -392,138 +392,120 @@ def _reference(ops):
     return state
 
 
-def _assert_equivalent(binary, legacy, reference, probes):
-    assert dict(binary.scan()) == reference
-    assert dict(legacy.scan()) == reference
+def _assert_equivalent(store, reference, probes):
+    assert dict(store.scan()) == reference
     for key in probes:
         expected = (key in reference, reference.get(key))
-        assert binary.get(key)[:2] == expected, key
-        assert legacy.get(key)[:2] == expected, key
+        assert store.get(key)[:2] == expected, key
 
 
-class TestBinaryJsonEquivalence:
+class TestBinaryDictEquivalence:
     @given(ops=_OPS)
     @settings(max_examples=25, deadline=None)
-    def test_formats_agree_hot_cold_and_compacted(
+    def test_agrees_with_dict_hot_cold_and_compacted(
         self, ops, tmp_path_factory
     ):
         base = tmp_path_factory.mktemp("equiv")
         reference = _reference(ops)
         probes = sorted({op[1] for op in ops} | {"", "a", "dd", "zz"})
         try:
-            binary = LsmStore(data_dir=base / "bin", sstable_format="binary",
-                              **_EQUIV_KW)
-            legacy = LsmStore(data_dir=base / "json", sstable_format="json",
-                              **_EQUIV_KW)
-            _apply(binary, ops)
-            _apply(legacy, ops)
-            _assert_equivalent(binary, legacy, reference, probes)
-            binary.close()
-            legacy.close()
+            store = LsmStore(data_dir=base, **_EQUIV_KW)
+            _apply(store, ops)
+            _assert_equivalent(store, reference, probes)
+            store.close()
 
             # Cold reopen: gets go down the lazy block-probe path.
-            binary = LsmStore(data_dir=base / "bin", sstable_format="binary",
-                              **_EQUIV_KW)
-            legacy = LsmStore(data_dir=base / "json", sstable_format="json",
-                              **_EQUIV_KW)
+            store = LsmStore(data_dir=base, **_EQUIV_KW)
             for key in probes:
                 expected = (key in reference, reference.get(key))
-                assert binary.get(key)[:2] == expected, key
-                assert legacy.get(key)[:2] == expected, key
-            _assert_equivalent(binary, legacy, reference, probes)
+                assert store.get(key)[:2] == expected, key
+            _assert_equivalent(store, reference, probes)
 
-            binary.compact(force=True)
-            legacy.compact(force=True)
-            _assert_equivalent(binary, legacy, reference, probes)
-            binary.close()
-            legacy.close()
+            store.compact(force=True)
+            _assert_equivalent(store, reference, probes)
+            store.close()
         finally:
             shutil.rmtree(base, ignore_errors=True)
 
 
 # ======================================================================
-# Legacy migration
+# Legacy input and the compact summary
 # ======================================================================
 
 
-class TestLegacyMigration:
-    def test_binary_store_reads_legacy_json_tables_in_place(self, tmp_path):
-        legacy = LsmStore(data_dir=tmp_path, sstable_format="json",
-                          flush_threshold=4, compaction_threshold=100)
-        for i in range(10):
-            legacy.put(f"k{i:02d}", i)
-        legacy.close()
-        assert list(tmp_path.glob("sst_*.json"))
+def _v1_entry(file_id):
+    """A hand-written manifest v1 entry: no ``format``, a table-level
+    Bloom, the shape one-JSON-blob tables were recorded with."""
+    bloom = BloomFilter(capacity=2)
+    for key in ("a", "b"):
+        bloom.add(key)
+    return {
+        "file_id": file_id,
+        "num_keys": 2,
+        "min_key": "a",
+        "max_key": "b",
+        "bloom": bloom.to_dict(),
+    }
 
-        # A binary-default reopen serves the old tables transparently.
+
+class TestLegacyInput:
+    @pytest.mark.parametrize("legacy_format", [None, "json"])
+    def test_legacy_manifest_entry_is_rejected_naming_the_file(
+        self, tmp_path, legacy_format
+    ):
         store = LsmStore(data_dir=tmp_path, flush_threshold=4,
                          compaction_threshold=100)
-        assert dict(store.scan()) == {f"k{i:02d}": i for i in range(10)}
-        assert store.get("k07")[:2] == (True, 7)
-        # New writes flush binary while the legacy files stay put.
-        for i in range(10, 14):
-            store.put(f"k{i:02d}", i)
-        store.flush()
-        assert list(tmp_path.glob("sst_*.bin"))
-        assert list(tmp_path.glob("sst_*.json"))
-
-        # Forced compaction rewrites everything to the binary format.
-        store.compact(force=True)
-        assert not list(tmp_path.glob("sst_*.json"))
-        assert list(tmp_path.glob("sst_*.bin"))
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["version"] == MANIFEST_VERSION
-        entries = [e for level in manifest["levels"] for e in level]
-        assert entries and all(e["format"] == "binary" for e in entries)
-        assert all("bloom" not in e for e in entries)
-        store.close()
-
-        cold = LsmStore(data_dir=tmp_path, flush_threshold=4,
-                        compaction_threshold=100)
-        assert dict(cold.scan()) == {f"k{i:02d}": i for i in range(14)}
-        cold.close()
-
-    def test_explicit_json_store_keeps_writing_json(self, tmp_path):
-        store = LsmStore(data_dir=tmp_path, sstable_format="json",
-                         flush_threshold=2, compaction_threshold=100)
         for i in range(6):
             store.put(f"k{i}", i)
-        store.compact(force=True)
         store.close()
-        assert list(tmp_path.glob("sst_*.json"))
-        assert not list(tmp_path.glob("sst_*.bin"))
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == MANIFEST_VERSION
+        written = [e for level in manifest["levels"] for e in level]
+        assert written and all(e["format"] == "binary" for e in written)
+        assert all("bloom" not in e for e in written)
 
-    def test_pre_upgrade_profile_store_migrates_on_compact(self, tmp_path):
+        entry = _v1_entry(manifest["next_file_id"])
+        manifest["next_file_id"] += 1
+        if legacy_format is None:
+            manifest["version"] = 1
+        else:
+            entry["format"] = legacy_format
+        manifest["levels"][0].append(entry)
+        manifest_path.write_text(json.dumps(manifest))
+
+        name = f"sst_{entry['file_id']:06d}"
+        with pytest.raises(CorruptSSTableError, match=name):
+            LsmStore(data_dir=tmp_path, flush_threshold=4,
+                     compaction_threshold=100)
+
+    def test_profile_store_compacts_to_binary_blocks(self, tmp_path):
         jobs = {f"job-{n}@mig": _synthetic_job(n) for n in range(3)}
-        store = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry(),
-                             sstable_format="json")
+        store = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
         for job_id, (profile, static) in jobs.items():
             store.put(profile, static, job_id=job_id)
         store.snapshot()
-        assert list(tmp_path.rglob("sst_*.json"))
 
-        # Simulate a directory written before the binary format existed:
-        # its cluster meta predates the sstable_format/block_size keys.
+        # A cluster meta written before the format switch was removed
+        # still carries its keys; a reopen accepts and ignores them.
         meta_path = tmp_path / "hbase" / "cluster.json"
         meta = json.loads(meta_path.read_text())
-        meta.pop("sstable_format")
-        meta.pop("block_size")
+        meta.update(sstable_format="binary", block_size=4096)
         meta_path.write_text(json.dumps(meta))
 
         reopened = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
         summary = reopened.compact(force=True)
-        assert summary["migrated_tables"] >= 1
         assert summary["tables"] >= 1
-        assert summary["formats"] == {"binary": summary["tables"]}
         assert summary["blocks"] >= summary["tables"]
         assert sum(row["tables"] for row in summary["levels"]) == (
             summary["tables"]
         )
-        assert not list(tmp_path.rglob("sst_*.json"))
-        assert list(tmp_path.rglob("sst_*.bin"))
+        assert sum(row["blocks"] for row in summary["levels"]) == (
+            summary["blocks"]
+        )
+        files = list(tmp_path.rglob("sst_*"))
+        assert files and all(path.suffix == ".bin" for path in files)
 
-        # The meta now records the format, and the data survived whole.
-        assert json.loads(meta_path.read_text())["sstable_format"] == "binary"
         restored = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
         assert sorted(restored.job_ids()) == sorted(jobs)
         for job_id, (profile, __) in jobs.items():
