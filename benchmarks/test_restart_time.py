@@ -7,7 +7,9 @@ path replays the JSON export insert by insert (normalizers, WAL writes,
 cell encoding, index updates — the full put pipeline per job), which is
 linear with a much larger constant.  This benchmark times both paths to
 first completed probe across store sizes and lands the curves in
-``BENCH_durability.json``.
+``BENCH_durability.json``.  The JSON export and its replay live here
+(:func:`_dump_json`, :func:`_replay_json`): the durable store is the
+only persistence the package ships.
 
 Each size and path is timed ``REPETITIONS`` times, interleaved, and
 reported as the median: one millisecond-scale sample can carry a GC
@@ -25,10 +27,12 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.analysis.static_features import StaticFeatures
 from repro.cli import _synthetic_job
 from repro.core.matcher import ProfileMatcher
-from repro.core.persistence import dump_store, load_store
+from repro.core.resilient import ResilientProfileStore
 from repro.core.store import ProfileStore
+from repro.starfish.profile import JobProfile
 from repro.observability import MetricsRegistry
 
 QUICK = os.environ.get("RESTART_BENCH_QUICK", "") not in ("", "0")
@@ -44,6 +48,32 @@ def _populate(store: ProfileStore, size: int) -> None:
     for number in range(size):
         profile, static = _synthetic_job(number)
         store.put(profile, static, job_id=f"job-{number}@bench")
+
+
+def _dump_json(store: ProfileStore, path: Path) -> None:
+    """The logical export: one JSON object per stored job."""
+    entries = {
+        job_id: {
+            "profile": store.get_profile(job_id).to_dict(),
+            "static": store.get_static(job_id).to_dict(),
+        }
+        for job_id in store.job_ids()
+    }
+    path.write_text(json.dumps({"entries": entries}, indent=1, sort_keys=True))
+
+
+def _replay_json(path: Path, store: ProfileStore) -> ProfileStore:
+    """Rebuild *store* from an export, insert by insert through the
+    resilient client, then fold the replayed puts into the match index."""
+    writer = ResilientProfileStore(store)
+    for job_id, entry in sorted(json.loads(path.read_text())["entries"].items()):
+        writer.put(
+            JobProfile.from_dict(entry["profile"]),
+            StaticFeatures.from_dict(entry["static"]),
+            job_id=job_id,
+        )
+    writer.refresh_match_index()
+    return store
 
 
 def _probe_features():
@@ -76,10 +106,10 @@ def _time_snapshot_restore(data_dir: Path, size: int) -> tuple[float, int]:
 def _time_json_replay(export: Path, size: int) -> float:
     seed = ProfileStore(registry=MetricsRegistry())
     _populate(seed, size)
-    dump_store(seed, export)
+    _dump_json(seed, export)
 
     start = time.perf_counter()
-    restored = load_store(export, store=ProfileStore(registry=MetricsRegistry()))
+    restored = _replay_json(export, ProfileStore(registry=MetricsRegistry()))
     _first_probe(restored)
     elapsed = time.perf_counter() - start
     assert len(restored) == size

@@ -1,25 +1,25 @@
-"""Serving scaling: the process backend vs the GIL-bound thread ceiling.
+"""Serving scaling on the wall clock: the real frontend, every request a miss.
 
-Sweeps the same seeded cold-path workload (tiny cache TTL: every request
-pays the full matcher + CBO pipeline) across worker counts on the load
-harness's simulated clock, for both backends:
+Drives the real :class:`~repro.serving.TuningService` — its queue, its
+lanes and each backend's miss runner — with all-miss traffic at 1 and 2
+workers on both backends, and times submit-to-last-answer with
+``time.perf_counter``:
 
-- ``processes`` — N independent lanes plus the per-dispatch IPC tax;
-- ``threads`` with ``gil_fraction=1.0`` — the matcher/CBO-bound worst
-  case, where every lane serializes behind the GIL and adding workers
-  buys nothing.
+- every request carries a distinct seed and a dataset of its own (the
+  dataset name is part of the cache key), cycling through the loadgen
+  jobs, and ``cache_capacity=1`` besides: no probe can find its key
+  cached (the run asserts zero hits);
+- all requests are queued at once behind wide-open admission gates, so
+  the elapsed time measures how fast the lanes drain the backlog.
 
-The acceptance floor for the multi-process PR is asserted here: 4-process
-throughput ≥ 2.5x 1-process on the cold path, the GIL-bound thread sweep
-stays flat, and the warm (cache-hit) path — served parent-side without
-IPC — does not regress versus the thread backend.  Results merge into
-``BENCH_serving.json`` under ``scaling``; ``SERVING_BENCH_QUICK=1``
-shrinks the replay for CI.
-
-The shutdown-hygiene proof rides along because it needs a *real*
-process-backend frontend (everything above runs on the simulated cost
-model): after ``stop()``, every shared-memory segment the publisher ever
-created must be unlinked.
+Results merge into ``BENCH_serving.json`` under ``scaling`` with the
+machine and commit they were measured on.  The process backend's
+2-worker speedup is gated in full mode only, against a floor set from
+recorded runs (see CHANGES.md); the thread backend's speedup is
+recorded, not gated.  ``SERVING_BENCH_QUICK=1`` shrinks the run for CI:
+every request must still be answered, no worker may hang, no
+shared-memory segment may leak, and a warm replay on the process
+backend must dispatch nothing to the workers.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from __future__ import annotations
 import json
 import multiprocessing.shared_memory as shared_memory
 import os
+import platform
+import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -38,22 +41,23 @@ from repro.hadoop import (
     ec2_cluster,
 )
 from repro.observability import MetricsRegistry
-from repro.serving import (
-    LoadConfig,
-    ServiceConfig,
-    TenantSpec,
-    TuningService,
-    run_load,
-    run_worker_sweep,
-)
+from repro.serving import ServiceConfig, TenantPolicy, TuningService
+from repro.serving.loadgen import loadgen_zoo
+from repro.workloads.text import random_text_source
 
 QUICK = os.environ.get("SERVING_BENCH_QUICK", "") not in ("", "0")
-#: Acceptance floor: 4-process vs 1-process cold-path throughput.
-SCALING_FLOOR = 2.5
-#: GIL-bound threads must stay flat: 4 workers buy at most this much.
-GIL_CEILING = 1.2
-WORKER_COUNTS = (1, 2, 4)
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
+#: Timed all-miss requests per (backend, workers) cell.
+REQUESTS = 24 if QUICK else 120
+#: Untimed misses first, so worker boot and first-touch costs stay out.
+WARMUP = 4
+WORKER_COUNTS = (1, 2)
+BACKENDS = ("threads", "processes")
+#: Full-mode floor: 2-process vs 1-process all-miss throughput, about
+#: 0.8x the slowest of six recorded runs (1.67x-2.06x on a 2-core VM).
+PROCESS_SPEEDUP_FLOOR = 1.3
+_ROOT = Path(__file__).resolve().parents[1]
+_RESULT_PATH = _ROOT / "BENCH_serving.json"
+_TENANT = "bench"
 
 
 def _merge_results(update: dict) -> dict:
@@ -66,137 +70,175 @@ def _merge_results(update: dict) -> dict:
     return payload
 
 
-def _config(backend: str, gil_fraction: float = 0.0) -> LoadConfig:
-    return LoadConfig(
-        requests=60 if QUICK else 200,
-        workers=4,
-        seed=7,
-        arrival_rate=50.0,
-        queue_capacity=512,
-        shed_watermark=512,
-        deadline_seconds=10_000.0,
-        remember_every=0,
-        # Cold path by construction: the TTL is far below the arrival
-        # gap, so every probe finds its entry expired and pays the full
-        # pipeline — the work that actually scales across processes.
-        cache_ttl_seconds=0.001,
-        tenants=[
-            TenantSpec("bench", weight=1.0, rate_per_second=1e6, burst=1e6)
-        ],
+def _machine() -> dict:
+    model = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu": model or platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "system": platform.system(),
+    }
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _service(backend: str, workers: int, registry: MetricsRegistry, **knobs):
+    config = ServiceConfig(
+        workers=workers,
         backend=backend,
-        gil_fraction=gil_fraction,
+        queue_capacity=REQUESTS + WARMUP,
+        deadline_seconds=1e9,
+        tenant_policies={_TENANT: TenantPolicy(rate_per_second=1e6, burst=1e6)},
+        **knobs,
     )
+    return TuningService(cluster=ec2_cluster(), config=config, registry=registry)
+
+
+def _drain(service: TuningService, work: list) -> list:
+    """Queue every ``(job, dataset, seed)`` at once; wait for all."""
+    futures = [
+        service.submit_request(job, dataset, tenant=_TENANT, seed=seed)
+        for job, dataset, seed in work
+    ]
+    return [future.result(timeout=300.0) for future in futures]
+
+
+def _misses(seeds: range) -> list:
+    """One never-seen dataset per seed, cycling the loadgen jobs."""
+    jobs = [job for job, __ in loadgen_zoo()[::2]]
+    return [
+        (
+            jobs[seed % len(jobs)],
+            Dataset(
+                f"scaling-text-{seed}",
+                nominal_bytes=192 << 20,
+                source=random_text_source(),
+                seed=seed,
+            ),
+            seed,
+        )
+        for seed in seeds
+    ]
+
+
+def _all_miss_cell(backend: str, workers: int) -> dict:
+    service = _service(backend, workers, MetricsRegistry(), cache_capacity=1)
+    service.start()
+    try:
+        _drain(service, _misses(range(WARMUP)))
+        work = _misses(range(WARMUP, WARMUP + REQUESTS))
+        start = time.perf_counter()
+        responses = _drain(service, work)
+        elapsed = time.perf_counter() - start
+    finally:
+        clean = service.stop(timeout=60.0)
+    return {
+        "clean": clean,
+        "elapsed_s": round(elapsed, 4),
+        "throughput_rps": round(REQUESTS / elapsed, 3),
+        "ok": sum(1 for r in responses if r.ok),
+        "cache_hits": sum(1 for r in responses if r.cache_hit),
+    }
 
 
 @pytest.fixture(scope="module")
-def sweeps():
-    processes = run_worker_sweep(
-        _config("processes"), WORKER_COUNTS, registry=MetricsRegistry()
-    )
-    threads = run_worker_sweep(
-        _config("threads", gil_fraction=1.0),
-        WORKER_COUNTS,
-        registry=MetricsRegistry(),
-    )
-    return processes, threads
+def cells():
+    return {
+        (backend, workers): _all_miss_cell(backend, workers)
+        for backend in BACKENDS
+        for workers in WORKER_COUNTS
+    }
 
 
-def test_four_processes_beat_the_scaling_floor(sweeps):
-    processes, threads = sweeps
-    rps = {
-        count: report.summary["throughput_rps"]
-        for count, report in processes.items()
+def test_every_miss_answered_and_no_worker_hangs(cells):
+    for key, cell in cells.items():
+        assert cell["clean"], key
+        assert cell["ok"] == REQUESTS, (key, cell)
+        assert cell["cache_hits"] == 0, (key, cell)
+
+
+def test_wall_clock_scaling(cells):
+    speedup = {
+        backend: round(
+            cells[backend, 2]["throughput_rps"]
+            / cells[backend, 1]["throughput_rps"],
+            2,
+        )
+        for backend in BACKENDS
     }
-    gil_rps = {
-        count: report.summary["throughput_rps"]
-        for count, report in threads.items()
-    }
-    assert all(value > 0 for value in rps.values())
-    speedup = rps[4] / rps[1]
-    gil_speedup = gil_rps[4] / gil_rps[1]
     payload = _merge_results(
         {
             "scaling": {
-                "requests": _config("processes").requests,
-                "seed": 7,
-                "processes": {
-                    str(count): {
-                        "throughput_rps": rps[count],
-                        "p99_total_s": processes[count].summary["latency"][
-                            "total_seconds"
-                        ]["p99"],
+                "clock": "wall",
+                "commit": _commit(),
+                "machine": _machine(),
+                "requests": REQUESTS,
+                "traffic": "all-miss: distinct seeds and datasets, cache_capacity=1",
+                **{
+                    backend: {
+                        str(workers): {
+                            "elapsed_s": cells[backend, workers]["elapsed_s"],
+                            "throughput_rps": cells[backend, workers][
+                                "throughput_rps"
+                            ],
+                        }
+                        for workers in WORKER_COUNTS
                     }
-                    for count in WORKER_COUNTS
+                    for backend in BACKENDS
                 },
-                "threads_gil_bound": {
-                    str(count): {"throughput_rps": gil_rps[count]}
-                    for count in WORKER_COUNTS
-                },
-                "process_speedup_4x": round(speedup, 2),
-                "threads_gil_speedup_4x": round(gil_speedup, 2),
+                "process_speedup_2x": speedup["processes"],
+                "thread_speedup_2x": speedup["threads"],
+                "process_speedup_floor": PROCESS_SPEEDUP_FLOOR,
             }
         }
     )
     print()
     print(json.dumps(payload["scaling"], indent=2, sort_keys=True))
-    assert speedup >= SCALING_FLOOR, (
-        f"4-process speedup {speedup:.2f}x below the {SCALING_FLOOR}x floor"
-    )
-    assert gil_speedup <= GIL_CEILING, (
-        f"GIL-bound thread sweep should be flat, got {gil_speedup:.2f}x"
-    )
-
-
-def test_cold_sweep_sheds_nothing(sweeps):
-    processes, threads = sweeps
-    for sweep in (processes, threads):
-        for report in sweep.values():
-            assert report.summary["counts"]["shed_total"] == 0
-            assert report.summary["counts"]["cache_hits"] == 0
-
-
-def test_warm_path_not_regressed_by_process_backend():
-    """Cache hits are served parent-side with zero IPC, so the warm
-    replay must not be slower than the thread backend's."""
-
-    def warm_rps(backend: str) -> float:
-        config = LoadConfig(
-            requests=60 if QUICK else 200,
-            workers=4,
-            seed=7,
-            arrival_rate=50.0,
-            queue_capacity=512,
-            shed_watermark=512,
-            deadline_seconds=10_000.0,
-            remember_every=0,
-            tenants=[
-                TenantSpec(
-                    "bench", weight=1.0, rate_per_second=1e6, burst=1e6
-                )
-            ],
-            backend=backend,
+    if not QUICK:
+        assert speedup["processes"] >= PROCESS_SPEEDUP_FLOOR, (
+            f"2-process speedup {speedup['processes']:.2f}x below the "
+            f"{PROCESS_SPEEDUP_FLOOR}x floor"
         )
-        service = TuningService(
-            config=config.service_config(),
-            seed=config.seed,
-            registry=MetricsRegistry(),
-        )
-        run_load(config, service=service, registry=MetricsRegistry())  # fill
-        warm = run_load(config, service=service, registry=MetricsRegistry())
-        assert warm.summary["counts"]["cache_hits"] > 0
-        return warm.summary["throughput_rps"]
 
-    threads = warm_rps("threads")
-    processes = warm_rps("processes")
+
+def test_warm_replay_dispatches_nothing():
+    """Cache hits are answered in the parent: replaying warm traffic on
+    the process backend hands no task to any worker process.
+
+    One dataset per job keeps every key's job signature distinct, so no
+    miss-path profile write invalidates another key's cached answer."""
+    registry = MetricsRegistry()
+    service = _service("processes", 2, registry)
+    work = [(job, dataset, 0) for job, dataset in loadgen_zoo()[::2]]
+    service.start()
+    try:
+        cold = _drain(service, work)
+        dispatched = int(registry.get("serving_dispatches_total").value)
+        warm = _drain(service, work)
+    finally:
+        assert service.stop(timeout=60.0)
+    assert all(r.ok for r in cold + warm)
+    assert all(r.cache_hit for r in warm)
+    added = int(registry.get("serving_dispatches_total").value) - dispatched
     _merge_results(
-        {
-            "warm_parity": {
-                "threads_rps": threads,
-                "processes_rps": processes,
-            }
-        }
+        {"warm_replay": {"requests": len(work), "dispatches_added": added}}
     )
-    assert processes >= 0.95 * threads
+    assert added == 0
 
 
 # Module-level so the job survives the pickle hop to worker processes.

@@ -6,7 +6,7 @@ Measures requests/second and wait+service latency percentiles through
 - **cold** — the cache is cleared before every replay, so each distinct
   (job, dataset) key pays the full sample + match + CBO pipeline;
 - **warm** — the same traffic replayed against the already-filled cache,
-  so repeat keys cost ``cache_hit_cost_seconds``.
+  so repeat keys cost ``CACHE_HIT_COST_SECONDS``.
 
 The acceptance bar for the serving PR is warm ≥ 2x cold throughput; the
 numbers land in ``BENCH_serving.json`` at the repo root next to the CBO
@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.observability import MetricsRegistry
-from repro.serving import LoadConfig, TenantSpec, TuningService, run_load
+from repro.serving import LoadConfig, TenantSpec, run_load
+from repro.serving.loadgen import LOADGEN_SERVICE
 
 QUICK = os.environ.get("SERVING_BENCH_QUICK", "") not in ("", "0")
 #: Acceptance floor: warm-cache throughput vs cold-cache throughput.
@@ -45,20 +47,23 @@ def _merge_results(update: dict) -> dict:
 def _config() -> LoadConfig:
     return LoadConfig(
         requests=60 if QUICK else 200,
-        workers=4,
         seed=7,
         # Fast arrivals + wide-open gates: the whole replay lands in a
         # few simulated seconds and nothing is shed, so the makespan
         # measures how fast the workers drain the backlog — pipeline
         # cost, not arrival pacing or shedding.
         arrival_rate=50.0,
-        queue_capacity=512,
-        shed_watermark=512,
-        deadline_seconds=10_000.0,
         remember_every=0,
         tenants=[
             TenantSpec("bench", weight=1.0, rate_per_second=1e6, burst=1e6)
         ],
+        service=replace(
+            LOADGEN_SERVICE,
+            workers=4,
+            queue_capacity=512,
+            shed_watermark=512,
+            deadline_seconds=10_000.0,
+        ),
     )
 
 
@@ -71,13 +76,8 @@ def _latency_block(summary: dict) -> dict:
 def replays():
     """One service, the same seeded traffic replayed cold then warm."""
     config = _config()
-    service = TuningService(
-        config=config.service_config(), seed=config.seed,
-        registry=MetricsRegistry(),
-    )
-    service.cache.clear()
-    cold = run_load(config, service=service, registry=MetricsRegistry())
-    warm = run_load(config, service=service, registry=MetricsRegistry())
+    cold = run_load(config, registry=MetricsRegistry())
+    warm = run_load(config, service=cold.service, registry=MetricsRegistry())
     return config, cold, warm
 
 
@@ -91,7 +91,7 @@ def test_warm_cache_doubles_throughput(replays):
         {
             "serving": {
                 "requests": config.requests,
-                "workers": config.workers,
+                "workers": config.service.workers,
                 "seed": config.seed,
                 "cold": {
                     "throughput_rps": cold_rps,

@@ -9,6 +9,10 @@ writes the same rows as one JSON blob, then times a cold
 restart-to-first-point-read per format and a warm pass that exercises
 the shared LRU block cache.  Results land in ``BENCH_storage.json``.
 
+Each size and format is read cold ``REPETITIONS`` times, interleaved,
+and reported as the median: one sub-millisecond sample can carry a GC
+pause or a scheduler hiccup larger than the read itself.
+
 ``LsmStore`` writes and reads only the binary format, so the JSON
 baseline lives here: :func:`_populate_json` writes the blob and its
 manifest the way the retired JSON writer did, and
@@ -26,6 +30,7 @@ from __future__ import annotations
 import bisect
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -46,6 +51,8 @@ SIZES = [500, 2000] if QUICK else [1000, 8000, 64000]
 #: size.  The full-mode floor is the headline claim; quick mode keeps a
 #: margin suited to its smaller tables.
 SPEEDUP_FLOOR = 1.3 if QUICK else 3.0
+#: Cold reads per size and format; the reported figure is their median.
+REPETITIONS = 9
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_storage.json"
 
 #: Few flushes (cheap population), no automatic compaction (the forced
@@ -171,21 +178,19 @@ def _json_get(
 
 
 def _cold_point_read(data_dir: Path, fmt: str, key: str, expect: dict) -> float:
-    """Restart-to-first-point-read, best of three fresh opens."""
-    best = float("inf")
-    for __ in range(3):
-        start = time.perf_counter()
-        registry = MetricsRegistry()
-        if fmt == "binary":
-            store = LsmStore(data_dir=data_dir, registry=registry, **_STORE_KW)
-            found, value, __probed = store.get(key)
-        else:
-            found, value = _json_get(data_dir, key, registry)
-        best = min(best, time.perf_counter() - start)
-        assert found and value == expect
-        if fmt == "binary":
-            store.close()
-    return best
+    """Restart-to-first-point-read on one fresh open."""
+    start = time.perf_counter()
+    registry = MetricsRegistry()
+    if fmt == "binary":
+        store = LsmStore(data_dir=data_dir, registry=registry, **_STORE_KW)
+        found, value, __probed = store.get(key)
+    else:
+        found, value = _json_get(data_dir, key, registry)
+    elapsed = time.perf_counter() - start
+    assert found and value == expect
+    if fmt == "binary":
+        store.close()
+    return elapsed
 
 
 def _warm_cache_pass(data_dir: Path, rows: int) -> tuple[float, int]:
@@ -220,8 +225,12 @@ def test_binary_cold_point_reads_beat_json(tmp_path):
         json_bytes = _populate_json(json_dir, size)
         key = f"k{size // 2:06d}"
         expect = _value(size // 2)
-        bin_s = _cold_point_read(bin_dir, "binary", key, expect)
-        json_s = _cold_point_read(json_dir, "json", key, expect)
+        bin_reads, json_reads = [], []
+        for __ in range(REPETITIONS):
+            bin_reads.append(_cold_point_read(bin_dir, "binary", key, expect))
+            json_reads.append(_cold_point_read(json_dir, "json", key, expect))
+        bin_s = statistics.median(bin_reads)
+        json_s = statistics.median(json_reads)
         hit_rate, blocks = _warm_cache_pass(bin_dir, size)
         rows.append(
             {
@@ -243,6 +252,7 @@ def test_binary_cold_point_reads_beat_json(tmp_path):
         "sizes": SIZES,
         "rows": rows,
         "speedup_floor": SPEEDUP_FLOOR,
+        "repetitions": REPETITIONS,
     }
     payload["quick_mode"] = QUICK
     _RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -44,9 +44,12 @@ fault-plan path (see ``docs/resilience.md``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import Callable, Sequence
+import types
+import typing
+from typing import Any, Callable, Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -57,9 +60,8 @@ def _experiment_registry() -> dict[str, Callable]:
         fig6_1, fig6_2, fig6_3, table6_1,
     )
 
+    # run_all's order: the full report (no names) is RESULTS.txt.
     return {
-        "adoption": adoption.run,
-        "dataflow-similarity": dataflow_similarity.run,
         "table6_1": table6_1.run,
         "fig1_3": fig1_3.run,
         "fig4_1": fig4_1.run,
@@ -72,12 +74,14 @@ def _experiment_registry() -> dict[str, Callable]:
         "pushdown": ablations.run_pushdown,
         "store-models": ablations.run_store_models,
         "param-features": ablations.run_param_features,
+        "filter-order": ablations.run_filter_order,
         "thresholds": ablations.run_threshold_sensitivity,
         "cluster-transfer": ablations.run_cluster_transfer,
         "gbrt-weights": ablations.run_gbrt_weights,
-        "filter-order": ablations.run_filter_order,
         "store-scalability": ablations.run_store_scalability,
         "cfg-cost": ablations.run_cfg_cost_correlation,
+        "adoption": adoption.run,
+        "dataflow-similarity": dataflow_similarity.run,
     }
 
 
@@ -155,6 +159,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     needs_suite = {"fig6_1", "fig6_2", "fig6_3", "pushdown",
                    "store-models", "thresholds", "gbrt-weights", "filter-order",
                    "store-scalability", "cfg-cost"}
+    if not args.names:
+        print(f"PStorM reproduction — full experiment report (seed {args.seed})")
+        print("Generated by: PYTHONPATH=src python -m repro experiments > RESULTS.txt")
+        print("See EXPERIMENTS.md for the paper-vs-measured comparison per result.")
+        print()
     records = None
     if needs_suite & set(names):
         print("profiling the benchmark suite...", file=sys.stderr)
@@ -284,6 +293,106 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_base():
+    """The ``serve`` verb's service before flags: the default tenants'
+    rate limits over a 32-deep queue."""
+    from .serving import ServiceConfig, default_tenants
+
+    return ServiceConfig(
+        queue_capacity=32,
+        tenant_policies={t.name: t.policy for t in default_tenants()},
+    )
+
+
+#: Flags that keep a spelling other than the field's own name.
+_FLAG_SPELLINGS = {
+    "batch_window_seconds": "--batch-window",
+    "num_region_servers": "--region-servers",
+}
+#: loadgen simulates one lane pool and never starts the real frontend,
+#: so the field that picks the frontend's miss runner has no flag there.
+_LOADGEN_EXCLUDED = ("backend",)
+
+
+def service_flag_fields() -> list[tuple[dataclasses.Field, type]]:
+    """The scalar ``ServiceConfig`` fields with their value types
+    (``X | None`` counts as ``X``); each becomes a flag."""
+    from .serving import ServiceConfig
+
+    hints = typing.get_type_hints(ServiceConfig)
+    scalars = []
+    for spec in dataclasses.fields(ServiceConfig):
+        kind = hints[spec.name]
+        if isinstance(kind, types.UnionType):
+            kind = next(a for a in typing.get_args(kind) if a is not type(None))
+        if kind in (bool, int, float, str):
+            scalars.append((spec, kind))
+    return scalars
+
+
+def _add_service_flags(
+    subparser: argparse.ArgumentParser, base: Any, exclude: Sequence[str] = ()
+) -> None:
+    """One flag per scalar ``ServiceConfig`` field, defaulting to *base*."""
+    for spec, kind in service_flag_fields():
+        if spec.name in exclude:
+            continue
+        flag = _FLAG_SPELLINGS.get(spec.name, "--" + spec.name.replace("_", "-"))
+        options: dict[str, Any] = {
+            "dest": spec.name,
+            "default": getattr(base, spec.name),
+            "help": f"ServiceConfig.{spec.name} (default: %(default)s)",
+        }
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        else:
+            options["type"] = kind
+            options["choices"] = spec.metadata.get("choices")
+        subparser.add_argument(flag, **options)
+
+
+def _loadgen_base():
+    """The ``loadgen`` verb's service before flags."""
+    from .serving.loadgen import LOADGEN_SERVICE
+
+    return LOADGEN_SERVICE
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser.  ``serve`` and ``loadgen`` set
+    :attr:`service_base`; their service flags are added the first time
+    the verb is parsed or its help printed, so the other verbs never
+    import the serving layer."""
+
+    #: ``(base config factory, excluded fields)`` until the flags exist.
+    service_base: tuple[Callable[[], Any], Sequence[str]] | None = None
+
+    def _add_pending_service_flags(self) -> None:
+        if self.service_base is not None:
+            (make_base, exclude), self.service_base = self.service_base, None
+            _add_service_flags(self, make_base(), exclude=exclude)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_pending_service_flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self) -> str:
+        self._add_pending_service_flags()
+        return super().format_help()
+
+
+def _service_config(base: Any, args: argparse.Namespace) -> Any:
+    """*base* with every service flag the verb has applied."""
+    return dataclasses.replace(
+        base,
+        **{
+            spec.name: getattr(args, spec.name)
+            for spec, __ in service_flag_fields()
+            if hasattr(args, spec.name)
+        },
+    )
+
+
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Replay a seeded load run; the summary JSON on stdout is the
     deliverable (status chatter goes to stderr) so CI can compare two
@@ -293,30 +402,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     injector = _maybe_enable_chaos(args)
     config = LoadConfig(
         requests=args.requests,
-        workers=args.workers,
         seed=args.seed,
         mode=args.mode,
         arrival_rate=args.arrival_rate,
         clients=args.clients,
         think_seconds=args.think_seconds,
         remember_every=args.remember_every,
-        queue_capacity=args.queue_capacity,
-        shed_watermark=args.shed_watermark,
-        cache_capacity=args.cache_capacity,
-        store_capacity=args.store_capacity,
-        backend=args.backend,
-        gil_fraction=args.gil_fraction,
-        batch_window_seconds=args.batch_window,
-        batch_max=args.batch_max,
-        num_region_servers=args.region_servers,
-        replication=args.replication,
-        split_threshold=args.split_threshold,
-        shard_index=args.shard_index,
-        tuner=args.tuner,
+        service=_service_config(_loadgen_base(), args),
     )
     print(
         f"replaying {config.requests} requests "
-        f"({config.mode} loop, {config.workers} {config.backend} workers, "
+        f"({config.mode} loop, {config.service.workers} simulated lanes, "
         f"seed {config.seed})...",
         file=sys.stderr,
     )
@@ -337,42 +433,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import random as _random
 
-    from .serving import (
-        ServiceConfig,
-        ServiceOverloadError,
-        TuningService,
-        default_tenants,
-    )
+    from .serving import ServiceOverloadError, TuningService, default_tenants
     from .serving.loadgen import loadgen_zoo
 
     injector = _maybe_enable_chaos(args)
-    tenants = default_tenants()
+    config = _service_config(_serve_base(), args)
     service = TuningService(
-        config=ServiceConfig(
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            shed_watermark=args.shed_watermark,
-            tenant_policies={t.name: t.policy for t in tenants},
-            backend=args.backend,
-            batch_window_seconds=args.batch_window,
-            batch_max=args.batch_max,
-            num_region_servers=args.region_servers,
-            replication=args.replication,
-            split_threshold=args.split_threshold,
-            shard_index=args.shard_index,
-            tuner=args.tuner,
-        ),
+        config=config,
         seed=args.seed,
         data_dir=getattr(args, "data_dir", None) or None,
     )
     rng = _random.Random(args.seed)
     zoo = loadgen_zoo()
+    tenants = default_tenants()
     names = [t.name for t in tenants]
     weights = [t.weight for t in tenants]
     service.start()
     print(
-        f"serving {args.requests} requests on {args.workers} "
-        f"{args.backend} workers...",
+        f"serving {args.requests} requests on {config.workers} "
+        f"{config.backend} workers...",
         file=sys.stderr,
     )
     futures = []
@@ -396,7 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     hits = sum(1 for r in responses if r.cache_hit)
     degraded = sum(1 for r in responses if r.degraded)
     summary = {
-        "backend": args.backend,
+        "backend": config.backend,
         "cache_hits": hits,
         "degraded": degraded,
         "hung_workers": service.hung_workers,
@@ -613,7 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="PStorM reproduction: experiments, demos, explanations.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(
+        dest="command", required=True, parser_class=_VerbParser
+    )
 
     def add_emit_metrics(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
@@ -628,42 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         # SUPPRESS keeps the global default when the verb omits it.
         subparser.add_argument(
             "--seed", type=int, default=argparse.SUPPRESS, help="RNG seed"
-        )
-
-    def add_sharding(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--region-servers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="region servers hosting the profile store (default: 1)",
-        )
-        subparser.add_argument(
-            "--replication",
-            type=int,
-            default=1,
-            metavar="R",
-            help="read replicas per region, clamped to the server count",
-        )
-        subparser.add_argument(
-            "--split-threshold",
-            type=int,
-            default=None,
-            metavar="ROWS",
-            help="rows per region before it splits (default: substrate)",
-        )
-        subparser.add_argument(
-            "--shard-index",
-            action="store_true",
-            help="probe per-region match-index partitions (scatter-gather)",
-        )
-
-    def add_tuner(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--tuner",
-            choices=("rbo", "cbo", "surrogate"),
-            default="cbo",
-            help="hit-path optimizer (default: cbo, the paper's workflow)",
         )
 
     def add_chaos(subparser: argparse.ArgumentParser) -> None:
@@ -705,7 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     demo = commands.add_parser("demo", help="tune a never-seen job via PStorM")
-    add_tuner(demo)
+    demo.add_argument(
+        "--tuner",
+        choices=("rbo", "cbo", "surrogate"),
+        default="cbo",
+        help="hit-path optimizer (default: cbo, the paper's workflow)",
+    )
     add_emit_metrics(demo)
     add_chaos(demo)
     add_data_dir(demo)
@@ -744,7 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay deterministic synthetic load against the tuning service",
     )
     loadgen.add_argument("--requests", type=int, default=200)
-    loadgen.add_argument("--workers", type=int, default=4)
     loadgen.add_argument("--mode", choices=("open", "closed"), default="open")
     loadgen.add_argument(
         "--arrival-rate",
@@ -760,36 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=25,
         help="every Nth arrival is a remember() write (0 disables)",
     )
-    loadgen.add_argument("--queue-capacity", type=int, default=16)
-    loadgen.add_argument("--shed-watermark", type=int, default=12)
-    loadgen.add_argument("--cache-capacity", type=int, default=64)
-    loadgen.add_argument(
-        "--store-capacity",
-        type=int,
-        default=None,
-        help="bound the shared store (MaintainedStore) to N profiles",
-    )
-    loadgen.add_argument(
-        "--backend",
-        choices=("threads", "processes"),
-        default="threads",
-        help="simulated concurrency cost model",
-    )
-    loadgen.add_argument(
-        "--gil-fraction",
-        type=float,
-        default=0.0,
-        help="threads backend: fraction of service time serialized on the GIL",
-    )
-    loadgen.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="open mode: coalescing window, either backend (sim seconds)",
-    )
-    loadgen.add_argument("--batch-max", type=int, default=8)
-    add_sharding(loadgen)
-    add_tuner(loadgen)
+    loadgen.service_base = (_loadgen_base, _LOADGEN_EXCLUDED)
     add_seed(loadgen)
     add_emit_metrics(loadgen)
     add_chaos(loadgen)
@@ -799,30 +819,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the real tuning-service frontend end to end"
     )
     serve.add_argument("--requests", type=int, default=40)
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--queue-capacity", type=int, default=32)
-    serve.add_argument("--shed-watermark", type=int, default=None, dest="shed_watermark")
-    serve.add_argument(
-        "--backend",
-        choices=("threads", "processes"),
-        default="threads",
-        help="worker threads, or worker processes over the shared-memory index",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="how long a lane holds a request to coalesce more, either backend (wall seconds)",
-    )
-    serve.add_argument("--batch-max", type=int, default=8)
     serve.add_argument(
         "--timeout",
         type=float,
         default=120.0,
         help="per-future and shutdown timeout (wall seconds)",
     )
-    add_sharding(serve)
-    add_tuner(serve)
+    serve.service_base = (_serve_base, ())
     add_seed(serve)
     add_emit_metrics(serve)
     add_chaos(serve)

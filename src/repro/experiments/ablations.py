@@ -410,12 +410,13 @@ def run_store_scalability(
     """Chapter 5's scalability requirement, measured.
 
     Grows the store well past the suite by inserting perturbed copies of
-    real profiles, then times one full match_job call and counts the rows
-    shipped with and without pushdown — matching work must grow gently
-    and pushdown must keep the client-side transfer flat-ish.
+    real profiles, then counts the rows the first match_job call scans
+    and ships (it builds the columnar match index) and the candidates a
+    second, warm probe carries through the Fig 4.4 stages — matching
+    work must grow gently and pushdown must keep the client-side
+    transfer flat-ish.  Every column is a count, so the table is
+    deterministic.
     """
-    import time
-
     import numpy as np
 
     from ..starfish.profile import JobProfile, SideProfile
@@ -477,26 +478,34 @@ def run_store_scalability(
 
         matcher = ProfileMatcher(store)
         store.hbase.reset_metrics()
-        started = time.perf_counter()
         matcher.match_job(probe)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
         shipped = sum(
             s.metrics.rows_shipped for s in store.hbase.servers.values()
         )
         scanned = sum(
             s.metrics.rows_scanned for s in store.hbase.servers.values()
         )
-        rows.append([size, round(elapsed_ms, 1), scanned, shipped])
+        warm = matcher.match_job(probe)
+        candidates = sum(
+            sum(side.funnel.values())
+            for side in (warm.map_match, warm.reduce_match)
+            if side is not None
+        )
+        rows.append([size, candidates, scanned, shipped])
 
     return ExperimentResult(
         name="Ablation Ch.5 scalability",
-        title="Matching latency and transfer vs store size (pushdown on)",
-        headers=["stored profiles", "match ms", "rows scanned", "rows shipped"],
+        title="Matching work and transfer vs store size (pushdown on)",
+        headers=[
+            "stored profiles", "warm candidates", "rows scanned", "rows shipped",
+        ],
         rows=rows,
         notes=(
-            "Expected shape: scanned rows grow linearly with the store; "
-            "shipped rows stay a small filtered fraction; latency stays "
-            "in interactive range (and is dwarfed by the 1-task sample)."
+            "Expected shape: the first probe's index build scans rows "
+            "linearly with the store and ships a fixed share of them; a "
+            "warm probe is served from the index, and its candidates "
+            "(Fig 4.4 stage survivors, both sides) grow with the "
+            "near-duplicate copies."
         ),
     )
 

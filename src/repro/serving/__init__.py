@@ -29,7 +29,6 @@ from .loadgen import (
     TenantSpec,
     default_tenants,
     run_load,
-    run_worker_sweep,
 )
 from .procpool import ProcessBackend, SnapshotStoreProxy, WorkerRuntime
 from .service import ServiceConfig, TuningRequest, TuningResponse, TuningService
@@ -38,7 +37,6 @@ __all__ = [
     "ProcessBackend",
     "SnapshotStoreProxy",
     "WorkerRuntime",
-    "run_worker_sweep",
     "AdmissionController",
     "TenantPolicy",
     "TokenBucket",

@@ -84,15 +84,14 @@ class AdmissionController:
         queue_capacity: hard bound of the request queue.
         shed_watermark: depth at which requests start shedding; defaults
             to ``queue_capacity`` (shed only when full).
-        default_policy: rate limits for tenants without an explicit one.
-        tenant_policies: per-tenant overrides, keyed by tenant name.
+        tenant_policies: per-tenant rate limits, keyed by tenant name;
+            other tenants get ``TenantPolicy()``.
     """
 
     def __init__(
         self,
         queue_capacity: int,
         shed_watermark: int | None = None,
-        default_policy: TenantPolicy | None = None,
         tenant_policies: dict[str, TenantPolicy] | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -104,7 +103,6 @@ class AdmissionController:
         )
         if not 1 <= self.shed_watermark <= queue_capacity:
             raise ValueError("watermark must be in [1, queue_capacity]")
-        self.default_policy = default_policy or TenantPolicy()
         self.tenant_policies = dict(tenant_policies or {})
         self.registry = registry
         self._lock = threading.Lock()
@@ -113,7 +111,7 @@ class AdmissionController:
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            policy = self.tenant_policies.get(tenant, self.default_policy)
+            policy = self.tenant_policies.get(tenant, TenantPolicy())
             bucket = TokenBucket(policy.rate_per_second, policy.burst)
             self._buckets[tenant] = bucket
         return bucket

@@ -20,6 +20,13 @@ Two traffic shapes:
 A slice of arrivals (every ``remember_every``-th) are ``remember()``
 writes instead of tuning questions, so cache invalidation and the
 store's write path stay hot under load.
+
+The simulation models one lane pool of ``service.workers`` lanes and
+charges each request its modelled service time; it does not model
+either backend's cost.  ``ServiceConfig.backend`` picks the real
+frontend's miss runner and has no effect here: scaling across workers
+is measured on the wall clock against the real service
+(``benchmarks/test_serving_scaling.py``).
 """
 
 from __future__ import annotations
@@ -43,14 +50,19 @@ from ..workloads import (
 from ..workloads.text import random_text_source
 from .admission import TenantPolicy
 from .errors import ServiceOverloadError
-from .service import ServiceConfig, TuningRequest, TuningResponse, TuningService
+from .service import (
+    REMEMBER_COST_SECONDS,
+    ServiceConfig,
+    TuningRequest,
+    TuningResponse,
+    TuningService,
+)
 
 __all__ = [
     "TenantSpec",
     "LoadConfig",
     "LoadReport",
     "run_load",
-    "run_worker_sweep",
     "default_tenants",
 ]
 
@@ -87,12 +99,25 @@ def default_tenants() -> list[TenantSpec]:
     ]
 
 
+#: The service loadgen simulates unless told otherwise: a small queue
+#: that sheds at 12 deep, so the CI smoke sees sheds as well as hits.
+LOADGEN_SERVICE = ServiceConfig(
+    queue_capacity=16,
+    shed_watermark=12,
+    cache_capacity=64,
+    deadline_seconds=600.0,
+    # Off the 0.01 cache-hit grid: warm-path percentiles resolve to
+    # real values instead of clamping at one clock tick.
+    cache_lookup_cost_seconds=0.0003,
+)
+
+
 @dataclass(frozen=True)
 class LoadConfig:
-    """Knobs of one load run (defaults match the CI smoke)."""
+    """Traffic shape of one load run, plus the service it loads
+    (defaults match the CI smoke)."""
 
     requests: int = 200
-    workers: int = 4
     seed: int = 7
     #: "open" (Poisson arrivals) or "closed" (think-time clients).
     mode: str = "open"
@@ -103,77 +128,22 @@ class LoadConfig:
     think_seconds: float = 20.0
     #: Every Nth arrival is a remember() write (0 disables).
     remember_every: int = 25
+    #: Who sends the traffic; :func:`run_load` turns each tenant's rate
+    #: limit into the service's ``tenant_policies``.
     tenants: Sequence[TenantSpec] = field(default_factory=default_tenants)
-    queue_capacity: int = 16
-    shed_watermark: int | None = 12
-    cache_capacity: int = 64
-    cache_ttl_seconds: float = 6 * 3600.0
-    deadline_seconds: float = 600.0
-    store_capacity: int | None = None
-    #: Simulated concurrency backend: "threads" or "processes".  The
-    #: harness never starts a real frontend — it models each backend's
-    #: cost structure on the virtual clock so worker-count sweeps are
-    #: byte-deterministic even on a single-core CI box.
-    backend: str = "threads"
-    #: Threads backend: fraction of each request's service time that
-    #: holds the GIL and therefore serializes across workers (0 = the
-    #: pre-backend model where lanes are fully independent; 1 = the
-    #: matcher/CBO-bound worst case the process backend exists to fix).
-    gil_fraction: float = 0.0
-    #: Process backend: per-dispatch IPC tax on every non-cached request
-    #: (task pickle + result pickle + queue hop).  Charged per request —
-    #: not amortized across a coalesced batch — so batched and unbatched
-    #: runs of the same seed stay byte-comparable.
-    ipc_cost_seconds: float = 0.004
-    #: Process backend: shared-index republish cost added to remember().
-    publish_cost_seconds: float = 0.05
-    #: Open mode: coalesce arrivals within this window of a group's
-    #: first arrival into one handle_batch call (0 = off).
-    batch_window_seconds: float = 0.0
-    batch_max: int = 8
-    #: Region servers hosting the shared store's HBase substrate.
-    num_region_servers: int = 1
-    #: Read replicas per region (clamped to num_region_servers).
-    replication: int = 1
-    #: Rows per region before it splits; None = substrate default.
-    split_threshold: int | None = None
-    #: Probe through per-region scatter-gather match-index partitions.
-    shard_index: bool = False
-    #: Tuner-family member on the hit path ("cbo" = the paper's CBO).
-    tuner: str = "cbo"
+    #: The simulated service's knobs; rate limits come from ``tenants``.
+    service: ServiceConfig = LOADGEN_SERVICE
 
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed"):
             raise ValueError("mode must be 'open' or 'closed'")
         if self.requests < 1:
             raise ValueError("need at least one request")
-        if self.backend not in ("threads", "processes"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if not 0.0 <= self.gil_fraction <= 1.0:
-            raise ValueError("gil_fraction must be within [0, 1]")
-
-    def service_config(self) -> ServiceConfig:
-        return ServiceConfig(
-            workers=self.workers,
-            queue_capacity=self.queue_capacity,
-            shed_watermark=self.shed_watermark,
-            cache_capacity=self.cache_capacity,
-            cache_ttl_seconds=self.cache_ttl_seconds,
-            tenant_policies={t.name: t.policy for t in self.tenants},
-            deadline_seconds=self.deadline_seconds,
-            store_capacity=self.store_capacity,
-            backend=self.backend,
-            batch_window_seconds=self.batch_window_seconds,
-            batch_max=self.batch_max,
-            num_region_servers=self.num_region_servers,
-            replication=self.replication,
-            split_threshold=self.split_threshold,
-            shard_index=self.shard_index,
-            tuner=self.tuner,
-            # Off the 0.01 cache-hit grid: warm-path percentiles resolve
-            # to real values instead of clamping at one clock tick.
-            cache_lookup_cost_seconds=0.0003,
-        )
+        if self.service.tenant_policies:
+            raise ValueError(
+                "set rate limits through LoadConfig.tenants, "
+                "not service.tenant_policies"
+            )
 
 
 def loadgen_zoo() -> list[tuple[MapReduceJob, Dataset]]:
@@ -213,6 +183,8 @@ class LoadReport:
 
     summary: dict[str, Any]
     responses: list[TuningResponse] = field(default_factory=list)
+    #: The service the run loaded; pass it to another run to replay warm.
+    service: TuningService | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2)
@@ -254,13 +226,9 @@ class _LoadRun:
         self.zoo = loadgen_zoo()
         self.tenant_names = [t.name for t in config.tenants]
         self.tenant_weights = [t.weight for t in config.tenants]
-        #: Min-heap of worker free times — the "thread pool".
-        self.worker_free = [0.0] * config.workers
+        #: Min-heap of lane free times — the lane pool.
+        self.worker_free = [0.0] * service.config.workers
         heapq.heapify(self.worker_free)
-        #: Threads backend: when the GIL is next free.  A request's
-        #: serialized slice (gil_fraction of its service time) pushes
-        #: this forward; later requests cannot start before it.
-        self.gil_free = 0.0
         #: Start times of assigned-but-not-yet-started requests; entries
         #: still in the future at an arrival are the queue.
         self.pending_starts: list[float] = []
@@ -314,10 +282,8 @@ class _LoadRun:
             return now
         free_at = heapq.heappop(self.worker_free)
         start = max(now, free_at)
-        if self.config.backend == "threads" and self.config.gil_fraction > 0:
-            start = max(start, self.gil_free)
         wait = start - now
-        deadline = self.config.deadline_seconds
+        deadline = self.service.config.deadline_seconds
         if wait > deadline:
             # The worker that would have served it stays free.
             heapq.heappush(self.worker_free, free_at)
@@ -342,8 +308,6 @@ class _LoadRun:
         heapq.heappush(self.worker_free, finish)
         self.pending_starts.append(start)
         self.makespan = max(self.makespan, finish)
-        if self.config.backend == "threads" and self.config.gil_fraction > 0:
-            self.gil_free = start + self.config.gil_fraction * (finish - start)
         return finish
 
     def _serve_submit(
@@ -370,11 +334,7 @@ class _LoadRun:
     def _account_submit(
         self, response: TuningResponse, tenant: str, start: float
     ) -> float:
-        """Backend cost adjustment + tallies; returns the finish time."""
-        if self.config.backend == "processes" and not response.cache_hit:
-            # Cache hits are answered by the parent (no IPC); everything
-            # else crosses the task/result queues once.
-            response.service_seconds += self.config.ipc_cost_seconds
+        """Tally one served submission; returns its finish time."""
         self.responses.append(response)
         tally = self.per_tenant[tenant]
         if response.ok:
@@ -396,22 +356,18 @@ class _LoadRun:
         self.remembers += 1
         if job_id is None:
             self.remember_failures += 1
-        cost = self.service.config.remember_cost_seconds
-        if self.config.backend == "processes":
-            # The single writer republishes the shared index after a put.
-            cost += self.config.publish_cost_seconds
         response = TuningResponse(
             request_id=index + 1,
             tenant=tenant,
             status="ok" if job_id is not None else "failed",
             wait_seconds=wait,
-            service_seconds=cost,
+            service_seconds=REMEMBER_COST_SECONDS,
             error=None if job_id is not None else "remember: store unavailable",
         )
         self.responses.append(response)
         if job_id is not None:
             self.per_tenant[tenant]["ok"] += 1
-        return start + cost
+        return start + REMEMBER_COST_SECONDS
 
     def _shed(
         self,
@@ -449,7 +405,8 @@ class _LoadRun:
             job, dataset = self.pick_work()
             plan.append((index, now, tenant, job, dataset))
         batching = (
-            self.config.batch_window_seconds > 0 and self.config.batch_max > 1
+            self.service.config.batch_window_seconds > 0
+            and self.service.config.batch_max > 1
         )
         if not batching:
             for item in plan:
@@ -483,9 +440,9 @@ class _LoadRun:
         first_index, first_now = group[0][0], group[0][1]
         if self.is_remember(index) or self.is_remember(first_index):
             return False
-        if now - first_now > self.config.batch_window_seconds:
+        if now - first_now > self.service.config.batch_window_seconds:
             return False
-        if len(group) >= self.config.batch_max:
+        if len(group) >= self.service.config.batch_max:
             return False
         idle = sum(1 for free_at in self.worker_free if free_at <= first_now)
         return idle > len(group)
@@ -577,12 +534,11 @@ class _LoadRun:
         summary = {
             "config": {
                 "arrival_rate": self.config.arrival_rate,
-                "backend": self.config.backend,
                 "mode": self.config.mode,
                 "remember_every": self.config.remember_every,
                 "requests": self.config.requests,
                 "seed": self.config.seed,
-                "workers": self.config.workers,
+                "workers": self.service.config.workers,
             },
             "counts": {
                 "cache_hits": hits,
@@ -612,7 +568,9 @@ class _LoadRun:
             if self.makespan > 0
             else 0.0,
         }
-        return LoadReport(summary=summary, responses=self.responses)
+        return LoadReport(
+            summary=summary, responses=self.responses, service=self.service
+        )
 
 
 def run_load(
@@ -626,16 +584,19 @@ def run_load(
     Args:
         config: traffic shape and service knobs; CI-smoke defaults.
         cluster: simulated cluster (fresh EC2 shape if omitted).
-        service: an existing service to load (a fresh one if omitted —
-            pass one to test chaos wiring or shared-store setups).
+        service: an existing service to load, under its own config
+            (pass an earlier report's ``service`` to replay warm, or one
+            built for chaos wiring); a fresh one from ``config.service``
+            and ``config.tenants`` if omitted.
         registry: metrics sink for the run's serving metrics.
     """
     if config is None:
         config = LoadConfig()
     if service is None:
+        policies = {tenant.name: tenant.policy for tenant in config.tenants}
         service = TuningService(
             cluster=cluster,
-            config=config.service_config(),
+            config=replace(config.service, tenant_policies=policies),
             seed=config.seed,
             registry=registry,
         )
@@ -645,23 +606,3 @@ def run_load(
     else:
         run.run_closed()
     return run.report()
-
-
-def run_worker_sweep(
-    config: LoadConfig,
-    worker_counts: Sequence[int],
-    cluster: ClusterSpec | None = None,
-    registry: MetricsRegistry | None = None,
-) -> dict[int, LoadReport]:
-    """Replay the same seeded workload at several worker counts.
-
-    Each count gets a fresh service (fresh store, cache, clock), so the
-    only variable across runs is parallelism — the scaling-benchmark
-    shape.  Returns ``{workers: report}`` in the given order.
-    """
-    sweep: dict[int, LoadReport] = {}
-    for count in worker_counts:
-        sweep[count] = run_load(
-            replace(config, workers=count), cluster=cluster, registry=registry
-        )
-    return sweep

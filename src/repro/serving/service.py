@@ -75,6 +75,17 @@ __all__ = [
 
 _SENTINEL = object()
 
+#: Modelled cost of serving a cached result (simulated seconds).
+CACHE_HIT_COST_SECONDS = 0.01
+#: Modelled matcher/CBO overhead on top of the 1-task sample cost.
+MATCH_OVERHEAD_SECONDS = 0.25
+#: Modelled cost of one remember() write (full instrumented run).
+REMEMBER_COST_SECONDS = 60.0
+#: Result-cache TTL on the service's simulated clock.
+CACHE_TTL_SECONDS = 6 * 3600.0
+#: Miss runners of the real frontend (see ``ServiceConfig.backend``).
+BACKENDS = ("threads", "processes")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -89,28 +100,18 @@ class ServiceConfig:
     shed_watermark: int | None = None
     #: Result-cache entry bound (LRU beyond it).
     cache_capacity: int = 256
-    #: Result-cache TTL on the service's simulated clock.
-    cache_ttl_seconds: float = 6 * 3600.0
-    #: Rate limits for tenants without an explicit policy.
-    default_tenant: TenantPolicy = field(default_factory=TenantPolicy)
-    #: Per-tenant rate-limit overrides.
+    #: Per-tenant rate limits; other tenants get ``TenantPolicy()``.
     tenant_policies: Mapping[str, TenantPolicy] = field(default_factory=dict)
     #: Budget a request may spend waiting in the queue before it is shed
     #: with reason "deadline" instead of started late.
     deadline_seconds: float = 1800.0
-    #: Modelled cost of serving a cached result (simulated seconds).
-    cache_hit_cost_seconds: float = 0.01
-    #: Modelled matcher/CBO overhead on top of the 1-task sample cost.
-    match_overhead_seconds: float = 0.25
-    #: Modelled cost of one remember() write (full instrumented run).
-    remember_cost_seconds: float = 60.0
     #: When set, bound the shared store to this many profiles
     #: (MaintainedStore inside the resilient client).
     store_capacity: int | None = None
     #: Concurrency backend of the real frontend: "threads" (worker
     #: threads, GIL-bound) or "processes" (worker processes over the
     #: shared-memory index, :mod:`repro.serving.procpool`).
-    backend: str = "threads"
+    backend: str = field(default="threads", metadata={"choices": BACKENDS})
     #: Modelled cost of the cache probe itself (simulated seconds).
     #: Deliberately off the 0.01 cache-hit grid so warm-path latency
     #: percentiles resolve instead of clamping to one tick.
@@ -132,7 +133,7 @@ class ServiceConfig:
     #: Which tuner-family member optimizes matched profiles on the hit
     #: path ("rbo", "cbo", "surrogate"); "cbo" is the paper's workflow
     #: and is bit-identical to the pre-family path.
-    tuner: str = "cbo"
+    tuner: str = field(default="cbo", metadata={"choices": TUNER_NAMES})
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -143,7 +144,7 @@ class ServiceConfig:
             )
         if self.deadline_seconds <= 0:
             raise ValueError("deadline must be positive")
-        if self.backend not in ("threads", "processes"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.batch_max < 1:
             raise ValueError("batch_max must be at least 1")
@@ -308,13 +309,12 @@ class TuningService:
         self.clock = VirtualClock()
         self.cache = ResultCache(
             capacity=self.config.cache_capacity,
-            ttl_seconds=self.config.cache_ttl_seconds,
+            ttl_seconds=CACHE_TTL_SECONDS,
             registry=registry,
         )
         self.admission = AdmissionController(
             queue_capacity=self.config.queue_capacity,
             shed_watermark=self.config.shed_watermark,
-            default_policy=self.config.default_tenant,
             tenant_policies=dict(self.config.tenant_policies),
             registry=registry,
         )
@@ -331,7 +331,7 @@ class TuningService:
         self._hung_workers = 0
         #: Rolling estimate of one request's modelled cost, for the
         #: queue-full retry-after hint.
-        self._cost_estimate = self.config.match_overhead_seconds
+        self._cost_estimate = MATCH_OVERHEAD_SECONDS
 
     # ------------------------------------------------------------------
     # Pipeline management
@@ -491,8 +491,7 @@ class TuningService:
             cache_hit=True,
             degraded=cached.degraded,
             service_seconds=(
-                self.config.cache_hit_cost_seconds
-                + self.config.cache_lookup_cost_seconds
+                CACHE_HIT_COST_SECONDS + self.config.cache_lookup_cost_seconds
             ),
             result=cached,
         )
@@ -505,8 +504,7 @@ class TuningService:
             tenant=request.tenant,
             status="failed",
             service_seconds=(
-                self.config.cache_hit_cost_seconds
-                + self.config.cache_lookup_cost_seconds
+                CACHE_HIT_COST_SECONDS + self.config.cache_lookup_cost_seconds
             ),
             error=error,
         )
@@ -531,7 +529,7 @@ class TuningService:
             degraded=result.degraded,
             service_seconds=(
                 result.sampling_seconds
-                + self.config.match_overhead_seconds
+                + MATCH_OVERHEAD_SECONDS
                 + self.config.cache_lookup_cost_seconds
             ),
             result=result,

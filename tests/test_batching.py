@@ -12,6 +12,8 @@ grid and shed retry-after hints are recorded at full resolution.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import set_default_injector
@@ -23,7 +25,7 @@ from repro.serving import (
     TuningService,
     run_load,
 )
-from repro.serving.loadgen import _percentiles
+from repro.serving.loadgen import LOADGEN_SERVICE, _percentiles
 
 
 @pytest.fixture(autouse=True)
@@ -106,15 +108,12 @@ class TestHandleBatchEquivalence:
 
 
 class TestLoadgenBatching:
-    def _config(self, **overrides):
-        defaults = dict(
+    def _config(self, **service):
+        return LoadConfig(
             requests=60,
-            workers=4,
             seed=7,
-            backend="processes",
+            service=replace(LOADGEN_SERVICE, workers=4, **service),
         )
-        defaults.update(overrides)
-        return LoadConfig(**defaults)
 
     def test_batched_replay_matches_sequential_report(self):
         sequential = run_load(self._config(), registry=MetricsRegistry())
@@ -124,33 +123,27 @@ class TestLoadgenBatching:
         )
         assert batched.summary == sequential.summary
 
-    def test_batches_actually_form(self, cluster):
+    def test_batches_actually_form(self, cluster, monkeypatch):
         """The equality above is vacuous if no group ever coalesces."""
         config = self._config(batch_window_seconds=0.5, batch_max=4)
-        service = TuningService(
-            cluster=cluster,
-            config=config.service_config(),
-            seed=config.seed,
-            registry=MetricsRegistry(),
-        )
         sizes: list[int] = []
-        inner = service.handle_batch
+        inner = TuningService.handle_batch
 
-        def spy(requests, nows=None):
+        def spy(self, requests, nows=None):
             sizes.append(len(requests))
-            return inner(requests, nows=nows)
+            return inner(self, requests, nows=nows)
 
-        service.handle_batch = spy  # type: ignore[method-assign]
-        run_load(config, cluster=cluster, service=service)
+        monkeypatch.setattr(TuningService, "handle_batch", spy)
+        run_load(config, cluster=cluster, registry=MetricsRegistry())
         assert sizes and max(sizes) > 1
 
 
 class TestLatencyResolution:
     def test_warm_hits_resolve_off_the_tick_grid(self):
         """Regression: warm p50/p99 used to clamp at the 0.01 tick because
-        every hit cost exactly cache_hit_cost_seconds.  The lookup tax
+        every hit cost exactly CACHE_HIT_COST_SECONDS.  The lookup tax
         puts hits at 0.0103 — representable only at full resolution."""
-        config = LoadConfig(requests=60, workers=4, seed=7)
+        config = LoadConfig(requests=60, seed=7)
         report = run_load(config, registry=MetricsRegistry())
         hits = [
             r
@@ -166,7 +159,10 @@ class TestLatencyResolution:
 
     def test_shed_retry_after_recorded_at_full_resolution(self):
         config = LoadConfig(
-            requests=80, workers=2, seed=7, arrival_rate=20.0
+            requests=80,
+            seed=7,
+            arrival_rate=20.0,
+            service=replace(LOADGEN_SERVICE, workers=2),
         )
         report = run_load(config, registry=MetricsRegistry())
         hints = [

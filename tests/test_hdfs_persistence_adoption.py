@@ -86,40 +86,38 @@ class TestLocality:
 
 
 class TestPersistence:
+    """A durable store round-trips through snapshot and reopen."""
+
     @pytest.fixture()
-    def populated(self, engine, profiler, sampler, wordcount, maponly_job, small_text):
+    def populated(
+        self, engine, profiler, sampler, wordcount, maponly_job, small_text, tmp_path
+    ):
         from repro.core.features import extract_job_features
         from repro.core.store import ProfileStore
 
-        store = ProfileStore()
+        store = ProfileStore(data_dir=tmp_path / "store")
         for job in (wordcount, maponly_job):
             profile, __ = profiler.profile_job(job, small_text)
             sample = sampler.collect(job, small_text, count=1)
             features = extract_job_features(job, small_text, sample.profile, engine)
             store.put(profile, features.static)
+        store.snapshot()
         return store
 
-    def test_roundtrip_via_dict(self, populated):
-        from repro.core.persistence import store_from_dict, store_to_dict
+    @staticmethod
+    def _restore(store):
+        from repro.core.store import ProfileStore
 
-        snapshot = store_to_dict(populated)
-        restored = store_from_dict(snapshot)
+        return ProfileStore.restore(store.data_dir)
+
+    def test_roundtrip_via_file(self, populated):
+        restored = self._restore(populated)
         assert restored.job_ids() == populated.job_ids()
         for job_id in populated.job_ids():
             assert restored.get_profile(job_id) == populated.get_profile(job_id)
 
-    def test_roundtrip_via_file(self, populated, tmp_path):
-        from repro.core.persistence import dump_store, load_store
-
-        path = tmp_path / "store.json"
-        dump_store(populated, path)
-        restored = load_store(path)
-        assert restored.job_ids() == populated.job_ids()
-
     def test_normalizers_replayed(self, populated):
-        from repro.core.persistence import store_from_dict, store_to_dict
-
-        restored = store_from_dict(store_to_dict(populated))
+        restored = self._restore(populated)
         original = populated.normalizer("map", "flow")
         replayed = restored.normalizer("map", "flow")
         assert replayed.minimums == original.minimums
@@ -128,31 +126,13 @@ class TestPersistence:
     def test_restored_store_matches_identically(self, populated, engine, sampler, wordcount, small_text):
         from repro.core.features import extract_job_features
         from repro.core.matcher import ProfileMatcher
-        from repro.core.persistence import store_from_dict, store_to_dict
 
-        restored = store_from_dict(store_to_dict(populated))
+        restored = self._restore(populated)
         sample = sampler.collect(wordcount, small_text, count=1)
         features = extract_job_features(wordcount, small_text, sample.profile, engine)
         original_match = ProfileMatcher(populated).match_job(features)
         restored_match = ProfileMatcher(restored).match_job(features)
         assert original_match.map_match.job_id == restored_match.map_match.job_id
-
-    def test_bad_version_rejected(self):
-        from repro.core.persistence import store_from_dict
-
-        with pytest.raises(ValueError):
-            store_from_dict({"version": 99, "entries": {}})
-
-    def test_json_is_plain(self, populated, tmp_path):
-        import json
-
-        from repro.core.persistence import dump_store
-
-        path = tmp_path / "store.json"
-        dump_store(populated, path)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 1
-        assert set(payload["entries"]) == set(populated.job_ids())
 
 
 class TestAdoption:

@@ -15,7 +15,6 @@ from repro.core import (
     ProfileStore,
     extract_job_features,
 )
-from repro.core.persistence import dump_store, load_store
 from repro.core.transfer import transfer_profile
 from repro.hadoop import HadoopEngine, JobConfiguration, ec2_cluster
 from repro.hadoop.cluster import CostRates
@@ -23,14 +22,15 @@ from repro.hadoop.cluster import CostRates
 
 class TestDaemonRestart:
     def test_snapshot_survives_restart(self, engine, wordcount, small_text, tmp_path):
-        """Day 1: profiles collected; daemon restarts; day 2: matching
-        works off the reloaded snapshot."""
-        day1 = PStorM(engine)
+        """Day 1: profiles collected into a durable store and checkpointed;
+        daemon restarts; day 2: matching works off the reopened store."""
+        data_dir = tmp_path / "pstorm"
+        day1_store = ProfileStore(data_dir=data_dir)
+        day1 = PStorM(engine, store=day1_store)
         day1.remember(wordcount, small_text)
-        snapshot = tmp_path / "pstorm.json"
-        dump_store(day1.store, snapshot)
+        day1_store.snapshot()
 
-        day2 = PStorM(engine, store=load_store(snapshot))
+        day2 = PStorM(engine, store=ProfileStore.restore(data_dir))
         result = day2.submit(wordcount, small_text)
         assert result.matched
 
@@ -73,7 +73,7 @@ class TestCapacityBoundOperation:
 
 class TestCrossClusterBootstrap:
     def test_new_cluster_bootstrapped_from_old(self, wordcount, small_text, tmp_path):
-        """§7.2.6 end to end: a store snapshot from an old slow cluster
+        """§7.2.6 end to end: the durable store of an old slow cluster
         seeds a new cluster's PStorM after cost-factor adjustment, and
         the first submission on the new cluster is already a hit."""
         slow_rates = CostRates(
@@ -84,15 +84,16 @@ class TestCrossClusterBootstrap:
         )
         old_cluster = ec2_cluster(base_rates=slow_rates, seed=33)
         old_engine = HadoopEngine(old_cluster)
-        old_pstorm = PStorM(old_engine)
+        data_dir = tmp_path / "old-cluster"
+        old_store = ProfileStore(data_dir=data_dir)
+        old_pstorm = PStorM(old_engine, store=old_store)
         old_pstorm.remember(wordcount, small_text)
-        snapshot = tmp_path / "old-cluster.json"
-        dump_store(old_pstorm.store, snapshot)
+        old_store.snapshot()
 
         new_cluster = ec2_cluster()
         new_engine = HadoopEngine(new_cluster)
         seeded_store = ProfileStore()
-        staging = load_store(snapshot)
+        staging = ProfileStore.restore(data_dir)
         for job_id in staging.job_ids():
             adjusted = transfer_profile(
                 staging.get_profile(job_id), old_cluster, new_cluster

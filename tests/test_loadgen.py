@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import FaultInjector, outage_plan, set_default_injector
 from repro.observability import MetricsRegistry
-from repro.serving import LoadConfig, TenantSpec, run_load
-from repro.serving.loadgen import _percentiles, loadgen_zoo
+from repro.serving import (
+    LoadConfig,
+    ServiceConfig,
+    TenantPolicy,
+    TenantSpec,
+    run_load,
+)
+from repro.serving.loadgen import LOADGEN_SERVICE, _percentiles, loadgen_zoo
 
 
 @pytest.fixture(autouse=True)
@@ -19,10 +27,10 @@ def _no_ambient_chaos():
     set_default_injector(None)
 
 
-def _config(**overrides):
-    defaults = dict(requests=40, workers=2, seed=7)
+def _config(workers=2, **overrides):
+    defaults = dict(requests=40, seed=7)
     defaults.update(overrides)
-    return LoadConfig(**defaults)
+    return LoadConfig(service=replace(LOADGEN_SERVICE, workers=workers), **defaults)
 
 
 class TestDeterminism:
@@ -187,5 +195,105 @@ class TestConfigValidation:
         config = _config(
             tenants=[TenantSpec("only", weight=1.0, rate_per_second=9.0, burst=5.0)]
         )
-        service_config = config.service_config()
-        assert service_config.tenant_policies["only"].rate_per_second == 9.0
+        report = run_load(replace(config, requests=2), registry=MetricsRegistry())
+        policies = report.service.config.tenant_policies
+        assert policies["only"].rate_per_second == 9.0
+        assert policies["only"].burst == 5.0
+
+    def test_rate_limits_come_only_from_tenants(self):
+        policies = {"only": TenantPolicy(rate_per_second=9.0, burst=5.0)}
+        with pytest.raises(ValueError, match="LoadConfig.tenants"):
+            LoadConfig(service=replace(LOADGEN_SERVICE, tenant_policies=policies))
+
+
+def _subparser(verb: str) -> argparse.ArgumentParser:
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    [commands] = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices[verb]
+
+
+class TestServiceFlags:
+    """The serve and loadgen flags are generated from ServiceConfig, so a
+    config field cannot lack a flag or drift from its verb's default."""
+
+    def _flag_dests(self, verb: str) -> set[str]:
+        subparser = _subparser(verb)
+        subparser.format_help()  # service flags are added on first use
+        return {
+            action.dest for action in subparser._actions if action.option_strings
+        }
+
+    def test_other_verbs_do_not_import_the_serving_layer(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = (
+            "import sys; from repro.cli import build_parser; "
+            "build_parser().parse_args(['list-jobs']); "
+            "print(any(m.startswith('repro.serving') for m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_every_scalar_field_has_a_flag_on_both_verbs(self):
+        from repro.cli import service_flag_fields
+
+        names = {spec.name for spec, __ in service_flag_fields()}
+        assert "workers" in names and "shard_index" in names
+        assert "tenant_policies" not in names
+        assert names <= self._flag_dests("serve")
+        # loadgen never starts the real frontend, so only the field that
+        # picks its miss runner is left out.
+        assert names - self._flag_dests("loadgen") == {"backend"}
+
+    @pytest.mark.parametrize(
+        "verb, base",
+        [
+            ("serve", lambda: ServiceConfig(queue_capacity=32)),
+            ("loadgen", lambda: LoadConfig().service),
+        ],
+    )
+    def test_parsed_defaults_equal_the_verbs_base_config(self, verb, base):
+        from repro.cli import build_parser, service_flag_fields
+
+        args = build_parser().parse_args([verb])
+        expected = base()
+        for spec, __ in service_flag_fields():
+            if hasattr(args, spec.name):
+                assert getattr(args, spec.name) == getattr(expected, spec.name), spec.name
+
+    def test_existing_spellings_kept(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["loadgen", "--batch-window", "0.5", "--region-servers", "3",
+             "--shard-index", "--tuner", "surrogate"]
+        )
+        assert args.batch_window_seconds == 0.5
+        assert args.num_region_servers == 3
+        assert args.shard_index is True
+        assert args.tuner == "surrogate"
+
+    def test_loadgen_rejects_backend(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["loadgen", "--backend", "processes"])
+        assert "--backend" in capsys.readouterr().err

@@ -88,7 +88,7 @@ class TestStoreScalability:
         small, large = result.rows
         assert large[2] > small[2]            # scanned rows grow
         assert large[3] < large[2]            # shipped stays a fraction
-        assert large[1] < 5_000               # latency stays interactive (ms)
+        assert 0 < small[1] < large[1]        # warm candidates track copies
 
 
 class TestCfgCostCorrelation:

@@ -29,6 +29,7 @@ from repro.serving import (
     cache_key_for,
     job_signature,
 )
+from repro.serving.service import CACHE_HIT_COST_SECONDS
 
 
 @pytest.fixture(autouse=True)
@@ -199,9 +200,7 @@ class TestTuningServiceInline:
         )
         assert first.ok and not first.cache_hit
         assert second.ok and second.cache_hit
-        assert second.service_seconds == pytest.approx(
-            service.config.cache_hit_cost_seconds
-        )
+        assert second.service_seconds == pytest.approx(CACHE_HIT_COST_SECONDS)
         assert second.result is first.result
 
     def test_remember_invalidates_matching_signature(

@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import _synthetic_job, main
 from repro.core.matcher import ProfileMatcher
-from repro.core.persistence import restore_store, snapshot_store
 from repro.core.store import ProfileStore
 from repro.hbase import HBaseCluster
 from repro.observability import MetricsRegistry
@@ -56,10 +55,10 @@ class TestWarmRestore:
         expected = ProfileMatcher(
             store, registry=MetricsRegistry()
         ).match_job(_probe_features())
-        snapshot_store(store)
+        store.snapshot()
 
         registry = MetricsRegistry()
-        restored = restore_store(tmp_path, registry=registry)
+        restored = ProfileStore.restore(tmp_path, registry=registry)
         assert _canonical(restored) == reference
         outcome = ProfileMatcher(restored, registry=registry).match_job(
             _probe_features()
@@ -74,10 +73,10 @@ class TestWarmRestore:
         store = ProfileStore(data_dir=tmp_path, registry=MetricsRegistry())
         _populate(store, 4)
         store.match_index().ensure_fresh()
-        snapshot_store(store)
+        store.snapshot()
 
         registry = MetricsRegistry()
-        restored = restore_store(tmp_path, registry=registry)
+        restored = ProfileStore.restore(tmp_path, registry=registry)
         gets = registry.get("hbase_get_seconds", {"table": "Jobs"})
         assert gets.count == 1  # recovery's Meta row read
         outcome = ProfileMatcher(restored, registry=registry).match_job(
@@ -133,7 +132,7 @@ class TestWarmRestore:
 
     def test_snapshot_requires_a_durable_store(self):
         with pytest.raises(ValueError, match="data_dir"):
-            snapshot_store(ProfileStore(registry=MetricsRegistry()))
+            ProfileStore(registry=MetricsRegistry()).snapshot()
 
 
 class TestDurableCluster:
