@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import types
 import typing
@@ -873,10 +874,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A reader that closes stdout early (``repro list-jobs | head -1``)
+    ends the command quietly with status 1 instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit
+        # cannot hit the closed pipe again (the recipe in the Python
+        # docs' note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

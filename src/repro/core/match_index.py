@@ -121,7 +121,7 @@ import numpy as np
 from ..analysis.cfg import ControlFlowGraph
 from ..analysis.cfg_match import cfg_match
 from ..observability import MetricsRegistry, Tracer, get_registry
-from .similarity import MinMaxNormalizer
+from .similarity import MinMaxNormalizer, clip_normalize
 from .store import DYNAMIC_PREFIX, _columns_for
 
 if TYPE_CHECKING:
@@ -363,20 +363,18 @@ class IndexView:
                 # Unpriceable (no normalizer features): the partition
                 # answers empty itself in O(1), keep it for parity.
                 kept.append(position)
-            elif prep[6] is not None:
+            elif prep[5] is not None:
                 boxed.append((position, prep))
             # box is None -> no live rows -> provably empty: drop.
         if boxed:
-            __, __, minimums, safe, denominator, __, __ = boxed[0][1]
+            __, __, minimums, spans, __, __ = boxed[0][1]
             if probes.shape[1] != minimums.shape[0]:
                 # Malformed probe: let the partitions raise exactly as
                 # a flat view would.
                 return list(range(len(self._parts)))
-            normalized = np.where(
-                safe, np.clip((probes - minimums) / denominator, 0.0, 1.0), 0.0
-            )
-            lows = np.stack([prep[6][0] for __, prep in boxed])
-            highs = np.stack([prep[6][1] for __, prep in boxed])
+            normalized = clip_normalize(probes, minimums, spans)
+            lows = np.stack([prep[5][0] for __, prep in boxed])
+            highs = np.stack([prep[5][1] for __, prep in boxed])
             nearest = np.clip(
                 normalized[np.newaxis, :, :],
                 lows[:, np.newaxis, :],
@@ -425,21 +423,14 @@ class IndexView:
             bounds = (tuple(normalizer.minimums), tuple(normalizer.maximums))
             minimums = np.asarray(normalizer.minimums, dtype=np.float64)
             spans = np.asarray(normalizer.maximums, dtype=np.float64) - minimums
-            safe = spans > 0
-            denominator = np.where(safe, spans, 1.0)
-            normalized_all = np.where(
-                safe, np.clip((matrix - minimums) / denominator, 0.0, 1.0), 0.0
-            )
+            normalized_all = clip_normalize(matrix, minimums, spans)
             live = part.active & valid
             box = (
                 (normalized_all[live].min(axis=0), normalized_all[live].max(axis=0))
                 if live.any()
                 else None
             )
-            cached = (
-                normalizer, bounds, minimums, safe, denominator,
-                normalized_all, box,
-            )
+            cached = (normalizer, bounds, minimums, spans, normalized_all, box)
             part.prep[(side, kind)] = cached
         return cached
 
@@ -468,10 +459,8 @@ class IndexView:
         matrix, valid = part.matrices[(side, kind)]
         if probes.shape[1] != matrix.shape[1]:
             raise ValueError("columns/probe/bounds must align")
-        __, __, minimums, safe, denominator, normalized_all, box = prep
-        normalized_probes = np.where(
-            safe, np.clip((probes - minimums) / denominator, 0.0, 1.0), 0.0
-        )
+        __, __, minimums, spans, normalized_all, box = prep
+        normalized_probes = clip_normalize(probes, minimums, spans)
         # Bounding-box prune: price the box point nearest each probe
         # through the *same* kernel arithmetic as a real row.  Every
         # per-feature |delta| of a live row is >= the nearest point's,

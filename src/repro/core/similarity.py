@@ -21,6 +21,7 @@ __all__ = [
     "MinMaxNormalizer",
     "default_euclidean_threshold",
     "DEFAULT_JACCARD_THRESHOLD",
+    "clip_normalize",
     "normalize_block",
     "normalized_euclidean_block",
 ]
@@ -126,6 +127,24 @@ class MinMaxNormalizer:
 # :func:`euclidean_distance` and produces the identical float64.
 
 
+def clip_normalize(
+    values: np.ndarray, minimums: np.ndarray, spans: np.ndarray
+) -> np.ndarray:
+    """``(values - minimums) / spans`` clipped to [0, 1] per column, and
+    0.0 on columns whose span is not positive.
+
+    A tiny span or a huge value overflows the division to ±inf; the clip
+    maps that to 1.0 or 0.0, exactly what the scalar path's ``min``/``max``
+    give, so the overflow is expected and not reported.
+    """
+    safe = spans > 0
+    with np.errstate(over="ignore"):
+        scaled = np.clip(
+            (values - minimums) / np.where(safe, spans, 1.0), 0.0, 1.0
+        )
+    return np.where(safe, scaled, 0.0)
+
+
 def normalize_block(
     normalizer: MinMaxNormalizer, block: np.ndarray
 ) -> np.ndarray:
@@ -142,10 +161,7 @@ def normalize_block(
         )
     minimums = np.asarray(normalizer.minimums, dtype=np.float64)
     spans = np.asarray(normalizer.maximums, dtype=np.float64) - minimums
-    safe = spans > 0
-    denominator = np.where(safe, spans, 1.0)
-    scaled = np.clip((block - minimums) / denominator, 0.0, 1.0)
-    return np.where(safe, scaled, 0.0)
+    return clip_normalize(block, minimums, spans)
 
 
 def normalized_euclidean_block(

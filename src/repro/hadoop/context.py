@@ -2,7 +2,8 @@
 
 Mirrors Hadoop's ``Mapper.Context`` / ``Reducer.Context``.  The context
 both collects emitted pairs and does the bookkeeping the profiler needs:
-record and byte counts via :func:`repro.hadoop.records.pair_size`, plus a
+record and byte counts via :func:`repro.hadoop.records.pair_size` (each
+pair is sized once, at emit, and its size kept beside it), plus a
 deterministic *op* counter that stands in for user-function CPU work (each
 emit and each explicitly reported op contributes to the task's modelled CPU
 cost — so a map function that emits one pair per word window position is
@@ -29,6 +30,7 @@ class TaskContext:
 
     Attributes:
         pairs: emitted ``(key, value)`` pairs, in emission order.
+        sizes: serialized size of each emitted pair, parallel to *pairs*.
         records_out: number of emitted pairs.
         bytes_out: serialized size of emitted pairs.
         ops: accumulated user-function op count (CPU cost proxy).
@@ -40,6 +42,7 @@ class TaskContext:
 
     job_params: dict[str, Any] = field(default_factory=dict)
     pairs: list[tuple[Any, Any]] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
     records_out: int = 0
     bytes_out: int = 0
     ops: int = 0
@@ -47,9 +50,11 @@ class TaskContext:
 
     def emit(self, key: Any, value: Any) -> None:
         """Emit one output pair (Hadoop's ``context.write``)."""
+        size = pair_size(key, value)
         self.pairs.append((key, value))
+        self.sizes.append(size)
         self.records_out += 1
-        self.bytes_out += pair_size(key, value)
+        self.bytes_out += size
         self.ops += EMIT_OP_WEIGHT
 
     # Hadoop-compatible alias.
@@ -73,3 +78,4 @@ class TaskContext:
     def reset_output(self) -> None:
         """Clear emitted pairs while keeping counters and ops (spill drain)."""
         self.pairs = []
+        self.sizes = []

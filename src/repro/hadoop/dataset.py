@@ -24,6 +24,7 @@ __all__ = [
     "Dataset",
     "InputSplit",
     "FunctionRecordSource",
+    "SplitSample",
     "DEFAULT_SPLIT_BYTES",
 ]
 
@@ -47,6 +48,16 @@ class InputSplit:
     dataset_name: str
     index: int
     nominal_bytes: int
+
+
+@dataclass(frozen=True)
+class SplitSample:
+    """The materialized sample records of one split and their serialized
+    size: everything a map measurement reads from the dataset."""
+
+    index: int
+    records: tuple[tuple[Any, Any], ...]
+    input_bytes: int
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,13 @@ class Dataset:
     def sample_split_bytes(self, records: Sequence[tuple[Any, Any]]) -> int:
         """Serialized size of materialized sample records of one split."""
         return sum(pair_size(key, value) for key, value in records)
+
+    def sample(self, split_index: int) -> SplitSample:
+        """One split's sample records, materialized and sized once."""
+        records = self.materialize(split_index)
+        return SplitSample(
+            split_index, tuple(records), self.sample_split_bytes(records)
+        )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ Measurements (the expensive part: running user code) are cached per (job,
 dataset, split), so re-running the same job under a different
 configuration only re-prices the pipeline arithmetic, exactly like
 re-submitting a job to a real cluster re-uses the same input data.
+The sample records of each split are materialized and sized once per
+(dataset, split) beside them, so jobs reading the same dataset share them.
 The per-reducer output split of each measurement is cached beside it, per
-(partitioner, reducer count, combiner setting).
+(partitioner, reducer count, combiner setting).  Every cache is keyed by
+the frozen :class:`Dataset` value, not its name.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..observability import (
 )
 from .cluster import ClusterSpec
 from .config import JobConfiguration
-from .dataset import Dataset
+from .dataset import Dataset, SplitSample
 from .job import MapReduceJob
 from .mapper_engine import (
     MapSampleMeasurement,
@@ -64,7 +67,7 @@ def _evenly_spaced(count: int, num_splits: int) -> tuple[int, ...]:
 
 def _job_key(job: MapReduceJob, dataset: Dataset) -> tuple:
     params = tuple(sorted((str(k), repr(v)) for k, v in job.params.items()))
-    return (job.name, params, dataset.name)
+    return (job.name, params, dataset)
 
 
 class HadoopEngine:
@@ -99,6 +102,7 @@ class HadoopEngine:
         #: Observability sinks; None falls back to the module defaults.
         self.registry = registry
         self.tracer = tracer
+        self._sample_cache: dict[tuple[Dataset, int], SplitSample] = {}
         self._map_cache: dict[tuple, MapSampleMeasurement] = {}
         self._reduce_cache: dict[tuple, ReduceSampleMeasurement] = {}
         self._fractions_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -106,6 +110,14 @@ class HadoopEngine:
     # ------------------------------------------------------------------
     # Measurement layer
     # ------------------------------------------------------------------
+    def split_sample(self, dataset: Dataset, split_index: int) -> SplitSample:
+        """The sample records of one split and their size (cached)."""
+        key = (dataset, split_index)
+        sample = self._sample_cache.get(key)
+        if sample is None:
+            sample = self._sample_cache[key] = dataset.sample(split_index)
+        return sample
+
     def measure_split(
         self, job: MapReduceJob, dataset: Dataset, split_index: int
     ) -> MapSampleMeasurement:
@@ -118,7 +130,9 @@ class HadoopEngine:
                 "hadoop_engine_map_cache_misses_total",
                 "map sample measurements computed (cache misses)",
             ).inc()
-            measurement = measure_map_sample(job, dataset, split_index)
+            measurement = measure_map_sample(
+                job, self.split_sample(dataset, split_index)
+            )
             self._map_cache[key] = measurement
         else:
             registry.counter(
@@ -176,9 +190,11 @@ class HadoopEngine:
                 "reduce sample measurements computed (cache misses)",
             ).inc()
             pairs: list[tuple[Any, Any]] = []
+            sizes: list[int] = []
             for map_measurement in self.map_measurements(job, dataset):
                 pairs.extend(map_measurement.intermediate_pairs(combined))
-            measurement = measure_reduce_from_pairs(job, pairs)
+                sizes.extend(map_measurement.intermediate_sizes(combined))
+            measurement = measure_reduce_from_pairs(job, pairs, sizes)
             self._reduce_cache[key] = measurement
         else:
             registry.counter(
@@ -534,11 +550,12 @@ class HadoopEngine:
         return execution, faulty_map, faulty_reduce
 
     def clear_caches(self) -> None:
-        """Drop all cached measurements and the fractions priced from them
-        (e.g. after dataset mutation)."""
+        """Drop all cached sample records, the measurements taken on them
+        and the fractions priced from those (e.g. after dataset mutation)."""
         get_registry(self.registry).counter(
             "hadoop_engine_cache_clears_total", "measurement-cache invalidations"
         ).inc()
+        self._sample_cache.clear()
         self._map_cache.clear()
         self._reduce_cache.clear()
         self._fractions_cache.clear()

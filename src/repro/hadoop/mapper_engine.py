@@ -26,16 +26,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .cluster import ClusterSpec, TaskRates
 from .config import JobConfiguration
 from .counters import FRAMEWORK_GROUP
-from .dataset import Dataset
+from .dataset import SplitSample
 from .job import MapReduceJob
-from .records import pair_size
 from .tasks import MapTaskTable
 
 __all__ = [
@@ -96,24 +95,26 @@ class KeyAggregate:
     record_counts: np.ndarray
 
 
-def _aggregate_keys(pairs: Iterable[tuple[Any, Any]]) -> KeyAggregate:
-    """Group *pairs* by ``repr(key)`` into per-key byte and pair totals."""
+def _aggregate_keys(
+    pairs: Sequence[tuple[Any, Any]], sizes: Sequence[int]
+) -> KeyAggregate:
+    """Group *pairs* (each of serialized size ``sizes[i]``) by
+    ``repr(key)`` into per-key byte and pair totals."""
     slot_of: dict[str, int] = {}
     keys: list[Any] = []
-    byte_totals: list[int] = []
-    record_counts: list[int] = []
-    for key, value in pairs:
+    slots: list[int] = []
+    for key, __ in pairs:
         slot = slot_of.setdefault(repr(key), len(keys))
         if slot == len(keys):
             keys.append(key)
-            byte_totals.append(0)
-            record_counts.append(0)
-        byte_totals[slot] += pair_size(key, value)
-        record_counts[slot] += 1
+        slots.append(slot)
+    index = np.array(slots, dtype=np.intp)
     aggregate = KeyAggregate(
         keys=tuple(keys),
-        byte_totals=np.array(byte_totals, dtype=float),
-        record_counts=np.array(record_counts, dtype=float),
+        byte_totals=np.bincount(
+            index, weights=np.array(sizes, dtype=float), minlength=len(keys)
+        ),
+        record_counts=np.bincount(index, minlength=len(keys)).astype(float),
     )
     aggregate.byte_totals.flags.writeable = False
     aggregate.record_counts.flags.writeable = False
@@ -139,7 +140,11 @@ class MapSampleMeasurement:
     #: The first input records, kept as type examples for static features.
     sample_input_head: tuple[tuple[Any, Any], ...]
     sample_map_pairs: tuple[tuple[Any, Any], ...]
+    #: Serialized size of each map pair, parallel to ``sample_map_pairs``.
+    sample_map_sizes: tuple[int, ...]
     sample_combined_pairs: tuple[tuple[Any, Any], ...]
+    #: Serialized size of each combined pair.
+    sample_combined_sizes: tuple[int, ...]
     combine_records_sel: float
     combine_size_sel: float
     combine_sample_ops: int
@@ -170,6 +175,12 @@ class MapSampleMeasurement:
             return self.sample_combined_pairs
         return self.sample_map_pairs
 
+    def intermediate_sizes(self, combined: bool) -> tuple[int, ...]:
+        """Serialized size of each pair :meth:`intermediate_pairs` returns."""
+        if combined:
+            return self.sample_combined_sizes
+        return self.sample_map_sizes
+
     def derived(self, name: Any, compute: Callable[[], Any]) -> Any:
         """``compute()``, evaluated once per measurement and kept under *name*.
 
@@ -185,24 +196,27 @@ class MapSampleMeasurement:
         """The intermediate pairs under the combiner setting, grouped by key."""
         return self.derived(
             ("key_aggregate", combined),
-            lambda: _aggregate_keys(self.intermediate_pairs(combined)),
+            lambda: _aggregate_keys(
+                self.intermediate_pairs(combined),
+                self.intermediate_sizes(combined),
+            ),
         )
 
 
 def measure_map_sample(
-    job: MapReduceJob, dataset: Dataset, split_index: int
+    job: MapReduceJob, sample: SplitSample
 ) -> MapSampleMeasurement:
     """Run the mapper (and combiner) over one split's sample records."""
-    records = dataset.materialize(split_index)
-    sample_input_bytes = dataset.sample_split_bytes(records)
-
+    records = sample.records
     context = job.make_context()
     for key, value in records:
         job.mapper(key, value, context)
         context.counters.increment(FRAMEWORK_GROUP, "MAP_INPUT_RECORDS")
 
     map_pairs = tuple(context.pairs)
+    map_sizes = tuple(context.sizes)
     combined_pairs = map_pairs
+    combined_sizes = map_sizes
     combine_records_sel = 1.0
     combine_size_sel = 1.0
     combine_ops = 0
@@ -218,17 +232,20 @@ def measure_map_sample(
         combine_size_sel = combined_context.bytes_out / max(1, context.bytes_out)
         combine_ops = combined_context.ops
         combined_pairs = tuple(combined_context.pairs)
+        combined_sizes = tuple(combined_context.sizes)
 
     return MapSampleMeasurement(
-        split_index=split_index,
+        split_index=sample.index,
         sample_input_records=len(records),
-        sample_input_bytes=sample_input_bytes,
+        sample_input_bytes=sample.input_bytes,
         sample_output_records=context.records_out,
         sample_output_bytes=context.bytes_out,
         sample_user_ops=context.ops,
-        sample_input_head=tuple(records[:INPUT_HEAD_RECORDS]),
+        sample_input_head=records[:INPUT_HEAD_RECORDS],
         sample_map_pairs=map_pairs,
+        sample_map_sizes=map_sizes,
         sample_combined_pairs=combined_pairs,
+        sample_combined_sizes=combined_sizes,
         combine_records_sel=combine_records_sel,
         combine_size_sel=combine_size_sel,
         combine_sample_ops=combine_ops,

@@ -27,7 +27,6 @@ from .mapper_engine import (
     TASK_CLEANUP_SECONDS,
     TASK_SETUP_SECONDS,
 )
-from .records import pair_size
 from .tasks import ReduceTaskTable
 
 __all__ = [
@@ -89,17 +88,20 @@ class ReduceSampleMeasurement:
 
 
 def measure_reduce_from_pairs(
-    job: MapReduceJob, intermediate_pairs: Sequence[tuple[object, object]]
+    job: MapReduceJob,
+    intermediate_pairs: Sequence[tuple[object, object]],
+    sizes: Sequence[int],
 ) -> ReduceSampleMeasurement:
-    """Run the reducer over concrete sample intermediate pairs."""
+    """Run the reducer over concrete sample intermediate pairs, of which
+    pair ``i`` has serialized size ``sizes[i]``."""
+    if len(sizes) != len(intermediate_pairs):
+        raise ValueError("need exactly one size per intermediate pair")
     if job.reducer is None or not intermediate_pairs:
         return ReduceSampleMeasurement(0, 0, 0, 0, 0, 0)
 
     groups: dict[object, list[object]] = defaultdict(list)
-    input_bytes = 0
     for key, value in intermediate_pairs:
         groups[key].append(value)
-        input_bytes += pair_size(key, value)
 
     context = job.make_context()
     for key, values in groups.items():
@@ -107,7 +109,7 @@ def measure_reduce_from_pairs(
 
     return ReduceSampleMeasurement(
         sample_input_records=len(intermediate_pairs),
-        sample_input_bytes=input_bytes,
+        sample_input_bytes=sum(sizes),
         sample_groups=len(groups),
         sample_output_records=context.records_out,
         sample_output_bytes=context.bytes_out,

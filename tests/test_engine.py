@@ -1,8 +1,12 @@
 """Integration tests for the HadoopEngine façade."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.hadoop import HadoopEngine
 from repro.hadoop.config import JobConfiguration
+from repro.hadoop.dataset import Dataset, FunctionRecordSource
 
 
 class TestRunJob:
@@ -91,6 +95,29 @@ class TestMeasurementCache:
         second = engine.measure_split(wordcount, small_text, 0)
         assert first is not second
 
+    def test_same_name_other_seed_measured_afresh(
+        self, cluster, wordcount, small_text
+    ):
+        """Datasets that share a name but not a seed share no measurement,
+        reduce measurement or partition fractions."""
+        reseeded = replace(small_text, seed=small_text.seed + 1)
+        engine = HadoopEngine(cluster)
+        first = engine.measure_split(wordcount, small_text, 0)
+        engine.run_job(wordcount, small_text, JobConfiguration(num_reduce_tasks=4))
+
+        fresh_engine = HadoopEngine(cluster)
+        fresh = fresh_engine.measure_split(wordcount, reseeded, 0)
+        assert fresh.sample_input_bytes != first.sample_input_bytes
+        assert engine.measure_split(wordcount, reseeded, 0) == fresh
+        config = JobConfiguration(num_reduce_tasks=4)
+        got = engine.run_job(wordcount, reseeded, config)
+        want = fresh_engine.run_job(wordcount, reseeded, config)
+        assert got.runtime_seconds == want.runtime_seconds
+        assert (got.map_table.partition_bytes == want.map_table.partition_bytes).all()
+        assert engine.reduce_measurement(
+            wordcount, reseeded, True
+        ) == fresh_engine.reduce_measurement(wordcount, reseeded, True)
+
     def test_representatives_within_range(self, engine, small_text):
         indices = engine.representative_indices(small_text)
         assert all(0 <= i < small_text.num_splits for i in indices)
@@ -108,3 +135,60 @@ class TestMeasurementCache:
         m1 = engine.measure_split(one, small_text, 0)
         m3 = engine.measure_split(three, small_text, 0)
         assert m3.sample_output_records == 3 * m1.sample_output_records
+
+
+def _counting_dataset(name="counted", seed=5):
+    """A text dataset whose record source logs every split it generates."""
+    generated: list[int] = []
+
+    def lines(split_index, rng):
+        generated.append(split_index)
+        words = [f"word{i:02d}" for i in range(40)]
+        return [
+            (i, " ".join(words[int(rng.integers(0, 40))] for __ in range(6)))
+            for i in range(50)
+        ]
+
+    dataset = Dataset(
+        name, nominal_bytes=256 << 20, source=FunctionRecordSource(lines), seed=seed
+    )
+    return dataset, generated
+
+
+class TestSampleRecordCache:
+    def test_jobs_on_one_dataset_materialize_each_split_once(
+        self, cluster, wordcount, maponly_job
+    ):
+        dataset, generated = _counting_dataset()
+        engine = HadoopEngine(cluster)
+        engine.run_job(wordcount, dataset)
+        engine.run_job(maponly_job, dataset)
+        indices = engine.representative_indices(dataset)
+        assert sorted(generated) == indices
+
+    def test_sample_matches_materialize(self, cluster):
+        dataset, __ = _counting_dataset()
+        sample = HadoopEngine(cluster).split_sample(dataset, 1)
+        records = dataset.materialize(1)
+        assert sample.index == 1
+        assert sample.records == tuple(records)
+        assert sample.input_bytes == dataset.sample_split_bytes(records)
+
+    def test_clear_caches_drops_records(self, cluster, wordcount):
+        dataset, generated = _counting_dataset()
+        engine = HadoopEngine(cluster)
+        before = engine.split_sample(dataset, 0)
+        assert engine.split_sample(dataset, 0) is before
+        engine.clear_caches()
+        after = engine.split_sample(dataset, 0)
+        assert after is not before and after == before
+        assert generated == [0, 0]
+
+    def test_same_name_datasets_do_not_share_records(self, cluster):
+        dataset, __ = _counting_dataset(seed=1)
+        reseeded = replace(dataset, seed=2)
+        engine = HadoopEngine(cluster)
+        first = engine.split_sample(dataset, 0)
+        second = engine.split_sample(reseeded, 0)
+        assert first.records != second.records
+        assert second.records == tuple(reseeded.materialize(0))

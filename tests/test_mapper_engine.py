@@ -13,7 +13,7 @@ from repro.hadoop.mapper_engine import (
 
 
 def _measure(engine, job, dataset, split=0):
-    return measure_map_sample(job, dataset, split)
+    return measure_map_sample(job, dataset.sample(split))
 
 
 def _simulate(cluster, job, dataset, measurement, config, profiled=False):

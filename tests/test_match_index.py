@@ -19,6 +19,7 @@ import sys
 import threading
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -28,6 +29,7 @@ from repro.analysis.static_features import STATIC_FEATURE_NAMES, StaticFeatures
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.core.features import JobFeatures
 from repro.core.matcher import ProfileMatcher, StaticsFirstMatcher
+from repro.core.similarity import normalize_block
 from repro.core.shm_index import SharedIndexClient, SharedIndexPublisher
 from repro.core.store import ProfileStore
 from repro.observability import MetricsRegistry
@@ -577,6 +579,30 @@ class TestFallbackLadder:
 
 class TestStageParityEdges:
     """Deterministic pins for the trickiest scan-path corner cases."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "top, probe_value",
+        [(5e-324, 1.0), (1e-10, 1e308)],
+        ids=["tiny-span", "huge-probe"],
+    )
+    def test_overflowing_normalization_clips_to_one(self, top, probe_value):
+        """A column whose span is tiny next to the probe's offset: the
+        division overflows, and every path must read the probe as 1.0,
+        without a warning."""
+        store, job_ids = build_store(
+            [_spec(map_flow=(0.5, 0.5, 1.0, 0.0)), _spec(map_flow=(0.5, 0.5, 1.0, top))]
+        )
+        index = store.match_index()
+        index.ensure_fresh()
+        probe = [0.5, 0.5, 1.0, probe_value]
+        normalizer = store.load_normalizer("map", "flow")
+        assert normalizer.normalize(probe)[-1] == 1.0
+        assert normalize_block(normalizer, np.array([probe]))[0, -1] == 1.0
+        # Normalized, the probe sits on the top row and 1.0 from the other.
+        scan = store.euclidean_stage("map", "flow", probe, 0.5)
+        assert scan == [job_ids[1]]
+        assert index.view().euclidean_stage("map", "flow", probe, 0.5) == scan
 
     def test_probe_column_missing_from_store_fails_jaccard(self):
         spec = _spec()

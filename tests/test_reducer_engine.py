@@ -15,9 +15,11 @@ from repro.hadoop.reducer_engine import (
 
 @pytest.fixture()
 def wc_measurement(engine, wordcount, small_text):
-    map_measurement = measure_map_sample(wordcount, small_text, 0)
+    map_measurement = measure_map_sample(wordcount, small_text.sample(0))
     return measure_reduce_from_pairs(
-        wordcount, list(map_measurement.intermediate_pairs(combined=True))
+        wordcount,
+        map_measurement.intermediate_pairs(combined=True),
+        map_measurement.intermediate_sizes(combined=True),
     )
 
 
@@ -59,12 +61,12 @@ class TestReduceMeasurement:
         assert wc_measurement.reduce_size_sel <= 1.0
 
     def test_empty_pairs_yield_zero_measurement(self, wordcount):
-        m = measure_reduce_from_pairs(wordcount, [])
+        m = measure_reduce_from_pairs(wordcount, [], [])
         assert m.sample_groups == 0
         assert m.reduce_records_sel == 0.0
 
     def test_map_only_job_zero_measurement(self, maponly_job):
-        m = measure_reduce_from_pairs(maponly_job, [("a", 1)])
+        m = measure_reduce_from_pairs(maponly_job, [("a", 1)], [6])
         assert m.sample_input_records == 0
 
 

@@ -93,7 +93,9 @@ def _measurement(map_pairs, combined_pairs) -> MapSampleMeasurement:
         sample_user_ops=0,
         sample_input_head=tuple(map_pairs[:4]),
         sample_map_pairs=tuple(map_pairs),
+        sample_map_sizes=tuple(pair_size(k, v) for k, v in map_pairs),
         sample_combined_pairs=tuple(combined_pairs),
+        sample_combined_sizes=tuple(pair_size(k, v) for k, v in combined_pairs),
         combine_records_sel=1.0,
         combine_size_sel=1.0,
         combine_sample_ops=0,

@@ -1,7 +1,13 @@
 """Tests for the visualizer and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.hadoop import JobConfiguration
 from repro.starfish.visualizer import (
@@ -96,3 +102,20 @@ class TestCli:
             in err
         )
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """``repro list-jobs | true``: the reader is gone before the
+        command writes, so every write hits a closed pipe."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list-jobs"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
