@@ -578,9 +578,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         number = restored_jobs + offset
         profile, static = _synthetic_job(number)
         store.put(profile, static, job_id=f"synthetic-{number}@cli")
-    index = store.match_index()
-    if index is not None:
-        index.ensure_fresh()
+    store.match_index().ensure_fresh()
     path = store.snapshot()
 
     def metric(name: str) -> int:

@@ -69,8 +69,8 @@ index), or a moved region topology on a sharded store escalates to a
 full rebuild from :meth:`ProfileStore.index_snapshot`, which is read
 under the store lock and therefore write- and topology-consistent.  If
 the rebuild scan faults (chaos), the index stays stale and the error
-propagates — the matcher treats that as a *poisoned* index and falls
-back to the retried scan path.
+propagates; ``ResilientProfileStore`` retries the publish like any
+scan, and the next successful call recovers.
 
 Lock order: writers hold ``store._lock`` → ``index._pending_lock``
 (leaf); ``view()`` holds ``index._lock`` → ``store._lock`` (snapshot /
@@ -1030,10 +1030,9 @@ class MatchIndex:
 
         Applies queued writes incrementally when possible, escalates to
         a full snapshot rebuild otherwise.  Raises whatever the snapshot
-        scan raises (e.g. an injected substrate fault) — callers treat
-        that as a poisoned index and fall back to the scan path; the
-        index itself stays stale-but-consistent and recovers on the next
-        successful call.
+        scan raises (e.g. an injected substrate fault); the index itself
+        stays stale-but-consistent and recovers on the next successful
+        call.
         """
         with self._lock:
             with self._pending_lock:

@@ -135,13 +135,15 @@ class ProfileMatcher:
       index and runs every stage on it: one vectorized
       normalized-Euclidean/Jaccard pass over the candidate block, with
       memoized CFG verdicts.
-    - **scan** — the original filtered range scans; the property-tested
-      reference, and the fallback whenever the index is disabled
-      (``use_index=False`` or ``store.enable_index=False``), unavailable
-      (a store object without ``match_index()``), or poisoned (a fault
-      while refreshing it).  ``ResilientProfileStore`` retries the scan
-      stages, so faults degrade the probe to the slow path instead of
-      failing it.
+    - **scan** — the original filtered range scans (§5.3 pushdown);
+      the property-tested reference.  It runs only when the caller asks
+      for it (``use_index=False``: the pushdown ablation and the test
+      oracles) or the stage order differs (:class:`StaticsFirstMatcher`).
+
+    Nothing switches paths mid-probe.  Publishing a view may replay the
+    index rebuild's snapshot scans; behind ``ResilientProfileStore``
+    they retry like every store scan, and an exhausted budget raises
+    ``StoreUnavailableError``, which ``PStorM.submit`` degrades to RBO.
     """
 
     #: Subclasses that override ``_match_side_inner`` with a different
@@ -164,8 +166,8 @@ class ProfileMatcher:
                 side as in §6.
             registry, tracer: observability sinks; None falls back to the
                 module defaults.
-            use_index: probe the columnar match index when the store
-                offers one; False forces the scan path.
+            use_index: probe the columnar match index; False runs the
+                scan path.
         """
         self.store = store
         self.jaccard_threshold = jaccard_threshold
@@ -240,38 +242,12 @@ class ProfileMatcher:
     # ------------------------------------------------------------------
     # Indexed-path plumbing
     # ------------------------------------------------------------------
-    def _count_index_miss(self, reason: str) -> None:
-        get_registry(self.registry).counter(
-            "pstorm_matcher_index_misses_total",
-            "side probes that fell back to the scan path, by cause",
-            labels={"reason": reason},
-        ).inc()
-
     def _probe_view(self) -> "IndexView | None":
-        """A fresh view of the store's match index — or None with a miss
-        reason.
-
-        The fallback ladder: *disabled* (matcher or store opted out) →
-        *unavailable* (store object has no index accessor — duck-typed
-        test doubles) → *poisoned* (publishing the view faulted; the scan
-        path behind ``ResilientProfileStore`` retries instead).
-        """
+        """A fresh view of the store's match index, or None when this
+        matcher runs the scan path."""
         if not (self.use_index and self._index_capable):
-            self._count_index_miss("disabled")
             return None
-        accessor = getattr(self.store, "match_index", None)
-        if not callable(accessor):
-            self._count_index_miss("unavailable")
-            return None
-        index = accessor()
-        if index is None:
-            self._count_index_miss("disabled")
-            return None
-        try:
-            return index.view()
-        except Exception:
-            self._count_index_miss("poisoned")
-            return None
+        return self.store.index_view()
 
     def _index_stage(
         self, stage: str, prefix: str, call: Callable[[], "Rows"]
@@ -401,42 +377,34 @@ class ProfileMatcher:
         side: str,
         stage1: "Stage1Batch | None" = None,
     ) -> SideMatch:
-        """Run the Fig 4.4 workflow for one side (indexed, else scan)."""
+        """Run the Fig 4.4 workflow for one side."""
         registry = get_registry(self.registry)
         tracer = get_tracer(self.tracer)
         with tracer.span(
             "pstorm.match_side", side=side, job=features.job_name
         ) as span:
             view = self._probe_view()
-            precomputed: "Rows | None" = None
-            # The broadcast survivor rows are only valid against the
-            # exact view they were priced on; any write (or republish)
-            # since then re-runs the scalar stage instead.
-            if view is not None and stage1 is not None and view is stage1.view:
-                precomputed = stage1.survivors_for(features, side)
-            match: SideMatch | None = None
-            if view is not None:
-                try:
-                    match = self._match_side_indexed(
-                        view, features, side, stage1=precomputed
-                    )
-                except Exception:
-                    # A fault inside a view probe (e.g. a probe vector
-                    # that does not align with the stored columns)
-                    # poisons this probe only; the scan path below
-                    # answers it under the resilient store wrapper.
-                    self._count_index_miss("poisoned")
-                    match = None
-            if match is not None:
+            if view is None:
+                match = self._match_side_inner(features, side)
+                span.set_attr("via", "scan")
+            else:
+                # The broadcast survivor rows are only valid against the
+                # exact view they were priced on; any write (or
+                # republish) since then re-runs the scalar stage instead.
+                precomputed = (
+                    stage1.survivors_for(features, side)
+                    if stage1 is not None and view is stage1.view
+                    else None
+                )
+                match = self._match_side_indexed(
+                    view, features, side, stage1=precomputed
+                )
                 registry.counter(
                     "pstorm_matcher_index_hits_total",
                     "side probes answered by the columnar index",
                 ).inc()
                 span.set_attr("via", "index")
                 span.set_attr("partitions", view.partition_count)
-            else:
-                match = self._match_side_inner(features, side)
-                span.set_attr("via", "scan")
             span.set_attr("stage", match.stage)
             span.set_attr("matched", match.matched)
         self._record_side_match(match)
@@ -495,9 +463,9 @@ class ProfileMatcher:
 
         Returns a :class:`Stage1Batch` the per-item :meth:`match_job`
         calls consume, or ``None`` whenever the batched path cannot be
-        bit-identical to the scalar one — index disabled/unavailable/
-        poisoned or mixed probe widths — in which case callers simply
-        match item by item.
+        bit-identical to the scalar one — the scan path or mixed probe
+        widths — in which case callers simply match item by item.
+        Raises what publishing the view raises.
         """
         if len(features_list) < 2:
             return None
@@ -517,33 +485,28 @@ class ProfileMatcher:
         by_probe: "dict[int, dict[str, Rows]]" = {
             id(features): {} for features in features_list
         }
-        registry = get_registry(self.registry)
         tracer = get_tracer(self.tracer)
-        try:
-            for side, entries in per_side.items():
-                if not entries:
-                    continue
-                widths = {len(flow) for __, flow in entries}
-                if len(widths) != 1:
-                    return None
-                with tracer.span(
-                    "pstorm.store.probe",
-                    stage=f"euclidean-{side}-flow-batch",
-                    prefix=DYNAMIC_PREFIX,
-                    via="index",
-                ):
-                    survivors = view.euclidean_rows(
-                        side,
-                        "flow",
-                        [flow for __, flow in entries],
-                        self._theta_eucl(widths.pop()),
-                    )
-                for (features, __), row in zip(entries, survivors):
-                    by_probe[id(features)][side] = row
-        except Exception:
-            self._count_index_miss("poisoned")
-            return None
-        registry.histogram(
+        for side, entries in per_side.items():
+            if not entries:
+                continue
+            widths = {len(flow) for __, flow in entries}
+            if len(widths) != 1:
+                return None
+            with tracer.span(
+                "pstorm.store.probe",
+                stage=f"euclidean-{side}-flow-batch",
+                prefix=DYNAMIC_PREFIX,
+                via="index",
+            ):
+                survivors = view.euclidean_rows(
+                    side,
+                    "flow",
+                    [flow for __, flow in entries],
+                    self._theta_eucl(widths.pop()),
+                )
+            for (features, __), row in zip(entries, survivors):
+                by_probe[id(features)][side] = row
+        get_registry(self.registry).histogram(
             "pstorm_matcher_batch_size",
             "probes coalesced into one stage-1 broadcast",
             buckets=COUNT_BUCKETS,

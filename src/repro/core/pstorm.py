@@ -420,7 +420,9 @@ class PStorM:
         ``(profile, features, seconds)`` triple for submission *i*, or
         the exception presampling raised — captured per item so one bad
         submission cannot poison its batch-mates.  Healthy items feed a
-        single :meth:`ProfileMatcher.precompute_stage1` broadcast.
+        single :meth:`ProfileMatcher.precompute_stage1` broadcast; when
+        the store is unavailable there is no broadcast, and each item's
+        own probe retries and degrades as :meth:`submit` does.
         """
         presampled: list[Any] = []
         for job, dataset, __, seed in submissions:
@@ -431,7 +433,10 @@ class PStorM:
         healthy = [
             triple[1] for triple in presampled if not isinstance(triple, Exception)
         ]
-        stage1 = self.matcher.precompute_stage1(healthy)
+        try:
+            stage1 = self.matcher.precompute_stage1(healthy)
+        except StoreUnavailableError:
+            stage1 = None
         return presampled, stage1
 
     def _submit_inner(

@@ -28,6 +28,7 @@ from ..chaos.retry import RetryPolicy, VirtualClock, call_with_retry
 from ..hbase import Filter
 from ..observability import MetricsRegistry, get_registry
 from ..starfish.profile import JobProfile
+from .match_index import IndexView
 from .store import ProfileStore
 
 __all__ = ["ResilientProfileStore"]
@@ -114,11 +115,15 @@ class ResilientProfileStore:
         return self._call("scan", self.store.bulk_statics)
 
     # -- match index ---------------------------------------------------
+    # Publishing a view and refreshing the index replay the rebuild's
+    # snapshot scans, so they retry like any scan.  An exhausted budget
+    # raises StoreUnavailableError: a probe degrades its submission to
+    # RBO, and the serving layer counts a failed refresh and goes on
+    # (the next probe rebuilds).
+    def index_view(self) -> IndexView:
+        return self._call("scan", self.store.index_view)
+
     def refresh_match_index(self) -> None:
-        # The refresh replays the snapshot scan on transient faults; a
-        # still-unavailable substrate surfaces StoreUnavailableError to
-        # the caller (the serving layer logs-and-continues — the matcher
-        # will fall back to the scan path until the index recovers).
         return self._call("scan", self.store.refresh_match_index)
 
     # -- filtered scans (the matcher's stages) -------------------------

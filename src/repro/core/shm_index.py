@@ -7,7 +7,7 @@ them per worker or per request.  This module is the transport: a
 :class:`~repro.core.match_index.IndexView` the store's builder publishes
 — every partition's matrices, masks and factorized codes, the CFG
 payloads, the view's normalizer bounds, plus the full profile/static
-payloads a worker needs to rebuild a scan-path replica — into one
+payloads a worker needs to rebuild its local replica — into one
 immutable ``multiprocessing.shared_memory`` segment per store
 generation, and *clients* attach the segment as zero-copy, read-only
 numpy views behind a stock :class:`~repro.core.match_index.IndexView`.
@@ -31,8 +31,8 @@ in-place rewrite — so the only race left is the attach itself:
   newer generation; if every retry fails it keeps serving its previous
   (stale-but-consistent) view, mirroring the match index's
   stale-not-torn guarantee, and only raises
-  :class:`SharedIndexUnavailableError` when it has no view at all —
-  the matcher's ladder then falls back to the scan path.
+  :class:`SharedIndexUnavailableError` when it has no view at all, which
+  fails the probe with that typed error.
 
 Segment layout
 --------------
@@ -266,16 +266,14 @@ class SharedIndexPublisher:
         """Publish the store's current generation; returns it.
 
         No-ops when the store has not advanced past the published
-        generation.  Raises whatever the index rebuild raises — a publish
+        generation.  Raises whatever publishing the view raises (behind
+        ``ResilientProfileStore``, once its retries are spent) — a publish
         during a store outage fails loudly and the control record keeps
         naming the previous good generation.
         """
         if self._closed:
             raise SharedIndexError("publisher is closed")
-        index = self._store.match_index()
-        if index is None:
-            raise SharedIndexError("store has no match index to publish")
-        view = index.view()
+        view = self._store.index_view()
         generation = view.generation
         if generation == self._published:
             return generation

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 if TYPE_CHECKING:
     from ..chaos import FaultInjector
-    from .match_index import MatchIndex
+    from .match_index import IndexView, MatchIndex
 
 from ..analysis.cfg import ControlFlowGraph
 from ..analysis.cfg_match import cfg_match
@@ -261,8 +261,6 @@ class ProfileStore:
         chaos: fault injector handed to a freshly created substrate
             (ignored when *hbase* is supplied — an injected cluster
             keeps the injector it was built with).
-        enable_index: whether :meth:`match_index` hands out the columnar
-            match index; off forces every matcher onto the scan path.
         data_dir: make the store durable.  A fresh directory gets a
             durable HBase substrate under ``data_dir/hbase`` (per-region
             WAL + SSTables); a directory with existing state is
@@ -292,7 +290,6 @@ class ProfileStore:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         chaos: "FaultInjector | None" = None,
-        enable_index: bool = True,
         data_dir: Path | str | None = None,
         group_commit: int = 1,
         num_region_servers: int = 1,
@@ -351,7 +348,6 @@ class ProfileStore:
                 ("reduce", "cost"),
             )
         }
-        self.enable_index = enable_index
         #: Partitioned (per-region) vs flat match index.
         self.shard_index = shard_index
         #: Monotone write version: bumped under the lock on every
@@ -598,16 +594,14 @@ class ProfileStore:
                 f"{side}.{kind}", MinMaxNormalizer()
             )
 
-    def match_index(self) -> "MatchIndex | None":
-        """The columnar match index (lazily built), or None if disabled.
+    def match_index(self) -> "MatchIndex":
+        """The columnar match index (lazily built).
 
         One index per store: serving workers that share this store (via
         ``ResilientProfileStore``/``MaintainedStore`` delegation) probe
         the same structure.  Its partitions follow
         :meth:`index_snapshot`'s key-range slices.
         """
-        if not self.enable_index:
-            return None
         with self._lock:
             if self._match_index is None:
                 from .match_index import MatchIndex
@@ -617,10 +611,18 @@ class ProfileStore:
                 )
             return self._match_index
 
+    def index_view(self) -> "IndexView":
+        """The match index's current view, brought up to the writes.
+
+        Publishing it may replay the rebuild's snapshot scans and raises
+        whatever they raise; ``ResilientProfileStore`` retries it.
+        """
+        return self.match_index().view()
+
     def refresh_match_index(self) -> None:
         """Bring an already-created match index up to the current writes.
 
-        No-op when the index is disabled or has never been probed —
+        No-op when the index has never been probed —
         refreshing is for keeping a *hot* index hot (e.g. the serving
         layer calls this alongside its result-cache invalidation on
         ``remember()``), not for building one eagerly.
@@ -838,7 +840,7 @@ class ProfileStore:
             self._generation,
             self._persisted_normalizers(cells),
         )
-        if self.enable_index and self._checkpoint_path is not None:
+        if self._checkpoint_path is not None:
             checkpoint = None
             try:
                 checkpoint = json.loads(self._checkpoint_path.read_text())
@@ -848,7 +850,6 @@ class ProfileStore:
                 checkpoint = None  # torn checkpoint: fall back to rebuild
             if checkpoint is not None:
                 index = self.match_index()
-                assert index is not None
                 index.load_checkpoint(
                     int(checkpoint.get("generation", 0)),
                     checkpoint.get("dynamic", {}),

@@ -85,16 +85,32 @@ class WorkflowResult:
 
 
 class _MaterializedSource:
-    """Record source replaying a fixed sample (a stage's sampled output)."""
+    """Record source replaying a fixed sample (a stage's sampled output).
+
+    Equal by value, so a re-run chain's derived dataset equals the last
+    run's and hits the engine's measurement caches, which key on the
+    ``Dataset`` value.  Pairs compare by ``repr`` — what the default
+    partitioner hashes — so ``1`` and ``1.0`` stay apart, and unhashable
+    values still hash.
+    """
 
     def __init__(self, pairs: Sequence[tuple[Any, Any]]) -> None:
         if not pairs:
             raise ValueError("a derived dataset needs at least one record")
         self._pairs = list(pairs)
+        self._key = repr(self._pairs)
 
     def generate(self, split_index: int, rng: np.random.Generator) -> list:
         del split_index, rng  # the sample is fixed; splits replay it
         return list(self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _MaterializedSource):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 def _stage_output_sample(

@@ -19,13 +19,12 @@ Ownership is strictly single-writer:
   ever writes;
 - each **worker** owns a :class:`SnapshotStoreProxy`: a local replica
   rebuilt from the last published generation, an outbox of profile
-  writes travelling back to the parent, and the same ``view()``
-  contract as the store's match index, so the stock
-  :class:`~repro.core.matcher.ProfileMatcher` probes the shared matrices
-  unchanged.  Workers never see a torn view: generations are immutable
-  segments, and a worker holding unpublished local writes *poisons* its
-  own indexed path so the matcher's existing fallback ladder serves the
-  probe from the replica scan — read-your-writes without a lock.
+  writes travelling back to the parent, and the store's ``index_view()``
+  contract, so the stock :class:`~repro.core.matcher.ProfileMatcher`
+  probes the shared matrices unchanged.  Workers never see a torn view:
+  generations are immutable segments, and a worker holding unpublished
+  local writes probes its replica's own index view, which covers them —
+  read-your-writes without a lock.
 
 A lane sends its misses as one task over a task/result queue pair
 private to it; results travel back as ``SubmissionResult.to_dict()``
@@ -56,7 +55,6 @@ from ..core.pstorm import PStorM, SubmissionResult
 from ..core.shm_index import (
     SharedIndexClient,
     SharedIndexPublisher,
-    SharedIndexUnavailableError,
 )
 from ..core.store import ProfileStore
 from ..hadoop.cluster import ClusterSpec
@@ -88,9 +86,9 @@ class SnapshotStoreProxy:
     worker ships back with each result; once the parent publishes a
     generation containing a local write, :meth:`sync` prunes it.
 
-    It is also its own match index: :meth:`view` hands the matcher the
-    pinned shared-memory view, so one ``match_side`` call runs entirely
-    against a single generation even if the publisher flips mid-probe.
+    :meth:`index_view` hands the matcher the pinned shared-memory view,
+    so one ``match_side`` call runs entirely against a single generation
+    even if the publisher flips mid-probe.
     """
 
     def __init__(
@@ -107,9 +105,7 @@ class SnapshotStoreProxy:
         self._view = None
         self._local: dict[str, tuple[JobProfile, StaticFeatures]] = {}
         self._outbox: list[tuple[str, JobProfile, StaticFeatures]] = []
-        self._replica = ProfileStore(
-            registry=registry, tracer=tracer, enable_index=False
-        )
+        self._replica = ProfileStore(registry=registry, tracer=tracer)
 
     # -- generation sync ----------------------------------------------
     def sync(self):
@@ -125,9 +121,7 @@ class SnapshotStoreProxy:
     def _rebuild(self, meta: dict[str, Any]) -> None:
         profiles = meta.get("profiles", {})
         statics = meta.get("statics", {})
-        replica = ProfileStore(
-            registry=self.registry, tracer=self.tracer, enable_index=False
-        )
+        replica = ProfileStore(registry=self.registry, tracer=self.tracer)
         # Sorted ids: the min/max normalizer updates are order-independent,
         # so any deterministic order reproduces the parent's bounds.
         for job_id in sorted(profiles):
@@ -174,29 +168,22 @@ class SnapshotStoreProxy:
         self._outbox.append((job_id, profile, static))
         return job_id
 
-    def match_index(self) -> "SnapshotStoreProxy":
-        return self
+    def index_view(self) -> IndexView:
+        """The pinned view for one probe side.
 
-    def view(self) -> IndexView:
-        """The pinned view for one probe side (the match-index contract).
-
-        Remaps to the newest published generation, then *raises*
-        :class:`SharedIndexUnavailableError` while this worker holds
-        local writes the publisher has not absorbed yet — the matcher
-        counts that as a poisoned index and probes the replica scan
-        path, which *does* see the local writes.
+        Remaps to the newest published generation.  While this worker
+        holds local writes the publisher has not absorbed yet, the
+        shared view does not cover them, so the probe runs on the
+        replica's own index view, which does.
         """
         view = self.sync()
         if self._local:
-            raise SharedIndexUnavailableError(
-                "worker-local writes are not published yet; "
-                "probing the replica scan path instead"
-            )
+            return self._replica.index_view()
         return view
 
     def refresh_match_index(self) -> None:
-        # The shared view refreshes on the next probe's view(); there is
-        # nothing to rebuild worker-side.
+        # The shared view refreshes on the next probe's index_view();
+        # there is nothing to rebuild worker-side.
         return None
 
     def close(self) -> None:

@@ -11,8 +11,9 @@ attached from shared memory by a worker's store proxy).  The flat
 in-process cases run here; ``test_sharding.py`` and ``test_shm_index.py``
 run the sharded and shared-memory ones.  The remaining classes pin the coherence
 protocol (incremental put/delete, overwrite-triggered rebuild,
-generation tracking, cheap republish) and the fallback ladder
-(disabled / unavailable / poisoned).
+generation tracking, cheap republish) and what is left of the old
+fallback ladder: the scan path runs only on request, and a faulted
+rebuild is retried, never answered by a silent scan.
 """
 
 import sys
@@ -27,12 +28,14 @@ import repro.core.match_index as match_index_module
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.static_features import STATIC_FEATURE_NAMES, StaticFeatures
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos.retry import StoreUnavailableError
 from repro.core.features import JobFeatures
 from repro.core.matcher import ProfileMatcher, StaticsFirstMatcher
+from repro.core.resilient import ResilientProfileStore
 from repro.core.similarity import normalize_block
 from repro.core.shm_index import SharedIndexClient, SharedIndexPublisher
 from repro.core.store import ProfileStore
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, Tracer
 from repro.serving.procpool import SnapshotStoreProxy
 from repro.starfish.profile import (
     MAP_COST_FEATURES,
@@ -166,14 +169,9 @@ _settings = settings(
 
 
 def assert_no_silent_fallback(registry, expected_hits):
-    """The equivalence proof is vacuous if the indexed path silently fell
-    back to the scan path — pin that it really answered the probes."""
+    """The equivalence proof is vacuous if the indexed path did not
+    answer — pin that it really answered every side probe."""
     assert registry.counter("pstorm_matcher_index_hits_total").value == expected_hits
-    for reason in ("disabled", "unavailable", "poisoned"):
-        misses = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": reason}
-        )
-        assert misses.value == 0
 
 
 #: A put writes three data rows, so these thresholds force splits with
@@ -437,8 +435,8 @@ class TestConcurrentProbes:
     def test_probes_racing_writes_never_fall_back(self):
         """Probe threads share the builder's views and their caches while
         a writer puts jobs that move the normalizer bounds: no probe
-        faults over to the scan path, and once the writes stop the
-        answer equals the scan path's (a lost queued write would not)."""
+        raises, and once the writes stop the answer equals the scan
+        path's (a lost queued write would not)."""
         store, __ = build_store([_spec(input_bytes=(n + 1) << 26) for n in range(8)])
         features = make_features(_spec())
         registry = MetricsRegistry()
@@ -472,63 +470,26 @@ class TestConcurrentProbes:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        poisoned = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": "poisoned"}
-        )
-        assert poisoned.value == 0
         scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
         assert matcher.match_job(features) == scan.match_job(features)
 
 
 class TestFallbackLadder:
-    def test_matcher_opt_out_counts_disabled_miss(self):
+    """What is left of the old ladder: the scan path runs only when the
+    caller asks for it, and a faulted rebuild is retried or degrades."""
+
+    def test_matcher_opt_out_takes_the_scan_path(self):
         store, __ = build_store([_spec()])
         registry = MetricsRegistry()
-        matcher = ProfileMatcher(store, registry=registry, use_index=False)
+        tracer = Tracer()
+        matcher = ProfileMatcher(
+            store, registry=registry, tracer=tracer, use_index=False
+        )
         assert matcher.match_job(make_features(_spec())).matched
         assert registry.counter("pstorm_matcher_index_hits_total").value == 0
-        disabled = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": "disabled"}
-        )
-        assert disabled.value == 2  # one miss per side
-
-    def test_store_opt_out_counts_disabled_miss(self):
-        store, __ = build_store([_spec()], enable_index=False)
-        assert store.match_index() is None
-        registry = MetricsRegistry()
-        matcher = ProfileMatcher(store, registry=registry)
-        assert matcher.match_job(make_features(_spec())).matched
-        disabled = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": "disabled"}
-        )
-        assert disabled.value == 2
-
-    def test_duck_typed_store_without_accessor_is_unavailable(self):
-        store, __ = build_store([_spec()])
-
-        class ScanOnly:
-            """A store double exposing only the scan-path surface."""
-
-            def __init__(self, inner):
-                for name in (
-                    "euclidean_stage",
-                    "cfg_stage",
-                    "jaccard_stage",
-                    "get_dynamic",
-                    "get_static",
-                    "get_profile",
-                    "job_ids",
-                ):
-                    setattr(self, name, getattr(inner, name))
-
-        registry = MetricsRegistry()
-        matcher = ProfileMatcher(ScanOnly(store), registry=registry)
-        assert matcher.match_job(make_features(_spec())).matched
-        unavailable = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": "unavailable"}
-        )
-        assert unavailable.value == 2
-        assert registry.counter("pstorm_matcher_index_hits_total").value == 0
+        sides = tracer.spans("pstorm.match_side")
+        assert [span.attrs["via"] for span in sides] == ["scan", "scan"]
+        assert store._match_index is None  # never built
 
     def test_statics_first_ablation_never_probes_the_index(self):
         store, __ = build_store([_spec()])
@@ -537,44 +498,60 @@ class TestFallbackLadder:
         matcher.match_job(make_features(_spec()))
         assert registry.counter("pstorm_matcher_index_hits_total").value == 0
 
-    def test_poisoned_rebuild_falls_back_then_recovers(self):
-        # Replay the population against an empty plan to learn the op
-        # index of the first probe-time substrate operation, then poison
-        # exactly that operation: the index rebuild's snapshot scan.
+    @staticmethod
+    def _faulted_rebuild(kind, attempts):
+        """A store whose first probe-time substrate operation — the
+        index rebuild's snapshot scan — and the next ``attempts - 1``
+        operations fault with *kind*."""
         specs = [_spec(), _spec(input_bytes=123)]
+        # Replay the population against an empty plan to learn the op
+        # index of the first probe-time substrate operation.
         rehearsal = FaultInjector(FaultPlan(), registry=MetricsRegistry())
         build_store(specs, chaos=rehearsal)
         fault_at = rehearsal.operations_seen
-
         plan = FaultPlan(
             faults=(
                 FaultSpec(
                     op="scan",
-                    kind="transient",
+                    kind=kind,
                     start_after=fault_at,
-                    stop_after=fault_at + 1,
+                    stop_after=fault_at + attempts,
                 ),
             )
         )
         injector = FaultInjector(plan, registry=MetricsRegistry())
         store, __ = build_store(specs, chaos=injector)
+        return store, injector
+
+    def test_faulted_rebuild_is_retried_and_the_index_answers(self):
+        store, injector = self._faulted_rebuild("transient", 1)
         registry = MetricsRegistry()
-        matcher = ProfileMatcher(store, registry=registry)
+        matcher = ProfileMatcher(
+            ResilientProfileStore(store, registry=registry), registry=registry
+        )
         features = make_features(_spec())
 
-        # Probe 1: the rebuild scan faults -> poisoned -> scan fallback.
-        assert matcher.match_side(features, "map").matched
-        poisoned = registry.counter(
-            "pstorm_matcher_index_misses_total", labels={"reason": "poisoned"}
-        )
-        assert poisoned.value == 1
+        # The rebuild scan faults once; the retry republishes the view
+        # and the index, not a scan, answers the probe.
+        match = matcher.match_side(features, "map")
         assert injector.summary() == {"scan/transient": 1}
-
-        # Probe 2: the fault window has passed; the index heals and
-        # answers, no further misses.
-        assert matcher.match_side(features, "map").matched
-        assert poisoned.value == 1
+        assert registry.counter(
+            "pstorm_store_retryable_errors_total", labels={"op": "scan"}
+        ).value == 1
         assert registry.counter("pstorm_matcher_index_hits_total").value == 1
+        scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
+        assert match == scan.match_side(features, "map")
+
+    def test_exhausted_rebuild_retries_raise_store_unavailable(self):
+        store, injector = self._faulted_rebuild("unavailable", 100)
+        registry = MetricsRegistry()
+        resilient = ResilientProfileStore(store, registry=registry)
+        matcher = ProfileMatcher(resilient, registry=registry)
+        with pytest.raises(StoreUnavailableError):
+            matcher.match_side(make_features(_spec()), "map")
+        attempts = resilient.policy.max_attempts
+        assert injector.summary() == {"scan/unavailable": attempts}
+        assert registry.counter("pstorm_matcher_index_hits_total").value == 0
 
 
 class TestStageParityEdges:

@@ -501,3 +501,109 @@ class TestExport:
         assert export.to_prometheus(registry) == ""
         parsed = json.loads(export.to_json(registry, Tracer()))
         assert parsed["trace"]["spans"] == []
+
+
+# ----------------------------------------------------------------------
+# The catalogue in docs/observability.md cannot drift from the code
+# ----------------------------------------------------------------------
+_KINDS = ("counter", "gauge", "histogram")
+
+
+def _registered_instruments(src):
+    """``{name: kind}`` for every instrument a ``counter``/``gauge``/
+    ``histogram`` call (or a module's ``_counter`` helper) registers
+    under ``src/``.  An f-string name becomes a pattern with ``*`` for
+    each interpolated part."""
+    import ast
+
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _KINDS + ("_counter",)
+                and node.args
+            ):
+                continue
+            kind = node.func.attr.lstrip("_")
+            name = node.args[0]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                found[name.value] = kind
+            elif isinstance(name, ast.JoinedStr):
+                found["".join(
+                    part.value if isinstance(part, ast.Constant) else "*"
+                    for part in name.values
+                )] = kind
+            # Anything else is a helper forwarding its parameter; its
+            # callers are the registrations.
+    return found
+
+
+def _expand(name):
+    """``a_{x,y}_b{labels}`` -> ``[a_x_b, a_y_b]``: a trailing brace
+    group is the label list, any other one an alternation."""
+    import re
+
+    name = re.sub(r"\{[^}]*\}$", "", name)
+    match = re.search(r"\{([^}]*)\}", name)
+    if match is None:
+        return [name]
+    return [
+        expanded
+        for option in match.group(1).split(",")
+        for expanded in _expand(
+            name[: match.start()] + option.strip() + name[match.end():]
+        )
+    ]
+
+
+def _catalogued_instruments(doc):
+    """``{name: kind}`` for every row of the catalogue's tables."""
+    import re
+
+    found = {}
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) < 3 or cells[1] not in _KINDS:
+            continue
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            for expanded in _expand(name):
+                found[expanded] = cells[1]
+    return found
+
+
+def test_catalogue_lists_exactly_the_registered_instruments():
+    from fnmatch import fnmatchcase
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parent
+    registered = _registered_instruments(src)
+    catalogued = _catalogued_instruments(
+        src.parents[1] / "docs" / "observability.md"
+    )
+    patterns = {name: kind for name, kind in registered.items() if "*" in name}
+    exact = {name: kind for name, kind in registered.items() if "*" not in name}
+
+    def registered_kind(name):
+        if name in exact:
+            return exact[name]
+        for pattern, kind in patterns.items():
+            if fnmatchcase(name, pattern):
+                return kind
+        return None
+
+    undocumented = sorted(set(exact) - set(catalogued))
+    assert not undocumented, f"registered but not in the catalogue: {undocumented}"
+    for pattern in patterns:
+        assert any(fnmatchcase(name, pattern) for name in catalogued), pattern
+    stale = sorted(name for name in catalogued if registered_kind(name) is None)
+    assert not stale, f"catalogued but never registered: {stale}"
+    wrong_kind = sorted(
+        (name, kind, registered_kind(name))
+        for name, kind in catalogued.items()
+        if registered_kind(name) != kind
+    )
+    assert not wrong_kind, wrong_kind

@@ -247,13 +247,6 @@ class TestTuningServiceInline:
         assert late.result.outcome.map_match.job_id == stored_late
         assert hits.value > hits_before
         assert rebuilds.value == 1  # the remember-time refresh was incremental
-        for reason in ("disabled", "unavailable", "poisoned"):
-            assert (
-                registry.counter(
-                    "pstorm_matcher_index_misses_total", labels={"reason": reason}
-                ).value
-                == 0
-            )
 
     def test_degraded_results_are_not_cached(self, cluster, wordcount, small_text):
         set_default_injector(FaultInjector(outage_plan(seed=3)))

@@ -230,7 +230,7 @@ class TestLeakProof:
 
 
 class TestReadYourWrites:
-    def test_pending_local_writes_poison_the_shared_index(self):
+    def test_pending_local_writes_probe_the_replica_index(self):
         store, specs = TestGenerationProtocol()._store()
         with SharedIndexPublisher(store, registry=MetricsRegistry()) as publisher:
             publisher.publish()
@@ -244,21 +244,21 @@ class TestReadYourWrites:
                     "pstorm_matcher_index_hits_total"
                 ).value == 1
                 # A worker-local write: the shared view no longer covers
-                # this worker's store, so the indexed path must poison
-                # itself and the scan path (which sees the write) serves.
+                # this worker's store, so the probe runs on the replica's
+                # own index view (which sees the write), raising nothing.
                 proxy.put(
                     make_profile("local", specs[1]), make_static(specs[1])
                 )
                 assert proxy.has_pending_local()
+                assert proxy.index_view() is not client.view()
                 outcome = matcher.match_job(probe)
                 scan = ProfileMatcher(
                     proxy._replica, registry=MetricsRegistry(), use_index=False
                 )
                 assert outcome == scan.match_job(probe)
                 assert registry.counter(
-                    "pstorm_matcher_index_misses_total",
-                    labels={"reason": "poisoned"},
-                ).value >= 1
+                    "pstorm_matcher_index_hits_total"
+                ).value == 2
                 # Parent absorbs the write and republishes: pending
                 # clears, the indexed path resumes.
                 drained = proxy.drain_outbox()
@@ -277,6 +277,7 @@ class TestReadYourWrites:
                 publisher.publish()
                 matcher.match_job(probe)
                 assert not proxy.has_pending_local()
+                assert proxy.index_view() is client.view()
                 assert registry.counter(
                     "pstorm_matcher_index_hits_total"
-                ).value == 2
+                ).value == 3

@@ -126,6 +126,32 @@ class TestWorkflows:
         # Word count aggressively aggregates: output ≪ input.
         assert derived.nominal_bytes < small_text.nominal_bytes
 
+    def test_rerun_chain_hits_the_measurement_cache(
+        self, cluster, wordcount, small_text
+    ):
+        from repro.hadoop.job import MapReduceJob
+        from repro.observability import MetricsRegistry
+
+        def count_map(word, count, ctx):
+            ctx.emit("total", count)
+
+        def count_reduce(key, counts, ctx):
+            ctx.emit(key, sum(counts))
+
+        totaler = MapReduceJob(name="totaler", mapper=count_map, reducer=count_reduce)
+        registry = MetricsRegistry()
+        pstorm = PStorM(HadoopEngine(cluster, registry=registry), registry=registry)
+        stages = [ChainStage(wordcount, input_from="source"), ChainStage(totaler)]
+        misses = registry.counter("hadoop_engine_map_cache_misses_total")
+        first = run_chain(pstorm, stages, small_text)
+        after_first = misses.value
+        second = run_chain(pstorm, stages, small_text)
+        # The derived stage-2 input of the re-run equals the first run's,
+        # so its measurements come from the cache.
+        assert after_first > 0
+        assert misses.value == after_first
+        assert second.stages[1].dataset == first.stages[1].dataset
+
     def test_source_stages_reread_input(self, pstorm, wordcount, small_text):
         result = run_chain(
             pstorm,

@@ -12,9 +12,11 @@ every store configuration.
   with the store's history.
 * **Differential.** A Hypothesis ``RuleBasedStateMachine`` drives
   {memory, durable} x {flat, sharded} stores through puts, overwrites,
-  deletes, probes, flushes, compactions and (durable) crashes.  After
-  every step the store's reads equal a dict model and an in-memory flat
-  reference store fed the same acknowledged writes.
+  deletes, probes, flushes, compactions, (sharded) rebalances and
+  (durable) crashes and snapshot/restore cycles.  After every step the
+  store's reads equal a dict model and an in-memory flat reference store
+  fed the same acknowledged writes; every probe's indexed outcome equals
+  the store's own scan path and the reference store's.
 """
 
 import copy
@@ -368,16 +370,25 @@ class WritePathMachine(RuleBasedStateMachine):
         self.reference.delete(job_id)
         del self.model[job_id]
 
-    @rule(spec=job_spec)
-    def probe(self, spec):
+    def _assert_probe(self, spec):
+        """The store's indexed outcome equals its own scan path and the
+        reference store's."""
         features = make_features(spec)
         got = ProfileMatcher(self.store, registry=MetricsRegistry()).match_job(
             features
         )
+        scan = ProfileMatcher(
+            self.store, registry=MetricsRegistry(), use_index=False
+        ).match_job(features)
         want = ProfileMatcher(
             self.reference, registry=MetricsRegistry()
         ).match_job(features)
+        assert got == scan
         assert got == want
+
+    @rule(spec=job_spec)
+    def probe(self, spec):
+        self._assert_probe(spec)
 
     @rule(compact=st.booleans())
     def flush_or_compact(self, compact):
@@ -394,6 +405,27 @@ class WritePathMachine(RuleBasedStateMachine):
         # No close(): a crash abandons the process; every acked write
         # already passed its fsync point.
         self.store = self._open(self._reopen_kwargs())
+
+    @precondition(lambda self: self.durable)
+    @rule(spec=job_spec)
+    def snapshot_then_restore(self, spec):
+        # A clean restart: the reopened index warms from the checkpoint
+        # (plus whatever WAL tail follows it) instead of rebuilding.
+        self.store.snapshot()
+        _close(self.store)
+        registry = MetricsRegistry()
+        self.store = ProfileStore.restore(
+            self.data_dir, registry=registry, **self._reopen_kwargs()
+        )
+        self._assert_probe(spec)
+        assert registry.counter("pstorm_match_index_checkpoint_loads_total").value == 1
+        assert registry.counter("pstorm_matcher_index_rebuilds_total").value == 0
+
+    @precondition(lambda self: self.layout.get("shard_index"))
+    @rule(spec=job_spec)
+    def rebalance(self, spec):
+        self.store.hbase.rebalance()
+        self._assert_probe(spec)
 
     @precondition(lambda self: self.durable)
     @rule(spec=job_spec, kill_at=st.integers(min_value=0, max_value=12))
