@@ -871,17 +871,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status of a command ended by a ``--chaos crash-point:N`` kill.
+EXIT_CRASHED = 3
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
     A reader that closes stdout early (``repro list-jobs | head -1``)
-    ends the command quietly with status 1 instead of a traceback.
+    ends the command quietly with status 1 instead of a traceback.  A
+    simulated process kill (the ``crash-point`` chaos preset) ends it
+    with one ``repro:`` line naming the killed operation and status
+    :data:`EXIT_CRASHED`.
     """
+    from .hbase.errors import SimulatedCrashError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         status = args.handler(args)
         sys.stdout.flush()
+    except SimulatedCrashError as crash:
+        print(f"repro: {crash}", file=sys.stderr)
+        return EXIT_CRASHED
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's own flush at exit
         # cannot hit the closed pipe again (the recipe in the Python

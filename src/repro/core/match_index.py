@@ -94,10 +94,13 @@ key, with the per-partition id rank offset by the partition's start, so
 it orders exactly as the job id does.  The similarity histogram gets
 one ``observe_many`` of the candidates' similarities in id-rank order,
 the scan path's per-candidate order, so its float sum is bit-identical.
-The id-list methods (:meth:`IndexView.euclidean_stage` and friends) are
-adapters over the same row kernels: ids to rows in, rows to sorted ids
-out.  ``tests/test_match_index.py`` holds the Hypothesis proof over flat
-and sharded stores, in-process and shared-memory views.
+The view speaks rows only: the matcher's index stage source
+(:class:`~repro.core.matcher.ProfileMatcher`) runs the one Fig 4.4
+funnel on these row stages, and :meth:`IndexView.live_rows` is where a
+stage order that skips the dynamic filter (the §4.3 statics-first
+ablation) starts.  ``tests/test_match_index.py`` holds the Hypothesis
+proof over flat and sharded stores, in-process and shared-memory views,
+converting ids to rows and back with a test helper.
 
 A view splits into a picklable meta blob plus named numpy arrays
 (:meth:`IndexView.export_meta` / :meth:`~IndexView.export_arrays`) so
@@ -114,7 +117,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -313,31 +316,10 @@ class IndexView:
     def partition_count(self) -> int:
         return len(self._parts)
 
-    # ------------------------------------------------------------------
-    # Id adapters (the id-list stage methods' way in and out)
-    # ------------------------------------------------------------------
-    def _rows_of(self, candidates: Iterable[str]) -> Rows:
-        """The live rows of the candidate ids, ascending per partition."""
-        wanted = set(candidates)
-        per_part = []
-        for part in self._parts:
-            rows = np.asarray(
-                [
-                    row
-                    for row, job_id in enumerate(part.ids.tolist())
-                    if job_id in wanted
-                ],
-                dtype=np.intp,
-            )
-            per_part.append(rows[part.active[rows]])
-        return Rows(per_part)
-
-    def _ids_of(self, rows: Rows) -> list[str]:
-        return sorted(
-            job_id
-            for part, part_rows in zip(self._parts, rows.per_part)
-            for job_id in part.ids[part_rows].tolist()
-        )
+    def live_rows(self) -> Rows:
+        """Every live row: the candidates a stage order that does not
+        start with the dynamic filter begins from."""
+        return Rows(np.flatnonzero(part.active) for part in self._parts)
 
     def _pruned(
         self, side: str, kind: str, probes: np.ndarray, threshold: float
@@ -689,52 +671,6 @@ class IndexView:
                 break
             best -= len(rows)
         return self._parts[position].ids[rows[best]]
-
-    # ------------------------------------------------------------------
-    # Id-list stages: adapters over the row stages
-    # ------------------------------------------------------------------
-    def euclidean_stage(
-        self,
-        side: str,
-        kind: str,
-        probe: list[float],
-        threshold: float,
-        candidates: list[str] | None = None,
-    ) -> list[str]:
-        """Vectorized twin of :meth:`ProfileStore.euclidean_stage`."""
-        rows = None if candidates is None else self._rows_of(candidates)
-        return self._ids_of(
-            self.euclidean_rows(side, kind, [probe], threshold, rows)[0]
-        )
-
-    def cfg_stage(
-        self, side: str, probe_cfg: ControlFlowGraph, candidates: list[str]
-    ) -> list[str]:
-        """Memoized twin of :meth:`ProfileStore.cfg_stage`."""
-        return self._ids_of(self.cfg_rows(side, probe_cfg, self._rows_of(candidates)))
-
-    def jaccard_stage(
-        self, probe: Mapping[str, str], threshold: float, candidates: list[str]
-    ) -> list[str]:
-        """Vectorized twin of :meth:`ProfileStore.jaccard_stage`."""
-        return self._ids_of(
-            self.jaccard_rows(probe, threshold, self._rows_of(candidates))
-        )
-
-    def tie_break(
-        self,
-        candidates: list[str],
-        input_bytes: int,
-        side_statics: Mapping[str, str],
-        side: str,
-    ) -> str:
-        """Vectorized twin of ``ProfileMatcher._tie_break``."""
-        winner = self.tie_break_rows(
-            self._rows_of(candidates), input_bytes, side_statics
-        )
-        if winner is None:
-            raise KeyError(f"no indexed candidates among {candidates!r}")
-        return winner
 
     # ------------------------------------------------------------------
     # Split codec (meta blob + named arrays)

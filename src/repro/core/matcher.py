@@ -51,6 +51,7 @@ from .similarity import (
 from .store import DYNAMIC_PREFIX, STATIC_PREFIX, ProfileStore
 
 if TYPE_CHECKING:
+    from ..analysis.cfg import ControlFlowGraph
     from .match_index import IndexView, Rows
 
 __all__ = [
@@ -125,30 +126,130 @@ class Stage1Batch:
         return self._by_probe.get(id(features), {}).get(side)
 
 
+class _IndexStages:
+    """The Fig 4.4 stages on one :class:`IndexView`: :class:`Rows` in,
+    :class:`Rows` out.
+
+    Each stage emits the ``pstorm.store.probe`` span and candidate-size
+    histogram a store scan does (tagged ``via=index``), plus the index's
+    own probe-latency histogram; only the tie-break winner's job id is
+    ever built.
+    """
+
+    def __init__(self, matcher: "ProfileMatcher", view: "IndexView") -> None:
+        self.view = view
+        self._registry = get_registry(matcher.registry)
+        self._tracer = get_tracer(matcher.tracer)
+
+    def _stage(self, stage: str, prefix: str, call: Callable[[], "Rows"]) -> "Rows":
+        began = perf_counter()
+        with self._tracer.span(
+            "pstorm.store.probe", stage=stage, prefix=prefix, via="index"
+        ):
+            result = call()
+        self._registry.histogram(
+            "pstorm_matcher_index_probe_seconds",
+            "wall-clock latency of one indexed matcher stage",
+            labels={"stage": stage},
+            buckets=LATENCY_BUCKETS,
+        ).observe(perf_counter() - began)
+        self._registry.histogram(
+            "pstorm_store_candidates",
+            "candidate-set size surviving one store stage",
+            labels={"stage": stage},
+            buckets=COUNT_BUCKETS,
+        ).observe(len(result))
+        return result
+
+    def live(self) -> "Rows":
+        return self.view.live_rows()
+
+    def euclidean(
+        self,
+        side: str,
+        kind: str,
+        probe: tuple[float, ...],
+        threshold: float,
+        candidates: "Rows | None" = None,
+    ) -> "Rows":
+        return self._stage(
+            f"euclidean-{side}-{kind}",
+            DYNAMIC_PREFIX,
+            lambda: self.view.euclidean_rows(
+                side, kind, [probe], threshold, candidates
+            )[0],
+        )
+
+    def cfg(
+        self, side: str, probe_cfg: "ControlFlowGraph", candidates: "Rows"
+    ) -> "Rows":
+        return self._stage(
+            f"cfg-{side}",
+            STATIC_PREFIX,
+            lambda: self.view.cfg_rows(side, probe_cfg, candidates),
+        )
+
+    def jaccard(
+        self, probe: dict[str, str], threshold: float, candidates: "Rows"
+    ) -> "Rows":
+        return self._stage(
+            "jaccard",
+            STATIC_PREFIX,
+            lambda: self.view.jaccard_rows(probe, threshold, candidates),
+        )
+
+    def tie_break(
+        self,
+        candidates: "Rows",
+        input_bytes: int,
+        side_statics: dict[str, str],
+        side: str,
+    ) -> str:
+        score_hist = self._registry.histogram(
+            "pstorm_matcher_tiebreak_similarity",
+            "Jaccard similarity of tie-break candidates to the probe",
+            labels={"side": side},
+            buckets=DEFAULT_BUCKETS,
+        )
+        return self.view.tie_break_rows(
+            candidates, input_bytes, side_statics,
+            observe_many=score_hist.observe_many,
+        )
+
+
+class _ScanStages:
+    """The Fig 4.4 stages as the store's §5.3 filtered scans: job-id
+    lists in and out.  The store traces and meters each scan itself."""
+
+    def __init__(self, matcher: "ProfileMatcher") -> None:
+        store = matcher.store
+        self.live = store.job_ids
+        self.euclidean = store.euclidean_stage
+        self.cfg = store.cfg_stage
+        self.jaccard = store.jaccard_stage
+        self.tie_break = matcher._tie_break
+
+
 class ProfileMatcher:
     """Matches submitted jobs to stored profiles via the Fig 4.4 stages.
 
-    Two execution paths answer the same workflow:
+    The side workflow is written once (:meth:`_funnel`) over a *stage
+    source* that ``use_index`` picks per matcher:
 
-    - **indexed** (default) — each side takes one immutable
+    - **index** (default) — each side takes one immutable
       :class:`~repro.core.match_index.IndexView` from the store's match
       index and runs every stage on it: one vectorized
-      normalized-Euclidean/Jaccard pass over the candidate block, with
+      normalized-Euclidean/Jaccard pass over the candidate rows, with
       memoized CFG verdicts.
-    - **scan** — the original filtered range scans (§5.3 pushdown);
-      the property-tested reference.  It runs only when the caller asks
-      for it (``use_index=False``: the pushdown ablation and the test
-      oracles) or the stage order differs (:class:`StaticsFirstMatcher`).
+    - **scan** (``use_index=False``) — the store's filtered range scans
+      (§5.3 pushdown); the §5.3 ablation meters them, and the tests use
+      this source as the property-tested reference.
 
-    Nothing switches paths mid-probe.  Publishing a view may replay the
+    Nothing switches sources mid-probe.  Publishing a view may replay the
     index rebuild's snapshot scans; behind ``ResilientProfileStore``
     they retry like every store scan, and an exhausted budget raises
     ``StoreUnavailableError``, which ``PStorM.submit`` degrades to RBO.
     """
-
-    #: Subclasses that override ``_match_side_inner`` with a different
-    #: stage order must opt out of the indexed dispatch.
-    _index_capable = True
 
     def __init__(
         self,
@@ -166,8 +267,8 @@ class ProfileMatcher:
                 side as in §6.
             registry, tracer: observability sinks; None falls back to the
                 module defaults.
-            use_index: probe the columnar match index; False runs the
-                scan path.
+            use_index: run the stages on the columnar match index;
+                False runs them as the store's filtered scans.
         """
         self.store = store
         self.jaccard_threshold = jaccard_threshold
@@ -240,75 +341,32 @@ class ProfileMatcher:
         return min(candidates, key=sort_key)
 
     # ------------------------------------------------------------------
-    # Indexed-path plumbing
+    # The Fig 4.4 side workflow, once, over either stage source
     # ------------------------------------------------------------------
-    def _probe_view(self) -> "IndexView | None":
-        """A fresh view of the store's match index, or None when this
-        matcher runs the scan path."""
-        if not (self.use_index and self._index_capable):
-            return None
-        return self.store.index_view()
-
-    def _index_stage(
-        self, stage: str, prefix: str, call: Callable[[], "Rows"]
-    ) -> "Rows":
-        """Run one indexed stage with scan-path observability parity.
-
-        Emits the same ``pstorm.store.probe`` span and candidate-size
-        histogram the scan path's ``scan_job_ids`` does (tagged
-        ``via=index``), plus the index's own probe-latency histogram.
-        """
-        registry = get_registry(self.registry)
-        tracer = get_tracer(self.tracer)
-        began = perf_counter()
-        with tracer.span(
-            "pstorm.store.probe", stage=stage, prefix=prefix, via="index"
-        ):
-            result = call()
-        registry.histogram(
-            "pstorm_matcher_index_probe_seconds",
-            "wall-clock latency of one indexed matcher stage",
-            labels={"stage": stage},
-            buckets=LATENCY_BUCKETS,
-        ).observe(perf_counter() - began)
-        registry.histogram(
-            "pstorm_store_candidates",
-            "candidate-set size surviving one store stage",
-            labels={"stage": stage},
-            buckets=COUNT_BUCKETS,
-        ).observe(len(result))
-        return result
-
-    def _match_side_indexed(
+    def _funnel(
         self,
-        view: "IndexView",
+        stages: "_IndexStages | _ScanStages",
         features: JobFeatures,
         side: str,
         stage1: "Rows | None" = None,
     ) -> SideMatch:
-        """The Fig 4.4 workflow over one index view.
+        """The Fig 4.4 workflow for one side over *stages*.
 
-        Stage-for-stage mirror of :meth:`_match_side_inner` — same
-        thresholds, same funnel keys, same terminal stages — with the
-        store scans replaced by index probes that hand each other row
-        arrays; only the winner's job id is ever built.  *stage1*
-        short-circuits the dynamic filter with survivors a batched
-        broadcast already computed (:meth:`precompute_stage1`); the
-        broadcast kernel is bit-identical to the scalar stage, so the
-        funnel and outcome are byte-identical either way.
+        Candidates are whatever the source hands between its stages
+        (index :class:`Rows` or store job-id lists); only their size
+        enters the funnel.  *stage1* short-circuits the dynamic filter
+        with survivors a batched broadcast already computed
+        (:meth:`precompute_stage1`); the broadcast kernel is
+        bit-identical to the scalar stage, so the funnel and outcome are
+        byte-identical either way.
         """
         flow, costs, statics, cfg = features.side_vectors(side)
         funnel: dict[str, int] = {}
 
-        if stage1 is not None:
-            survivors = stage1
-        else:
-            survivors = self._index_stage(
-                f"euclidean-{side}-flow",
-                DYNAMIC_PREFIX,
-                lambda: view.euclidean_rows(
-                    side, "flow", [flow], self._theta_eucl(len(flow))
-                )[0],
+        survivors = stage1
+        if survivors is None:
+            survivors = stages.euclidean(
+                side, "flow", flow, self._theta_eucl(len(flow))
             )
         funnel["dynamic"] = len(survivors)
         if not survivors:
@@ -316,57 +374,27 @@ class ProfileMatcher:
         stage1_survivors = survivors
 
         if cfg is not None:
-            survivors = self._index_stage(
-                f"cfg-{side}",
-                STATIC_PREFIX,
-                lambda: view.cfg_rows(side, cfg, survivors),
-            )
+            survivors = stages.cfg(side, cfg, survivors)
         funnel["cfg"] = len(survivors)
 
         if survivors:
-            survivors = self._index_stage(
-                "jaccard",
-                STATIC_PREFIX,
-                lambda: view.jaccard_rows(
-                    statics, self.jaccard_threshold, survivors
-                ),
-            )
+            survivors = stages.jaccard(statics, self.jaccard_threshold, survivors)
         funnel["jaccard"] = len(survivors)
 
-        score_hist = get_registry(self.registry).histogram(
-            "pstorm_matcher_tiebreak_similarity",
-            "Jaccard similarity of tie-break candidates to the probe",
-            labels={"side": side},
-            buckets=DEFAULT_BUCKETS,
-        )
         if survivors:
-            winner = view.tie_break_rows(
-                survivors,
-                features.input_bytes,
-                statics,
-                observe_many=score_hist.observe_many,
-            )
+            winner = stages.tie_break(survivors, features.input_bytes, statics, side)
             return SideMatch(side, winner, "static", funnel)
 
-        fallback = self._index_stage(
-            f"euclidean-{side}-cost",
-            DYNAMIC_PREFIX,
-            lambda: view.euclidean_rows(
-                side,
-                "cost",
-                [costs],
-                self._theta_eucl(6),
-                candidates=stage1_survivors,
-            )[0],
+        # Previously unseen job: fall back to cost factors over the
+        # stage-1 survivors (C' in the paper).  §6 defines θ_Eucl as
+        # ½·√(number of dynamic features) — six per Table 4.1 — which we
+        # use verbatim for this lenient last-resort filter.
+        fallback = stages.euclidean(
+            side, "cost", costs, self._theta_eucl(6), stage1_survivors
         )
         funnel["cost-fallback"] = len(fallback)
         if fallback:
-            winner = view.tie_break_rows(
-                fallback,
-                features.input_bytes,
-                statics,
-                observe_many=score_hist.observe_many,
-            )
+            winner = stages.tie_break(fallback, features.input_bytes, statics, side)
             return SideMatch(side, winner, "cost-fallback", funnel)
         return SideMatch(side, None, "no-match", funnel)
 
@@ -383,11 +411,8 @@ class ProfileMatcher:
         with tracer.span(
             "pstorm.match_side", side=side, job=features.job_name
         ) as span:
-            view = self._probe_view()
-            if view is None:
-                match = self._match_side_inner(features, side)
-                span.set_attr("via", "scan")
-            else:
+            if self.use_index:
+                view = self.store.index_view()
                 # The broadcast survivor rows are only valid against the
                 # exact view they were priced on; any write (or
                 # republish) since then re-runs the scalar stage instead.
@@ -396,8 +421,8 @@ class ProfileMatcher:
                     if stage1 is not None and view is stage1.view
                     else None
                 )
-                match = self._match_side_indexed(
-                    view, features, side, stage1=precomputed
+                match = self._funnel(
+                    _IndexStages(self, view), features, side, precomputed
                 )
                 registry.counter(
                     "pstorm_matcher_index_hits_total",
@@ -405,53 +430,13 @@ class ProfileMatcher:
                 ).inc()
                 span.set_attr("via", "index")
                 span.set_attr("partitions", view.partition_count)
+            else:
+                match = self._funnel(_ScanStages(self), features, side)
+                span.set_attr("via", "scan")
             span.set_attr("stage", match.stage)
             span.set_attr("matched", match.matched)
         self._record_side_match(match)
         return match
-
-    def _match_side_inner(self, features: JobFeatures, side: str) -> SideMatch:
-        flow, costs, statics, cfg = features.side_vectors(side)
-        funnel: dict[str, int] = {}
-
-        survivors = self.store.euclidean_stage(
-            side, "flow", list(flow), self._theta_eucl(len(flow))
-        )
-        funnel["dynamic"] = len(survivors)
-        if not survivors:
-            return SideMatch(side, None, "no-match-dynamic", funnel)
-        stage1_survivors = survivors
-
-        if cfg is not None:
-            survivors = self.store.cfg_stage(side, cfg, survivors)
-        funnel["cfg"] = len(survivors)
-
-        if survivors:
-            survivors = self.store.jaccard_stage(
-                statics, self.jaccard_threshold, survivors
-            )
-        funnel["jaccard"] = len(survivors)
-
-        if survivors:
-            winner = self._tie_break(survivors, features.input_bytes, statics, side)
-            return SideMatch(side, winner, "static", funnel)
-
-        # Previously unseen job: fall back to cost factors over the
-        # stage-1 survivors (C' in the paper).  §6 defines θ_Eucl as
-        # ½·√(number of dynamic features) — six per Table 4.1 — which we
-        # use verbatim for this lenient last-resort filter.
-        fallback = self.store.euclidean_stage(
-            side,
-            "cost",
-            list(costs),
-            self._theta_eucl(6),
-            candidates=stage1_survivors,
-        )
-        funnel["cost-fallback"] = len(fallback)
-        if fallback:
-            winner = self._tie_break(fallback, features.input_bytes, statics, side)
-            return SideMatch(side, winner, "cost-fallback", funnel)
-        return SideMatch(side, None, "no-match", funnel)
 
     # ------------------------------------------------------------------
     # Batched stage-1 (the coalescing frontends' vectorized probe)
@@ -463,15 +448,13 @@ class ProfileMatcher:
 
         Returns a :class:`Stage1Batch` the per-item :meth:`match_job`
         calls consume, or ``None`` whenever the batched path cannot be
-        bit-identical to the scalar one — the scan path or mixed probe
+        bit-identical to the scalar one — the scan source or mixed probe
         widths — in which case callers simply match item by item.
         Raises what publishing the view raises.
         """
-        if len(features_list) < 2:
+        if len(features_list) < 2 or not self.use_index:
             return None
-        view = self._probe_view()
-        if view is None:
-            return None
+        view = self.store.index_view()
         per_side: dict[str, list[tuple[JobFeatures, tuple[float, ...]]]] = {
             "map": [],
             "reduce": [],
@@ -577,40 +560,38 @@ class StaticsFirstMatcher(ProfileMatcher):
     previously unseen job loses its composition donors; and the same
     program under different user parameters (incompatible profiles!)
     sails through the static filters, to be mis-served later.  This class
-    exists for the ablation that *measures* that argument.
+    exists for the ablation that *measures* that argument: it is only its
+    stage order, over whichever stage source ``use_index`` picks, and it
+    starts from every live candidate instead of the dynamic filter.
     """
 
-    #: Different stage order — the columnar index encodes the Fig 4.4
-    #: pipeline, so this ablation always takes the scan path.
-    _index_capable = False
-
-    def _match_side_inner(self, features: JobFeatures, side: str) -> SideMatch:
-        flow, costs, statics, cfg = features.side_vectors(side)
+    def _funnel(
+        self,
+        stages: "_IndexStages | _ScanStages",
+        features: JobFeatures,
+        side: str,
+        stage1: "Rows | None" = None,
+    ) -> SideMatch:
+        flow, __, statics, cfg = features.side_vectors(side)
         funnel: dict[str, int] = {}
 
-        survivors = self.store.job_ids()
+        survivors = stages.live()
         if cfg is not None:
-            survivors = self.store.cfg_stage(side, cfg, survivors)
+            survivors = stages.cfg(side, cfg, survivors)
         funnel["cfg"] = len(survivors)
 
         if survivors:
-            survivors = self.store.jaccard_stage(
-                statics, self.jaccard_threshold, survivors
-            )
+            survivors = stages.jaccard(statics, self.jaccard_threshold, survivors)
         funnel["jaccard"] = len(survivors)
 
         if survivors:
-            survivors = self.store.euclidean_stage(
-                side,
-                "flow",
-                list(flow),
-                self._theta_eucl(len(flow)),
-                candidates=survivors,
+            survivors = stages.euclidean(
+                side, "flow", flow, self._theta_eucl(len(flow)), survivors
             )
         funnel["dynamic"] = len(survivors)
 
         if survivors:
-            winner = self._tie_break(survivors, features.input_bytes, statics, side)
+            winner = stages.tie_break(survivors, features.input_bytes, statics, side)
             return SideMatch(side, winner, "static", funnel)
         return SideMatch(side, None, "no-match", funnel)
 

@@ -374,42 +374,6 @@ class PStorM:
             result = replace(result, metrics=registry_to_dict(registry))
         return result
 
-    def submit_batch(
-        self,
-        submissions: "list[tuple[MapReduceJob, Dataset, JobConfiguration | None, int]]",
-    ) -> list[SubmissionResult]:
-        """Serve several submissions with one vectorized stage-1 probe.
-
-        Samples every job first (sampling never touches the store), then
-        prices all dynamic filters in a single broadcast
-        (:meth:`ProfileMatcher.precompute_stage1`) and walks the
-        submissions *in order* through the same per-item workflow as
-        :meth:`submit`.  The broadcast is pinned to the index generation
-        it was priced at: the first miss-path store write invalidates it
-        and later items re-run the scalar stage — which is exactly what
-        sequential submission would have seen — so the results are
-        byte-identical to calling :meth:`submit` item by item.
-        """
-        normalized = [
-            (job, dataset, config if config is not None else JobConfiguration(), seed)
-            for job, dataset, config, seed in submissions
-        ]
-        presampled, stage1 = self.prepare_batch(normalized)
-        results = []
-        for (job, dataset, config, seed), sampled in zip(normalized, presampled):
-            if isinstance(sampled, Exception):
-                # Re-run the scalar path so the exception escapes with
-                # exactly the message sequential submission would raise.
-                results.append(self.submit(job, dataset, config, seed=seed))
-            else:
-                results.append(
-                    self.submit(
-                        job, dataset, config, seed=seed,
-                        _presampled=sampled, _stage1=stage1,
-                    )
-                )
-        return results
-
     def prepare_batch(
         self,
         submissions: "list[tuple[MapReduceJob, Dataset, JobConfiguration | None, int]]",

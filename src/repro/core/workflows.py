@@ -76,10 +76,6 @@ class WorkflowResult:
         """End-to-end chain latency (stages run back to back)."""
         return sum(stage.runtime_seconds for stage in self.stages)
 
-    @property
-    def total_sampling_seconds(self) -> float:
-        return sum(stage.submission.sampling_seconds for stage in self.stages)
-
     def matched_stages(self) -> int:
         return sum(1 for stage in self.stages if stage.submission.matched)
 

@@ -287,26 +287,6 @@ class HBaseCluster:
         ).inc()
         return flushed
 
-    def compact_all(self, force: bool = True) -> int:
-        """Flush then fully compact every region's store.
-
-        With ``force=True`` (the default) single-table stores are
-        rewritten too, so every store ends as one deep run.  Returns
-        regions compacted.
-        """
-        compacted = 0
-        seen: set[int] = set()
-        for server in self.servers.values():
-            for region in server.regions:
-                if id(region) in seen:
-                    continue
-                seen.add(id(region))
-                region.store.flush()
-                region.store.compact(force=force)
-                compacted += 1
-        self._write_meta()
-        return compacted
-
     # ------------------------------------------------------------------
     # Region placement
     # ------------------------------------------------------------------

@@ -121,13 +121,6 @@ class Region:
         self.store = store
 
     # ------------------------------------------------------------------
-    def contains_key(self, row_key: str) -> bool:
-        if row_key < self.start_key:
-            return False
-        if self.end_key is not None and row_key >= self.end_key:
-            return False
-        return True
-
     @property
     def num_rows(self) -> int:
         return self.store.num_keys

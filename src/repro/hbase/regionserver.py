@@ -85,20 +85,6 @@ class RegionServer:
         """
         return sum(len(region.families) for region in self._regions)
 
-    def flush_regions(self) -> int:
-        """Flush every hosted region's memstore (checkpoint support).
-
-        Returns how many regions actually flushed — regions with an
-        empty memstore are no-ops, like a real HMaster-triggered flush.
-        """
-        flushed = 0
-        for region in self._regions:
-            before = region.store.flushes
-            region.store.flush()
-            if region.store.flushes != before:
-                flushed += 1
-        return flushed
-
     # ------------------------------------------------------------------
     def scan_region(
         self,

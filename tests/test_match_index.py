@@ -30,7 +30,12 @@ from repro.analysis.static_features import STATIC_FEATURE_NAMES, StaticFeatures
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.chaos.retry import StoreUnavailableError
 from repro.core.features import JobFeatures
-from repro.core.matcher import ProfileMatcher, StaticsFirstMatcher
+from repro.core.match_index import Rows
+from repro.core.matcher import (
+    ParamAwareMatcher,
+    ProfileMatcher,
+    StaticsFirstMatcher,
+)
 from repro.core.resilient import ResilientProfileStore
 from repro.core.similarity import normalize_block
 from repro.core.shm_index import SharedIndexClient, SharedIndexPublisher
@@ -168,6 +173,37 @@ _settings = settings(
 )
 
 
+def rows_of(view, job_ids):
+    """The live rows of *job_ids* in *view*, ascending per partition."""
+    wanted = set(job_ids)
+    return Rows(
+        np.asarray(
+            [
+                row
+                for row, job_id in enumerate(part.ids.tolist())
+                if job_id in wanted and part.active[row]
+            ],
+            dtype=np.intp,
+        )
+        for part in view._parts
+    )
+
+
+def ids_of(view, rows):
+    """The sorted job ids of *rows* in *view*."""
+    return sorted(
+        job_id
+        for part, part_rows in zip(view._parts, rows.per_part)
+        for job_id in part.ids[part_rows].tolist()
+    )
+
+
+def euclidean_ids(view, side, kind, probe, threshold, candidates=None):
+    """The index's Euclidean stage over job ids, like the store's."""
+    rows = None if candidates is None else rows_of(view, candidates)
+    return ids_of(view, view.euclidean_rows(side, kind, [probe], threshold, rows)[0])
+
+
 def assert_no_silent_fallback(registry, expected_hits):
     """The equivalence proof is vacuous if the indexed path did not
     answer — pin that it really answered every side probe."""
@@ -209,12 +245,13 @@ def probed_through(store, transport):
 
 def assert_outcome_identical(
     layout, transport, jobs, deletes, probe, late=(), late_delete=None,
-    **thresholds,
+    matcher_cls=ProfileMatcher, **thresholds,
 ):
-    """The equivalence property: a long-lived indexed matcher probing a
-    *layout* store through *transport* returns the scan path's
-    ``MatchOutcome``, before and — when *late* puts or a *late_delete*
-    are given — after those writes land and are republished.
+    """The equivalence property: a long-lived *matcher_cls* probing a
+    *layout* store's index through *transport* returns the
+    ``MatchOutcome`` the same class returns on the scan source, before
+    and — when *late* puts or a *late_delete* are given — after those
+    writes land and are republished.
 
     On a sharded store the late writes split and merge regions between
     the probes; over shared memory the republish flips the worker's view
@@ -222,7 +259,7 @@ def assert_outcome_identical(
     """
     store, job_ids = build_store(jobs, deletes, **LAYOUTS[layout])
     features = make_features(probe)
-    scan = ProfileMatcher(
+    scan = matcher_cls(
         store, registry=MetricsRegistry(), use_index=False, **thresholds
     )
     registry = MetricsRegistry()
@@ -230,7 +267,7 @@ def assert_outcome_identical(
     with probed_through(store, transport) as (target, republish):
         # One long-lived indexed matcher; the scan matcher is ground
         # truth at each step.
-        indexed = ProfileMatcher(target, registry=registry, **thresholds)
+        indexed = matcher_cls(target, registry=registry, **thresholds)
         assert indexed.match_job(features) == scan.match_job(features)
         if late or late_delete is not None:
             view_before = getattr(target, "view_generation", None)
@@ -293,6 +330,32 @@ class TestEquivalence:
         )
 
 
+class TestEveryMatcherAgreesAcrossSources:
+    """Each matcher class runs its stage order on either stage source:
+    on flat and sharded stores, across incremental writes, the index
+    source returns the scan source's winners, terminal stages and
+    funnels."""
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    @pytest.mark.parametrize(
+        "matcher_cls", [ProfileMatcher, StaticsFirstMatcher, ParamAwareMatcher]
+    )
+    @_settings
+    @given(
+        jobs=_jobs, deletes=_deletes, late=_late, late_delete=_late_delete,
+        probe=job_spec, jaccard=_jaccard, euclidean=_euclidean,
+    )
+    def test_side_matches_identical(
+        self, layout, matcher_cls, jobs, deletes, late, late_delete, probe,
+        jaccard, euclidean,
+    ):
+        assert_outcome_identical(
+            layout, "in-process", jobs, deletes, probe, late, late_delete,
+            matcher_cls=matcher_cls,
+            jaccard_threshold=jaccard, euclidean_threshold=euclidean,
+        )
+
+
 def _spec(**overrides):
     """A deterministic baseline job spec for the unit tests."""
     spec = {
@@ -324,8 +387,8 @@ class TestCoherence:
         index.ensure_fresh()
         assert rebuilds.value == 1  # applied incrementally, no snapshot scan
         assert index.generation == store.generation
-        survivors = index.view().euclidean_stage(
-            "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
+        survivors = euclidean_ids(
+            index.view(), "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
         )
         assert new_id in survivors
 
@@ -338,8 +401,8 @@ class TestCoherence:
         store.delete(job_ids[0])
         index.ensure_fresh()
         assert rebuilds.value == 1
-        survivors = index.view().euclidean_stage(
-            "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
+        survivors = euclidean_ids(
+            index.view(), "map", "flow", [0.5, 0.5, 1.0, 1.0], 10.0
         )
         assert job_ids[0] not in survivors
         assert job_ids[1] in survivors
@@ -355,8 +418,8 @@ class TestCoherence:
         index.ensure_fresh()
         assert rebuilds.value == 2  # in-place history is not replayable
         assert index.generation == store.generation
-        tie = index.view().tie_break(job_ids, 7, {}, "map")
-        assert tie == job_ids[0]
+        view = index.view()
+        assert view.tie_break_rows(rows_of(view, job_ids), 7, {}) == job_ids[0]
 
     def test_generation_tracks_every_write(self):
         store, job_ids = build_store([_spec(), _spec()])
@@ -491,12 +554,16 @@ class TestFallbackLadder:
         assert [span.attrs["via"] for span in sides] == ["scan", "scan"]
         assert store._match_index is None  # never built
 
-    def test_statics_first_ablation_never_probes_the_index(self):
+    def test_statics_first_ablation_runs_on_the_index(self):
         store, __ = build_store([_spec()])
         registry = MetricsRegistry()
         matcher = StaticsFirstMatcher(store, registry=registry)
-        matcher.match_job(make_features(_spec()))
-        assert registry.counter("pstorm_matcher_index_hits_total").value == 0
+        features = make_features(_spec())
+        scan = StaticsFirstMatcher(
+            store, registry=MetricsRegistry(), use_index=False
+        )
+        assert matcher.match_job(features) == scan.match_job(features)
+        assert registry.counter("pstorm_matcher_index_hits_total").value == 2
 
     @staticmethod
     def _faulted_rebuild(kind, attempts):
@@ -579,7 +646,7 @@ class TestStageParityEdges:
         # Normalized, the probe sits on the top row and 1.0 from the other.
         scan = store.euclidean_stage("map", "flow", probe, 0.5)
         assert scan == [job_ids[1]]
-        assert index.view().euclidean_stage("map", "flow", probe, 0.5) == scan
+        assert euclidean_ids(index.view(), "map", "flow", probe, 0.5) == scan
 
     def test_probe_column_missing_from_store_fails_jaccard(self):
         spec = _spec()
@@ -588,14 +655,17 @@ class TestStageParityEdges:
         index.ensure_fresh()
         probe = dict(spec["statics"])
         probe["PARAM_window"] = "10"  # never stored -> row must fail
-        assert index.view().jaccard_stage(probe, 0.0, job_ids) == []
+        view = index.view()
+        assert len(view.jaccard_rows(probe, 0.0, rows_of(view, job_ids))) == 0
         assert store.jaccard_stage(probe, 0.0, job_ids) == []
 
     def test_empty_probe_statics_passes_everyone(self):
         store, job_ids = build_store([_spec()])
         index = store.match_index()
         index.ensure_fresh()
-        assert index.view().jaccard_stage({}, 1.0, job_ids) == sorted(job_ids)
+        view = index.view()
+        survivors = view.jaccard_rows({}, 1.0, rows_of(view, job_ids))
+        assert ids_of(view, survivors) == sorted(job_ids)
 
     def test_tie_break_empty_value_reads_missing_as_agreement(self):
         spec = _spec()
@@ -607,4 +677,5 @@ class TestStageParityEdges:
         statics = {"PARAM_window": ""}
         matcher = ProfileMatcher(store, use_index=False, registry=MetricsRegistry())
         scan_winner = matcher._tie_break(job_ids, 0, statics, "map")
-        assert index.view().tie_break(job_ids, 0, statics, "map") == scan_winner
+        view = index.view()
+        assert view.tie_break_rows(rows_of(view, job_ids), 0, statics) == scan_winner

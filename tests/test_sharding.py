@@ -43,10 +43,12 @@ from test_match_index import (
     assert_no_silent_fallback,
     assert_outcome_identical,
     build_store,
+    euclidean_ids,
     job_spec,
     make_features,
     make_profile,
     make_static,
+    rows_of,
 )
 
 
@@ -367,12 +369,12 @@ class TestSoak:
         # Sample parity: the scatter-gather stages agree with the scan
         # path over the very same store.
         probe = [float(value) for value in near_spec["map_flow"]]
-        assert sharded.euclidean_stage("map", "flow", probe, 1.0) == sorted(
+        assert euclidean_ids(sharded, "map", "flow", probe, 1.0) == sorted(
             store.euclidean_stage("map", "flow", probe, 1.0)
         )
         sample_ids = [f"soak-{number:06d}" for number in range(0, self.WRITES, 9973)]
         statics = dict(near_spec["statics"])
         scan = ProfileMatcher(store, registry=MetricsRegistry(), use_index=False)
-        assert sharded.tie_break(
-            sample_ids, near_spec["input_bytes"], statics, "map"
+        assert sharded.tie_break_rows(
+            rows_of(sharded, sample_ids), near_spec["input_bytes"], statics
         ) == scan._tie_break(sample_ids, near_spec["input_bytes"], statics, "map")

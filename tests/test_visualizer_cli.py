@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.chaos import set_default_injector
+from repro.cli import EXIT_CRASHED, build_parser, main
 from repro.hadoop import JobConfiguration
 from repro.starfish.visualizer import (
     compare_phase_breakdowns,
@@ -101,6 +102,24 @@ class TestCli:
             f"repro: cannot write metrics to {target}: No such file or directory\n"
             in err
         )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("point", range(9))
+    def test_crash_point_exits_typed(self, capsys, point):
+        """``demo --chaos crash-point:N``: a kill inside the demo's eight
+        store operations (N = 0..7) ends the command with one ``repro:``
+        line naming the killed operation; N = 8 is past the run."""
+        try:
+            status = main(["demo", "--chaos", f"crash-point:{point}"])
+        finally:
+            set_default_injector(None)
+        err = capsys.readouterr().err
+        if point < 8:
+            assert status == EXIT_CRASHED
+            assert err.endswith(f"(op #{point})\n"), err
+            assert err.splitlines()[-1].startswith("repro: simulated process kill at ")
+        else:
+            assert status == 0
         assert "Traceback" not in err
 
     def test_closed_stdout_exits_without_traceback(self):
