@@ -9,6 +9,7 @@ in rows shipped.
 
 from repro.core import ProfileStore, extract_job_features
 from repro.hadoop import HadoopEngine, ec2_cluster
+from repro.observability import MetricsRegistry
 from repro.starfish import Sampler, StarfishProfiler
 from repro.workloads import (
     inverted_index_job,
@@ -23,7 +24,8 @@ def main() -> None:
     engine = HadoopEngine(ec2_cluster())
     profiler = StarfishProfiler(engine)
     sampler = Sampler(profiler)
-    store = ProfileStore()
+    registry = MetricsRegistry()
+    store = ProfileStore(registry=registry)
 
     print("storing three job profiles...")
     for job, data in (
@@ -53,10 +55,12 @@ def main() -> None:
 
     # One Euclidean stage, pushed down to the region servers.
     probe = store.get_profile(wc_id).map_profile.data_flow_vector()
-    store.hbase.reset_metrics()
+    scanned_total = registry.counter("hbase_rows_scanned_total")
+    shipped_total = registry.counter("hbase_rows_shipped_total")
+    scanned_before, shipped_before = scanned_total.value, shipped_total.value
     survivors = store.euclidean_stage("map", "flow", probe, threshold=1.0)
-    shipped = sum(s.metrics.rows_shipped for s in store.hbase.servers.values())
-    scanned = sum(s.metrics.rows_scanned for s in store.hbase.servers.values())
+    scanned = int(scanned_total.value - scanned_before)
+    shipped = int(shipped_total.value - shipped_before)
     print(f"\nEuclidean stage: scanned {scanned} rows server-side, "
           f"shipped {shipped}, survivors: {survivors}")
 

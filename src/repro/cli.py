@@ -307,7 +307,6 @@ def _serve_base():
 
 #: Flags that keep a spelling other than the field's own name.
 _FLAG_SPELLINGS = {
-    "batch_window_seconds": "--batch-window",
     "num_region_servers": "--region-servers",
 }
 #: loadgen simulates one lane pool and never starts the real frontend,
@@ -394,30 +393,41 @@ def _service_config(base: Any, args: argparse.Namespace) -> Any:
     )
 
 
+def _invalid_configuration(error: ValueError) -> int:
+    """One typed line for a service knob its config or parts reject."""
+    print(f"repro: invalid configuration: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Replay a seeded load run; the summary JSON on stdout is the
     deliverable (status chatter goes to stderr) so CI can compare two
     same-seed runs byte for byte."""
     from .serving import LoadConfig, run_load
+    from .serving.loadgen import load_service
 
     injector = _maybe_enable_chaos(args)
-    config = LoadConfig(
-        requests=args.requests,
-        seed=args.seed,
-        mode=args.mode,
-        arrival_rate=args.arrival_rate,
-        clients=args.clients,
-        think_seconds=args.think_seconds,
-        remember_every=args.remember_every,
-        service=_service_config(_loadgen_base(), args),
-    )
+    try:
+        config = LoadConfig(
+            requests=args.requests,
+            seed=args.seed,
+            mode=args.mode,
+            arrival_rate=args.arrival_rate,
+            clients=args.clients,
+            think_seconds=args.think_seconds,
+            remember_every=args.remember_every,
+            service=_service_config(_loadgen_base(), args),
+        )
+        service = load_service(config)
+    except ValueError as exc:
+        return _invalid_configuration(exc)
     print(
         f"replaying {config.requests} requests "
         f"({config.mode} loop, {config.service.workers} simulated lanes, "
         f"seed {config.seed})...",
         file=sys.stderr,
     )
-    report = run_load(config)
+    report = run_load(config, service=service)
     print(report.to_json())
     _report_chaos(injector)
     _maybe_emit_metrics(args)
@@ -438,12 +448,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving.loadgen import loadgen_zoo
 
     injector = _maybe_enable_chaos(args)
-    config = _service_config(_serve_base(), args)
-    service = TuningService(
-        config=config,
-        seed=args.seed,
-        data_dir=getattr(args, "data_dir", None) or None,
-    )
+    try:
+        config = _service_config(_serve_base(), args)
+        service = TuningService(
+            config=config,
+            seed=args.seed,
+            data_dir=getattr(args, "data_dir", None) or None,
+        )
+    except ValueError as exc:
+        return _invalid_configuration(exc)
     rng = _random.Random(args.seed)
     zoo = loadgen_zoo()
     tenants = default_tenants()

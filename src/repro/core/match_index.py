@@ -322,13 +322,13 @@ class IndexView:
         return Rows(np.flatnonzero(part.active) for part in self._parts)
 
     def _pruned(
-        self, side: str, kind: str, probes: np.ndarray, threshold: float
+        self, side: str, kind: str, probe: np.ndarray, threshold: float
     ) -> list[int]:
         """Positions of the partitions that may hold a euclidean survivor.
 
         One stacked broadcast prices every partition's live bounding
-        box against the probe block — elementwise the *same* clip /
-        subtract / square / trailing-axis-sum / sqrt arithmetic
+        box against the probe — elementwise the *same* clip / subtract /
+        square / trailing-axis-sum / sqrt arithmetic
         :meth:`_euclidean_part` runs inside each partition, so a
         partition is dropped exactly when its own prune check would have
         answered empty: zero false prunes, merged survivors unchanged bit
@@ -350,21 +350,17 @@ class IndexView:
             # box is None -> no live rows -> provably empty: drop.
         if boxed:
             __, __, minimums, spans, __, __ = boxed[0][1]
-            if probes.shape[1] != minimums.shape[0]:
+            if probe.shape[0] != minimums.shape[0]:
                 # Malformed probe: let the partitions raise exactly as
                 # a flat view would.
                 return list(range(len(self._parts)))
-            normalized = clip_normalize(probes, minimums, spans)
+            normalized = clip_normalize(probe, minimums, spans)
             lows = np.stack([prep[5][0] for __, prep in boxed])
             highs = np.stack([prep[5][1] for __, prep in boxed])
-            nearest = np.clip(
-                normalized[np.newaxis, :, :],
-                lows[:, np.newaxis, :],
-                highs[:, np.newaxis, :],
-            )
-            deltas = nearest - normalized[np.newaxis, :, :]
-            floors = np.sqrt((deltas * deltas).sum(axis=2))
-            survives = ~(floors > threshold).all(axis=1)
+            nearest = np.clip(normalized[np.newaxis, :], lows, highs)
+            deltas = nearest - normalized[np.newaxis, :]
+            floors = np.sqrt((deltas * deltas).sum(axis=1))
+            survives = ~(floors > threshold)
             kept.extend(
                 position for (position, __), keep in zip(boxed, survives) if keep
             )
@@ -421,29 +417,24 @@ class IndexView:
         part: _Columns,
         side: str,
         kind: str,
-        probes: np.ndarray,
+        probe: np.ndarray,
         threshold: float,
         rows: np.ndarray | None,
-    ) -> list[np.ndarray]:
-        """Price a (K, F) block of probes over *rows* (None: every row);
-        entry k holds probe k's survivors.
-
-        The K == 1 path is the scan-parity reference; the batched path
-        broadcasts the same clipped normalization and the same float64
+    ) -> np.ndarray:
+        """The rows among *rows* (None: every row) within *threshold* of
+        *probe*: the scan path's clipped normalization and float64
         square-sum over the trailing axis (≤6-wide, below numpy's
-        pairwise-summation block), so every batch row is bit-identical
-        to its scalar twin.
-        """
-        empty = [_NO_ROWS] * probes.shape[0]
+        pairwise-summation block), so the survivors are bit-identical to
+        the scan filter's."""
         prep = self._euclidean_prep(part, side, kind)
         if prep is None:
-            return empty
+            return _NO_ROWS
         matrix, valid = part.matrices[(side, kind)]
-        if probes.shape[1] != matrix.shape[1]:
+        if probe.shape[0] != matrix.shape[1]:
             raise ValueError("columns/probe/bounds must align")
         __, __, minimums, spans, normalized_all, box = prep
-        normalized_probes = clip_normalize(probes, minimums, spans)
-        # Bounding-box prune: price the box point nearest each probe
+        normalized_probe = clip_normalize(probe, minimums, spans)
+        # Bounding-box prune: price the box point nearest the probe
         # through the *same* kernel arithmetic as a real row.  Every
         # per-feature |delta| of a live row is >= the nearest point's,
         # and float64 subtract/square/add/sqrt are monotone in each
@@ -451,29 +442,24 @@ class IndexView:
         # computed nearest-point distance — if that misses the
         # threshold, no row can pass, with zero false prunes.
         if box is not None:
-            nearest = np.clip(normalized_probes, box[0], box[1])
-            near_deltas = nearest - normalized_probes
-            floors = np.sqrt((near_deltas * near_deltas).sum(axis=1))
-            if bool((floors > threshold).all()):
-                return empty
+            nearest = np.clip(normalized_probe, box[0], box[1])
+            near_deltas = nearest - normalized_probe
+            if np.sqrt((near_deltas * near_deltas).sum()) > threshold:
+                return _NO_ROWS
         if rows is None:
             if len(part.ids) == 0:
-                return empty
+                return _NO_ROWS
             keep_base = part.active & valid
             normalized = normalized_all
         else:
             if len(rows) == 0:
-                return empty
+                return _NO_ROWS
             keep_base = part.active[rows] & valid[rows]
             normalized = normalized_all[rows]
-        # (K, R, F) broadcast; the sum runs over the trailing ≤6-wide
-        # axis in the same order the scalar path uses.
-        deltas = normalized[np.newaxis, :, :] - normalized_probes[:, np.newaxis, :]
-        distances = np.sqrt((deltas * deltas).sum(axis=2))
+        deltas = normalized - normalized_probe
+        distances = np.sqrt((deltas * deltas).sum(axis=1))
         keep = keep_base & (distances <= threshold)
-        if rows is None:
-            return [np.flatnonzero(row_keep) for row_keep in keep]
-        return [rows[row_keep] for row_keep in keep]
+        return np.flatnonzero(keep) if rows is None else rows[keep]
 
     def _graph_for(self, digest: str) -> ControlFlowGraph:
         graph = self._cfg_graphs.get(digest)
@@ -578,33 +564,34 @@ class IndexView:
         self,
         side: str,
         kind: str,
-        probes: Sequence[Sequence[float]],
+        probe: Sequence[float],
         threshold: float,
         candidates: Rows | None = None,
-    ) -> list[Rows]:
-        """One broadcast pricing a (K, F) block of probes against
-        *candidates* (None: every row); entry k answers probe k, exactly
-        as a block of that probe alone would."""
-        block = np.asarray(probes, dtype=np.float64)
-        if block.ndim != 2:
-            raise ValueError(f"expected a (K, F) probe block, got {block.shape}")
-        answers = [[_NO_ROWS] * len(self._parts) for __ in range(block.shape[0])]
+    ) -> Rows:
+        """The *candidates* (None: every row) within *threshold* of
+        *probe*'s normalized (side, kind) vector."""
+        vector = np.asarray(probe, dtype=np.float64)
+        if vector.ndim != 1:
+            raise ValueError(f"expected one probe vector, got {vector.shape}")
         if candidates is None:
-            positions = self._pruned(side, kind, block, threshold)
+            positions = self._pruned(side, kind, vector, threshold)
         else:
             positions = [
                 position
                 for position, rows in enumerate(candidates.per_part)
                 if len(rows)
             ]
+        answer = [_NO_ROWS] * len(self._parts)
         for position in positions:
-            rows = None if candidates is None else candidates.per_part[position]
-            survivors = self._euclidean_part(
-                self._parts[position], side, kind, block, threshold, rows
+            answer[position] = self._euclidean_part(
+                self._parts[position],
+                side,
+                kind,
+                vector,
+                threshold,
+                None if candidates is None else candidates.per_part[position],
             )
-            for answer, part_rows in zip(answers, survivors):
-                answer[position] = part_rows
-        return [Rows(answer) for answer in answers]
+        return Rows(answer)
 
     def cfg_rows(
         self, side: str, probe_cfg: ControlFlowGraph, candidates: Rows

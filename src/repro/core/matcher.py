@@ -60,7 +60,6 @@ __all__ = [
     "ParamAwareMatcher",
     "SideMatch",
     "MatchOutcome",
-    "Stage1Batch",
     "explain_match",
 ]
 
@@ -100,30 +99,6 @@ class MatchOutcome:
         if not self.matched or self.reduce_match is None:
             return False
         return self.map_match.job_id != self.reduce_match.job_id
-
-
-class Stage1Batch:
-    """Survivor rows of one stage-1 broadcast, pinned to the index view
-    (and so the generation) that priced them.
-
-    Produced by :meth:`ProfileMatcher.precompute_stage1`; consumed by
-    :meth:`ProfileMatcher.match_side`, which discards it the moment its
-    side's view is not the pinned one — a store write (or a rebuild that
-    renumbers rows) between the broadcast and an item's match
-    invalidates the whole batch, keeping batched results byte-identical
-    to sequential ones.
-    """
-
-    def __init__(
-        self,
-        view: "IndexView",
-        by_probe: "dict[int, dict[str, Rows]]",
-    ) -> None:
-        self.view = view
-        self._by_probe = by_probe
-
-    def survivors_for(self, features: "JobFeatures", side: str) -> "Rows | None":
-        return self._by_probe.get(id(features), {}).get(side)
 
 
 class _IndexStages:
@@ -176,8 +151,8 @@ class _IndexStages:
             f"euclidean-{side}-{kind}",
             DYNAMIC_PREFIX,
             lambda: self.view.euclidean_rows(
-                side, kind, [probe], threshold, candidates
-            )[0],
+                side, kind, probe, threshold, candidates
+            ),
         )
 
     def cfg(
@@ -348,26 +323,17 @@ class ProfileMatcher:
         stages: "_IndexStages | _ScanStages",
         features: JobFeatures,
         side: str,
-        stage1: "Rows | None" = None,
     ) -> SideMatch:
         """The Fig 4.4 workflow for one side over *stages*.
 
         Candidates are whatever the source hands between its stages
         (index :class:`Rows` or store job-id lists); only their size
-        enters the funnel.  *stage1* short-circuits the dynamic filter
-        with survivors a batched broadcast already computed
-        (:meth:`precompute_stage1`); the broadcast kernel is
-        bit-identical to the scalar stage, so the funnel and outcome are
-        byte-identical either way.
+        enters the funnel.
         """
         flow, costs, statics, cfg = features.side_vectors(side)
         funnel: dict[str, int] = {}
 
-        survivors = stage1
-        if survivors is None:
-            survivors = stages.euclidean(
-                side, "flow", flow, self._theta_eucl(len(flow))
-            )
+        survivors = stages.euclidean(side, "flow", flow, self._theta_eucl(len(flow)))
         funnel["dynamic"] = len(survivors)
         if not survivors:
             return SideMatch(side, None, "no-match-dynamic", funnel)
@@ -399,12 +365,7 @@ class ProfileMatcher:
         return SideMatch(side, None, "no-match", funnel)
 
     # ------------------------------------------------------------------
-    def match_side(
-        self,
-        features: JobFeatures,
-        side: str,
-        stage1: "Stage1Batch | None" = None,
-    ) -> SideMatch:
+    def match_side(self, features: JobFeatures, side: str) -> SideMatch:
         """Run the Fig 4.4 workflow for one side."""
         registry = get_registry(self.registry)
         tracer = get_tracer(self.tracer)
@@ -413,17 +374,7 @@ class ProfileMatcher:
         ) as span:
             if self.use_index:
                 view = self.store.index_view()
-                # The broadcast survivor rows are only valid against the
-                # exact view they were priced on; any write (or
-                # republish) since then re-runs the scalar stage instead.
-                precomputed = (
-                    stage1.survivors_for(features, side)
-                    if stage1 is not None and view is stage1.view
-                    else None
-                )
-                match = self._funnel(
-                    _IndexStages(self, view), features, side, precomputed
-                )
+                match = self._funnel(_IndexStages(self, view), features, side)
                 registry.counter(
                     "pstorm_matcher_index_hits_total",
                     "side probes answered by the columnar index",
@@ -439,72 +390,12 @@ class ProfileMatcher:
         return match
 
     # ------------------------------------------------------------------
-    # Batched stage-1 (the coalescing frontends' vectorized probe)
-    # ------------------------------------------------------------------
-    def precompute_stage1(
-        self, features_list: "list[JobFeatures]"
-    ) -> "Stage1Batch | None":
-        """Price every probe's dynamic filter in one broadcast per side.
-
-        Returns a :class:`Stage1Batch` the per-item :meth:`match_job`
-        calls consume, or ``None`` whenever the batched path cannot be
-        bit-identical to the scalar one — the scan source or mixed probe
-        widths — in which case callers simply match item by item.
-        Raises what publishing the view raises.
-        """
-        if len(features_list) < 2 or not self.use_index:
-            return None
-        view = self.store.index_view()
-        per_side: dict[str, list[tuple[JobFeatures, tuple[float, ...]]]] = {
-            "map": [],
-            "reduce": [],
-        }
-        for features in features_list:
-            per_side["map"].append((features, features.side_vectors("map")[0]))
-            if features.has_reduce:
-                per_side["reduce"].append(
-                    (features, features.side_vectors("reduce")[0])
-                )
-        by_probe: "dict[int, dict[str, Rows]]" = {
-            id(features): {} for features in features_list
-        }
-        tracer = get_tracer(self.tracer)
-        for side, entries in per_side.items():
-            if not entries:
-                continue
-            widths = {len(flow) for __, flow in entries}
-            if len(widths) != 1:
-                return None
-            with tracer.span(
-                "pstorm.store.probe",
-                stage=f"euclidean-{side}-flow-batch",
-                prefix=DYNAMIC_PREFIX,
-                via="index",
-            ):
-                survivors = view.euclidean_rows(
-                    side,
-                    "flow",
-                    [flow for __, flow in entries],
-                    self._theta_eucl(widths.pop()),
-                )
-            for (features, __), row in zip(entries, survivors):
-                by_probe[id(features)][side] = row
-        get_registry(self.registry).histogram(
-            "pstorm_matcher_batch_size",
-            "probes coalesced into one stage-1 broadcast",
-            buckets=COUNT_BUCKETS,
-        ).observe(len(features_list))
-        return Stage1Batch(view, by_probe)
-
-    # ------------------------------------------------------------------
-    def match_job(
-        self, features: JobFeatures, stage1: "Stage1Batch | None" = None
-    ) -> MatchOutcome:
+    def match_job(self, features: JobFeatures) -> MatchOutcome:
         """Match both sides and compose the returned profile."""
         registry = get_registry(self.registry)
         tracer = get_tracer(self.tracer)
         with tracer.span("pstorm.match_job", job=features.job_name) as span:
-            outcome = self._match_job_inner(features, stage1)
+            outcome = self._match_job_inner(features)
             span.set_attr("matched", outcome.matched)
             span.set_attr("composite", outcome.is_composite)
         registry.counter(
@@ -525,14 +416,10 @@ class ProfileMatcher:
             ).inc()
         return outcome
 
-    def _match_job_inner(
-        self, features: JobFeatures, stage1: "Stage1Batch | None" = None
-    ) -> MatchOutcome:
-        map_match = self.match_side(features, "map", stage1=stage1)
+    def _match_job_inner(self, features: JobFeatures) -> MatchOutcome:
+        map_match = self.match_side(features, "map")
         reduce_match = (
-            self.match_side(features, "reduce", stage1=stage1)
-            if features.has_reduce
-            else None
+            self.match_side(features, "reduce") if features.has_reduce else None
         )
 
         if not map_match.matched:
@@ -570,7 +457,6 @@ class StaticsFirstMatcher(ProfileMatcher):
         stages: "_IndexStages | _ScanStages",
         features: JobFeatures,
         side: str,
-        stage1: "Rows | None" = None,
     ) -> SideMatch:
         flow, __, statics, cfg = features.side_vectors(side)
         funnel: dict[str, int] = {}

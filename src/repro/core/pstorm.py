@@ -44,7 +44,7 @@ from ..starfish.sampler import Sampler
 from ..starfish.whatif import WhatIfEngine
 from ..tuners import make_tuner
 from .features import JobFeatures, extract_job_features
-from .matcher import MatchOutcome, ProfileMatcher, SideMatch, Stage1Batch
+from .matcher import MatchOutcome, ProfileMatcher, SideMatch
 from .resilient import ResilientProfileStore
 from .store import ProfileStore
 
@@ -321,8 +321,6 @@ class PStorM:
         dataset: Dataset,
         config: JobConfiguration | None = None,
         seed: int = 0,
-        _presampled: "tuple[JobProfile, JobFeatures, float] | None" = None,
-        _stage1: "Stage1Batch | None" = None,
     ) -> SubmissionResult:
         """The Chapter 3 submission workflow."""
         if config is None:
@@ -332,10 +330,7 @@ class PStorM:
         with tracer.span(
             "pstorm.submit", job=job.name, dataset=dataset.name
         ) as span:
-            result = self._submit_inner(
-                job, dataset, config, seed,
-                presampled=_presampled, stage1=_stage1,
-            )
+            result = self._submit_inner(job, dataset, config, seed)
             span.set_attr("matched", result.matched)
             span.set_attr("degraded", result.degraded)
 
@@ -374,52 +369,18 @@ class PStorM:
             result = replace(result, metrics=registry_to_dict(registry))
         return result
 
-    def prepare_batch(
-        self,
-        submissions: "list[tuple[MapReduceJob, Dataset, JobConfiguration | None, int]]",
-    ) -> "tuple[list[Any], Stage1Batch | None]":
-        """Presample a batch and price one stage-1 broadcast for it.
-
-        Returns ``(presampled, stage1)`` where ``presampled[i]`` is the
-        ``(profile, features, seconds)`` triple for submission *i*, or
-        the exception presampling raised — captured per item so one bad
-        submission cannot poison its batch-mates.  Healthy items feed a
-        single :meth:`ProfileMatcher.precompute_stage1` broadcast; when
-        the store is unavailable there is no broadcast, and each item's
-        own probe retries and degrades as :meth:`submit` does.
-        """
-        presampled: list[Any] = []
-        for job, dataset, __, seed in submissions:
-            try:
-                presampled.append(self._sample(job, dataset, seed=seed))
-            except Exception as exc:  # noqa: BLE001 — isolated per item
-                presampled.append(exc)
-        healthy = [
-            triple[1] for triple in presampled if not isinstance(triple, Exception)
-        ]
-        try:
-            stage1 = self.matcher.precompute_stage1(healthy)
-        except StoreUnavailableError:
-            stage1 = None
-        return presampled, stage1
-
     def _submit_inner(
         self,
         job: MapReduceJob,
         dataset: Dataset,
         config: JobConfiguration,
         seed: int,
-        presampled: "tuple[JobProfile, JobFeatures, float] | None" = None,
-        stage1: "Stage1Batch | None" = None,
     ) -> SubmissionResult:
-        if presampled is not None:
-            sample_profile, features, sampling_seconds = presampled
-        else:
-            sample_profile, features, sampling_seconds = self._sample(
-                job, dataset, seed=seed
-            )
+        sample_profile, features, sampling_seconds = self._sample(
+            job, dataset, seed=seed
+        )
         try:
-            outcome = self.matcher.match_job(features, stage1=stage1)
+            outcome = self.matcher.match_job(features)
         except StoreUnavailableError:
             # The probe exhausted its retry/deadline budget: degrade to
             # sample-profile tuning rather than fail the submission.

@@ -23,6 +23,7 @@ from ..core.store import MAP_FLOW_COLUMNS, ProfileStore
 from ..core.store_models import OpenTsdbStore, TablePerTypeStore
 from ..core.matcher import ProfileMatcher
 from ..hbase import HBaseCluster
+from ..observability import MetricsRegistry
 from ..workloads.benchmark import standard_benchmark
 from ..workloads.datasets import random_text_1gb
 from ..workloads.jobs import cooccurrence_pairs_job, grep_job
@@ -42,6 +43,23 @@ __all__ = [
 ]
 
 
+#: Region-server scan counters: rows read, rows shipped, bytes shipped.
+_SCAN_COUNTERS = (
+    "hbase_rows_scanned_total",
+    "hbase_rows_shipped_total",
+    "hbase_bytes_shipped_total",
+)
+
+
+def _scan_totals(registry: MetricsRegistry) -> list[int]:
+    """The :data:`_SCAN_COUNTERS` values so far (0 before a first scan)."""
+    totals = []
+    for name in _SCAN_COUNTERS:
+        counter = registry.get(name)
+        totals.append(0 if counter is None else int(counter.value))
+    return totals
+
+
 def run_pushdown(
     ctx: ExperimentContext | None = None,
     records: dict[str, SuiteRecord] | None = None,
@@ -55,10 +73,11 @@ def run_pushdown(
 
     rows = []
     for pushdown in (True, False):
-        store = ProfileStore(pushdown=pushdown)
+        registry = MetricsRegistry()
+        store = ProfileStore(pushdown=pushdown, registry=registry)
         for key, record in records.items():
             store.put(record.full_profile, record.static, job_id=key)
-        store.hbase.reset_metrics()
+        before = _scan_totals(registry)
 
         # The scan path runs the Fig 4.4 filter stages on the region
         # servers; the match index would meter its own build scans.
@@ -66,10 +85,8 @@ def run_pushdown(
         probe = next(iter(records.values()))
         matcher.match_job(probe.features)
 
-        scanned = sum(s.metrics.rows_scanned for s in store.hbase.servers.values())
-        shipped = sum(s.metrics.rows_shipped for s in store.hbase.servers.values())
-        bytes_shipped = sum(
-            s.metrics.bytes_shipped for s in store.hbase.servers.values()
+        scanned, shipped, bytes_shipped = (
+            after - start for after, start in zip(_scan_totals(registry), before)
         )
         rows.append(
             [
@@ -464,7 +481,8 @@ def run_store_scalability(
 
     rows = []
     for size in store_sizes:
-        store = ProfileStore()
+        registry = MetricsRegistry()
+        store = ProfileStore(registry=registry)
         for index in range(size):
             record = base_records[index % len(base_records)]
             if index < len(base_records):
@@ -477,13 +495,10 @@ def run_store_scalability(
                 )
 
         matcher = ProfileMatcher(store)
-        store.hbase.reset_metrics()
+        before = _scan_totals(registry)
         matcher.match_job(probe)
-        shipped = sum(
-            s.metrics.rows_shipped for s in store.hbase.servers.values()
-        )
-        scanned = sum(
-            s.metrics.rows_scanned for s in store.hbase.servers.values()
+        scanned, shipped, __ = (
+            after - start for after, start in zip(_scan_totals(registry), before)
         )
         warm = matcher.match_job(probe)
         candidates = sum(

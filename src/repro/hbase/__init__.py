@@ -33,7 +33,7 @@ from .filters import (
     serialize_filter,
 )
 from .region import Cell, Region, decode_cells, encode_cells
-from .regionserver import RegionServer, ServerMetrics
+from .regionserver import RegionServer
 from .sstable import BlockCache, BlockFile, BlockMeta
 from .storage import TOMBSTONE, LsmStore, ProbeResult, SSTable
 from .table import HTable
@@ -67,7 +67,6 @@ __all__ = [
     "encode_cells",
     "decode_cells",
     "RegionServer",
-    "ServerMetrics",
     "BloomFilter",
     "BlockCache",
     "BlockFile",

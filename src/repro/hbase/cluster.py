@@ -552,7 +552,3 @@ class HBaseCluster:
     def total_store_objects(self) -> int:
         """Cluster-wide in-memory Store object count (§5.2.2 metric)."""
         return sum(server.num_store_objects() for server in self.servers.values())
-
-    def reset_metrics(self) -> None:
-        for server in self.servers.values():
-            server.metrics.reset()

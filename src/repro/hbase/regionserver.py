@@ -3,14 +3,14 @@
 The §5.3 argument is quantitative: executing the matcher's filters on the
 region servers ships only the surviving rows to the client, while
 client-side filtering ships everything.  Region servers therefore meter
-rows scanned, rows shipped, and approximate bytes shipped, and also count
-one in-memory ``Store`` object per (region, column family) — the §5.2.2
-argument against the table-per-feature-type model.
+rows scanned, rows shipped, and approximate bytes shipped on the
+registry's ``hbase_*_total`` counters, and also count one in-memory
+``Store`` object per (region, column family) — the §5.2.2 argument
+against the table-per-feature-type model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..observability import MetricsRegistry, get_registry
@@ -20,7 +20,7 @@ from .region import Region
 if TYPE_CHECKING:
     from ..chaos import FaultInjector
 
-__all__ = ["RegionServer", "ServerMetrics"]
+__all__ = ["RegionServer"]
 
 
 def _approx_row_bytes(row: Mapping[str, Mapping[str, Any]]) -> int:
@@ -31,22 +31,6 @@ def _approx_row_bytes(row: Mapping[str, Mapping[str, Any]]) -> int:
         for qualifier, value in columns.items():
             total += len(qualifier) + len(repr(value))
     return total
-
-
-@dataclass
-class ServerMetrics:
-    """Cumulative scan metrics for one region server."""
-
-    rows_scanned: int = 0
-    rows_shipped: int = 0
-    bytes_shipped: int = 0
-    scans_served: int = 0
-
-    def reset(self) -> None:
-        self.rows_scanned = 0
-        self.rows_shipped = 0
-        self.bytes_shipped = 0
-        self.scans_served = 0
 
 
 class RegionServer:
@@ -60,7 +44,6 @@ class RegionServer:
     ) -> None:
         self.server_id = server_id
         self._regions: list[Region] = []
-        self.metrics = ServerMetrics()
         #: Observability sink; None falls back to the module default.
         self.registry = registry
         #: Fault injector (resolved by the owning cluster; None = off).
@@ -110,6 +93,10 @@ class RegionServer:
         shipped_counter = registry.counter(
             "hbase_rows_shipped_total", "rows shipped to clients by scans"
         )
+        bytes_counter = registry.counter(
+            "hbase_bytes_shipped_total",
+            "approximate bytes of the rows scans shipped to clients",
+        )
         filter_counter = registry.counter(
             "hbase_filter_evaluations_total",
             "pushed-down filter evaluations on region servers",
@@ -117,20 +104,17 @@ class RegionServer:
         registry.counter(
             "hbase_scans_served_total", "scans served by region servers"
         ).inc()
-        self.metrics.scans_served += 1
         filt: Filter | None = None
         if filter_payload is not None:
             filt = deserialize_filter(filter_payload)
         for row_key, row in region.scan(start, stop):
-            self.metrics.rows_scanned += 1
             scanned_counter.inc()
             if filt is not None:
                 filter_counter.inc()
                 if not filt.matches(row_key, row):
                     continue
-            self.metrics.rows_shipped += 1
-            self.metrics.bytes_shipped += _approx_row_bytes(row)
             shipped_counter.inc()
+            bytes_counter.inc(_approx_row_bytes(row))
             yield row_key, row
 
     def scan_region_batch(

@@ -63,6 +63,7 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "run_load",
+    "load_service",
     "default_tenants",
 ]
 
@@ -329,12 +330,6 @@ class _LoadRun:
         )
         response = self.service.handle(request, now=start)
         response.wait_seconds = wait
-        return self._account_submit(response, tenant, start)
-
-    def _account_submit(
-        self, response: TuningResponse, tenant: str, start: float
-    ) -> float:
-        """Tally one served submission; returns its finish time."""
         self.responses.append(response)
         tally = self.per_tenant[tenant]
         if response.ok:
@@ -394,115 +389,12 @@ class _LoadRun:
 
     # ------------------------------------------------------------------
     def run_open(self) -> None:
-        # Draw every arrival's attributes up front, in exactly the order
-        # the incremental loop drew them (gap, tenant, work, gap, ...) —
-        # so batched and unbatched replays of one seed share a workload.
-        plan: list[tuple[int, float, str, MapReduceJob, Dataset]] = []
         now = 0.0
         for index in range(self.config.requests):
             now += self.rng.expovariate(self.config.arrival_rate)
             tenant = self.pick_tenant()
             job, dataset = self.pick_work()
-            plan.append((index, now, tenant, job, dataset))
-        batching = (
-            self.service.config.batch_window_seconds > 0
-            and self.service.config.batch_max > 1
-        )
-        if not batching:
-            for item in plan:
-                self.arrive(*item)
-            return
-        group: list[tuple[int, float, str, MapReduceJob, Dataset]] = []
-        for item in plan:
-            if group and self._joins_group(group, item):
-                group.append(item)
-                continue
-            self._flush_group(group)
-            group = [item]
-        self._flush_group(group)
-
-    def _joins_group(
-        self,
-        group: list[tuple[int, float, str, MapReduceJob, Dataset]],
-        item: tuple[int, float, str, MapReduceJob, Dataset],
-    ) -> bool:
-        """May *item* join the open coalescing group without changing any
-        member's start time from what sequential replay would pick?
-
-        Joining needs: neither end is a remember() write, the arrival is
-        within the window of the group's first arrival, the group has
-        room, and there are enough lanes already idle at the window start
-        that every member (plus this one) starts at its own arrival time
-        with zero wait — the condition that makes deferred finish-pushes
-        invisible to the worker heap.
-        """
-        index, now, __, __, __ = item
-        first_index, first_now = group[0][0], group[0][1]
-        if self.is_remember(index) or self.is_remember(first_index):
-            return False
-        if now - first_now > self.service.config.batch_window_seconds:
-            return False
-        if len(group) >= self.service.config.batch_max:
-            return False
-        idle = sum(1 for free_at in self.worker_free if free_at <= first_now)
-        return idle > len(group)
-
-    def _flush_group(
-        self, group: list[tuple[int, float, str, MapReduceJob, Dataset]]
-    ) -> None:
-        """Serve one coalesced group through a single handle_batch call."""
-        if not group:
-            return
-        if len(group) == 1:
-            self.arrive(*group[0])
-            return
-        members = []
-        for index, now, tenant, job, dataset in group:
-            self.per_tenant[tenant]["requests"] += 1
-            depth = self.queue_depth(now)
-            try:
-                self.service.admission.admit(
-                    tenant,
-                    depth,
-                    now=now,
-                    backlog_seconds_hint=self.service.backlog_hint(depth),
-                )
-            except ServiceOverloadError as exc:
-                self._shed(
-                    index, now, tenant, exc.reason, exc.retry_after_seconds
-                )
-                continue
-            free_at = heapq.heappop(self.worker_free)
-            start = max(now, free_at)  # == now: the group held an idle lane
-            wait = start - now
-            self.registry.histogram(
-                "serving_queue_wait_seconds",
-                "time requests spent queued before a worker took them",
-            ).observe(wait)
-            self.registry.gauge(
-                "serving_queue_depth", "requests waiting in the service queue"
-            ).set(depth)
-            request = TuningRequest(
-                request_id=index + 1,
-                tenant=tenant,
-                job=job,
-                dataset=dataset,
-                seed=self.config.seed,
-                submitted_at=start - wait,
-            )
-            members.append((tenant, start, wait, request))
-        if not members:
-            return
-        responses = self.service.handle_batch(
-            [request for __, __, __, request in members],
-            nows=[start for __, start, __, __ in members],
-        )
-        for (tenant, start, wait, __), response in zip(members, responses):
-            response.wait_seconds = wait
-            finish = self._account_submit(response, tenant, start)
-            heapq.heappush(self.worker_free, finish)
-            self.pending_starts.append(start)
-            self.makespan = max(self.makespan, finish)
+            self.arrive(index, now, tenant, job, dataset)
 
     def run_closed(self) -> None:
         # Heap of (next submission time, client id); each client owns a
@@ -573,6 +465,23 @@ class _LoadRun:
         )
 
 
+def load_service(
+    config: LoadConfig,
+    cluster: ClusterSpec | None = None,
+    registry: MetricsRegistry | None = None,
+) -> TuningService:
+    """The service one load run simulates: ``config.service`` with the
+    tenants' rate limits.  Raises ``ValueError`` for knobs the service's
+    parts reject (cache or queue sizes, the shed watermark)."""
+    policies = {tenant.name: tenant.policy for tenant in config.tenants}
+    return TuningService(
+        cluster=cluster,
+        config=replace(config.service, tenant_policies=policies),
+        seed=config.seed,
+        registry=registry,
+    )
+
+
 def run_load(
     config: LoadConfig | None = None,
     cluster: ClusterSpec | None = None,
@@ -593,13 +502,7 @@ def run_load(
     if config is None:
         config = LoadConfig()
     if service is None:
-        policies = {tenant.name: tenant.policy for tenant in config.tenants}
-        service = TuningService(
-            cluster=cluster,
-            config=replace(config.service, tenant_policies=policies),
-            seed=config.seed,
-            registry=registry,
-        )
+        service = load_service(config, cluster=cluster, registry=registry)
     run = _LoadRun(service, config, registry)
     if config.mode == "open":
         run.run_open()

@@ -7,9 +7,8 @@ how many lanes run.  Under ``backend="processes"`` every lane of
 the same columnar :class:`~repro.core.match_index.MatchIndex` matrices
 through ``multiprocessing.shared_memory`` (:mod:`repro.core.shm_index`)
 — one copy of the matrices per generation, zero-copy numpy views per
-worker.  The queue, admission, deadline shedding, batching, cache and
-response bookkeeping are the service's own; this module only runs
-misses.
+worker.  The queue, admission, deadline shedding, cache and response
+bookkeeping are the service's own; this module only runs misses.
 
 Ownership is strictly single-writer:
 
@@ -26,9 +25,9 @@ Ownership is strictly single-writer:
   local writes probes its replica's own index view, which covers them —
   read-your-writes without a lock.
 
-A lane sends its misses as one task over a task/result queue pair
-private to it; results travel back as ``SubmissionResult.to_dict()``
-wire payloads plus the drained outbox, which the lane applies to the
+A lane sends each miss as one task over a task/result queue pair
+private to it; the result travels back as a ``SubmissionResult.to_dict()``
+wire payload plus the drained outbox, which the lane applies to the
 real store before republishing.
 
 A chaos plan's ``kill`` fault (:func:`repro.chaos.plan.worker_kill_plan`)
@@ -45,7 +44,7 @@ import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any
 
 from ..analysis.static_features import StaticFeatures
 from ..chaos import get_injector
@@ -60,9 +59,9 @@ from ..core.store import ProfileStore
 from ..hadoop.cluster import ClusterSpec
 from ..hadoop.engine import HadoopEngine
 from ..hbase.errors import HBaseError, WorkerKilledError
-from ..observability import COUNT_BUCKETS, MetricsRegistry, get_registry
+from ..observability import MetricsRegistry, get_registry
 from ..starfish.profile import JobProfile
-from .service import TuningRequest, TuningService, run_submissions
+from .service import TuningRequest, TuningService, run_submission
 
 __all__ = [
     "SnapshotStoreProxy",
@@ -239,29 +238,24 @@ class WorkerRuntime:
 
     # ------------------------------------------------------------------
     def serve(self, task: dict[str, Any]) -> dict[str, Any]:
-        """Answer one task dict (single submission or coalesced batch)."""
-        items = task["batch"] if task.get("batch") is not None else [task]
-        outcomes = run_submissions(
+        """Answer one task dict (one submission) with its wire payload."""
+        outcome = run_submission(
             self.pipeline,
-            [
-                (item["job"], item["dataset"], item.get("config"), item.get("seed", 0))
-                for item in items
-            ],
+            task["job"],
+            task["dataset"],
+            task.get("config"),
+            task.get("seed", 0),
         )
-        entries = [
-            {
-                "request_id": item["request_id"],
-                "ok": not isinstance(outcome, str),
-                "result": None if isinstance(outcome, str) else outcome.to_dict(),
-                # Same "TypeName: message" as in-process failures.
-                "error": outcome if isinstance(outcome, str) else None,
-            }
-            for item, outcome in zip(items, outcomes)
-        ]
-        payload = {"batch": entries} if task.get("batch") is not None else entries[0]
-        payload["outbox"] = self.proxy.drain_outbox()
-        payload["generation"] = self.proxy.view_generation
-        return payload
+        failed = isinstance(outcome, str)
+        return {
+            "request_id": task["request_id"],
+            "ok": not failed,
+            "result": None if failed else outcome.to_dict(),
+            # Same "TypeName: message" as in-process failures.
+            "error": outcome if failed else None,
+            "outbox": self.proxy.drain_outbox(),
+            "generation": self.proxy.view_generation,
+        }
 
     def close(self) -> None:
         self.proxy.close()
@@ -314,8 +308,8 @@ class ProcessBackend:
 
     Publishes the store's match index over shared memory and keeps one
     worker process per lane.  :meth:`run` is a lane's miss runner: it
-    sends the lane's misses as one task, waits for the answer, applies
-    the result's outbox to the authoritative store and republishes.
+    sends one miss as one task, waits for the answer, applies the
+    result's outbox to the authoritative store and republishes.
     """
 
     def __init__(
@@ -393,39 +387,26 @@ class ProcessBackend:
             ).inc()
 
     # ------------------------------------------------------------------
-    def run(
-        self, index: int, requests: Sequence[TuningRequest]
-    ) -> Iterator[SubmissionResult | str]:
-        """Lane *index*'s miss runner: one task to its worker, one
-        ``SubmissionResult`` or ``"TypeName: message"`` per request."""
-        items = [
-            dict(request_id=r.request_id, job=r.job, dataset=r.dataset,
-                 config=r.config, seed=r.seed)
-            for r in requests
-        ]
-        get_registry(self.registry).histogram(
-            "serving_batch_size",
-            "submissions coalesced into one worker dispatch",
-            buckets=COUNT_BUCKETS,
-        ).observe(len(items))
+    def run(self, index: int, request: TuningRequest) -> SubmissionResult | str:
+        """Lane *index*'s miss runner: one task to its worker; the
+        ``SubmissionResult`` or ``"TypeName: message"`` it answers."""
         payload = self._round_trip(
-            index, items[0] if len(items) == 1 else {"batch": items}
+            index,
+            dict(
+                request_id=request.request_id, job=request.job,
+                dataset=request.dataset, config=request.config, seed=request.seed,
+            ),
         )
         if isinstance(payload, str):
-            for __ in requests:
-                yield payload
-            return
+            return payload
         self._apply_outbox(payload)
-        for entry in payload.get("batch") or [payload]:
-            yield (
-                SubmissionResult.from_dict(entry["result"])
-                if entry["ok"]
-                else entry["error"]
-            )
+        if payload["ok"]:
+            return SubmissionResult.from_dict(payload["result"])
+        return payload["error"]
 
     def _round_trip(self, index: int, task: dict[str, Any]) -> dict[str, Any] | str:
         """Send *task* to the lane's worker and wait for its payload; a
-        string is an error that fails every request of the task."""
+        string is an error that fails the task's request."""
         try:
             # Pickled here: the queue's feeder thread would drop an
             # unpicklable task and leave the lane waiting forever.

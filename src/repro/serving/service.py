@@ -15,12 +15,11 @@ wraps it in the serving shape the ROADMAP's always-on deployment needs:
   swallowed into a counted ``None`` — a lane never dies of a bad
   request, a request never hangs.
 
-There is one request path.  Each lane takes one request (or a window of
-up to ``batch_max`` when ``batch_window_seconds > 0``), sheds what
-waited past its deadline, and serves the rest through
-:meth:`TuningService.handle_batch`'s segment code: cache hits are
-answered in the parent, misses run on the lane's **miss runner**.  The
-backends differ only in that runner:
+There is one request path.  Each lane takes one request at a time,
+sheds it if it waited past its deadline, and otherwise serves it through
+:meth:`TuningService.handle`'s code: a cache hit is answered in the
+parent, a miss runs on the lane's **miss runner** as one
+``PStorM.submit``.  The backends differ only in that runner:
 
 - ``backend="threads"``: the lane's own in-process PStorM pipeline
   (engine, profiler, sampler, tuner — none shared-state safe) over the
@@ -29,8 +28,8 @@ backends differ only in that runner:
   the shared-memory match index (:mod:`repro.serving.procpool`).
 
 The deterministic event loop of :mod:`repro.serving.loadgen` calls
-:meth:`TuningService.handle` / :meth:`~TuningService.handle_batch`
-inline at simulated timestamps instead — bit-reproducible summaries.
+:meth:`TuningService.handle` inline at simulated timestamps instead —
+bit-reproducible summaries.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from ..chaos.retry import RetryPolicy, StoreUnavailableError, VirtualClock
 from ..core.maintenance import MaintainedStore
@@ -116,11 +115,6 @@ class ServiceConfig:
     #: Deliberately off the 0.01 cache-hit grid so warm-path latency
     #: percentiles resolve instead of clamping to one tick.
     cache_lookup_cost_seconds: float = 0.0
-    #: How long a lane holds the first queued request open to coalesce
-    #: more into one vectorized probe (0 = no batching, serve at once).
-    batch_window_seconds: float = 0.0
-    #: Most submissions a lane coalesces into one window.
-    batch_max: int = 8
     #: Region servers hosting the store's HBase substrate (sharding).
     num_region_servers: int = 1
     #: Read replicas per region (clamped to num_region_servers).
@@ -146,10 +140,6 @@ class ServiceConfig:
             raise ValueError("deadline must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be at least 1")
-        if self.batch_window_seconds < 0:
-            raise ValueError("batch window cannot be negative")
         if self.num_region_servers < 1:
             raise ValueError("need at least one region server")
         if self.replication < 1:
@@ -208,39 +198,25 @@ class TuningResponse:
         }
 
 
-#: A miss runner: given a segment's cache-missing requests, yields one
-#: ``SubmissionResult`` or ``"TypeName: message"`` error per request.
-MissRunner = Callable[[Sequence[TuningRequest]], Iterator["SubmissionResult | str"]]
+#: A miss runner: runs one cache-missing request, returning its
+#: ``SubmissionResult`` or the ``"TypeName: message"`` it raised.
+MissRunner = Callable[[TuningRequest], "SubmissionResult | str"]
 
 
-def run_submissions(
+def run_submission(
     pipeline: PStorM,
-    items: Sequence[tuple[MapReduceJob, Dataset, JobConfiguration | None, int]],
-) -> Iterator[SubmissionResult | str]:
-    """Submit each ``(job, dataset, config, seed)`` to *pipeline* in order,
-    yielding the result or the ``"TypeName: message"`` it raised.
-
-    Several items share one vectorized stage-1 probe
-    (``PStorM.prepare_batch``); a lone item is a plain ``submit``.  Thread
-    lanes and worker processes both run misses through here.
-    """
-    if len(items) > 1:
-        presampled, stage1 = pipeline.prepare_batch(list(items))
-    else:
-        presampled, stage1 = [None] * len(items), None
-    for (job, dataset, config, seed), sampled in zip(items, presampled):
-        try:
-            if sampled is None or isinstance(sampled, Exception):
-                # Scalar re-run of a failed presample raises the same error.
-                outcome = pipeline.submit(job, dataset, config, seed=seed)
-            else:
-                outcome = pipeline.submit(
-                    job, dataset, config, seed=seed,
-                    _presampled=sampled, _stage1=stage1,
-                )
-        except Exception as exc:  # noqa: BLE001 — per-item isolation
-            outcome = f"{type(exc).__name__}: {exc}"
-        yield outcome
+    job: MapReduceJob,
+    dataset: Dataset,
+    config: JobConfiguration | None,
+    seed: int,
+) -> SubmissionResult | str:
+    """Submit one job to *pipeline*: its result, or the
+    ``"TypeName: message"`` it raised.  Thread lanes and worker
+    processes both run misses through here."""
+    try:
+        return pipeline.submit(job, dataset, config, seed=seed)
+    except Exception as exc:  # noqa: BLE001 — a bad request fails alone
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TuningService:
@@ -356,13 +332,11 @@ class TuningService:
             self._pipelines.pstorm = pipeline
         return pipeline
 
-    def _run_local(
-        self, requests: Sequence[TuningRequest]
-    ) -> Iterator[SubmissionResult | str]:
+    def _run_local(self, request: TuningRequest) -> SubmissionResult | str:
         """The in-process miss runner: this thread's own pipeline."""
-        return run_submissions(
-            self._pipeline(),
-            [(r.job, r.dataset, r.config, r.seed) for r in requests],
+        return run_submission(
+            self._pipeline(), request.job, request.dataset, request.config,
+            request.seed,
         )
 
     def next_request_id(self) -> int:
@@ -372,114 +346,43 @@ class TuningService:
     # The request path (every frontend calls into this)
     # ------------------------------------------------------------------
     def handle(self, request: TuningRequest, now: float | None = None) -> TuningResponse:
-        """Serve one admitted request: the one-request case of
-        :meth:`handle_batch` (cache probe, else the full pipeline)."""
-        return self.handle_batch([request], None if now is None else [now])[0]
+        """Serve one admitted request: cache probe, else the full pipeline."""
+        return self._serve(request, now, self._run_local)
 
-    def handle_batch(
-        self,
-        requests: list[TuningRequest],
-        nows: list[float] | None = None,
-    ) -> list[TuningResponse]:
-        """Serve several admitted requests with one vectorized stage-1 probe.
+    def _serve(
+        self, request: TuningRequest, now: float | None, run_miss: MissRunner
+    ) -> TuningResponse:
+        """Serve *request* at simulated time *now*, running a miss on
+        *run_miss*.
 
         Never raises for store trouble: ``PStorM.submit`` degrades
         internally and anything else is folded into a ``"failed"``
-        response — a lane is unkillable by a bad request.
-
-        The window is split into *segments* at signature barriers: a
-        request whose job signature is already claimed in the current
-        segment flushes the segment first.  Within a segment every
-        signature is pairwise distinct, so the cache probes and the
-        miss-path store writes commute with sequential order — the
-        responses (including cache-hit/miss accounting) are identical to
-        calling :meth:`handle` request by request, with the miss-path
-        stage-1 filters priced in one broadcast per segment.
-
-        The one documented caveat: equivalence needs the result cache to
-        stay under capacity across the window (LRU eviction pressure is
-        recency-order-sensitive and batch probing reorders recency
-        within a segment).  Size ``cache_capacity`` above the number of
-        distinct in-window keys — the load harness runs 64 vs 8.
-        """
-        return self._serve(requests, nows, self._run_local)
-
-    def _serve(
-        self,
-        requests: Sequence[TuningRequest],
-        nows: Sequence[float] | None,
-        run_misses: MissRunner,
-    ) -> list[TuningResponse]:
-        if nows is None:
-            nows = [self.clock.now()] * len(requests)
-        responses: dict[int, TuningResponse] = {}
-        segment: list[tuple[int, TuningRequest, Any, float]] = []
-        claimed: set[str] = set()
-
-        def flush() -> None:
-            if segment:
-                self._handle_segment(segment, responses, run_misses)
-            segment.clear()
-            claimed.clear()
-
-        for position, (request, now) in enumerate(zip(requests, nows)):
-            key = cache_key_for(request.job, request.dataset, self.cluster)
-            if key.job_signature in claimed:
-                flush()
-            claimed.add(key.job_signature)
-            segment.append((position, request, key, now))
-        flush()
-        ordered = [responses[position] for position in range(len(requests))]
-        for response in ordered:
-            self._record_response(response)
-        return ordered
-
-    def _handle_segment(
-        self,
-        segment: list[tuple[int, TuningRequest, Any, float]],
-        responses: dict[int, TuningResponse],
-        run_misses: MissRunner,
-    ) -> None:
-        """One barrier-free slice of a batch: probe all, run the misses.
-
-        Each request gets one ``serving.handle`` span; a miss's span
+        response — a lane is unkillable by a bad request.  The request gets one ``serving.handle`` span; a miss's span
         encloses its run on the miss runner (``pstorm.submit`` in
         process, or the round trip to the lane's worker).
         """
+        if now is None:
+            now = self.clock.now()
         registry = get_registry(self.registry)
-        tracer = get_tracer(self.tracer)
-        misses: list[tuple[int, TuningRequest, Any, float]] = []
-        for position, request, key, now in segment:
-            registry.counter(
-                "serving_requests_total",
-                "requests reaching the service pipeline",
-                labels={"tenant": request.tenant},
-            ).inc()
-            cached = self.cache.get(key, now)
-            if cached is None:
-                misses.append((position, request, key, now))
-                continue
-            with tracer.span(
-                "serving.handle",
-                tenant=request.tenant, job=request.job.name, cache_hit=True,
-            ):
-                responses[position] = self._hit_response(request, cached)
-        outcomes = run_misses([request for __, request, __, __ in misses])
-        for position, request, key, now in misses:
-            with tracer.span(
-                "serving.handle",
-                tenant=request.tenant, job=request.job.name, cache_hit=False,
-            ):
-                outcome = next(outcomes)
-            if isinstance(outcome, str):
-                registry.counter(
-                    "serving_pipeline_failures_total",
-                    "requests that raised inside the tuning pipeline",
-                ).inc()
-                responses[position] = self._failure_response(request, outcome)
+        registry.counter(
+            "serving_requests_total",
+            "requests reaching the service pipeline",
+            labels={"tenant": request.tenant},
+        ).inc()
+        key = cache_key_for(request.job, request.dataset, self.cluster)
+        cached = self.cache.get(key, now)
+        with get_tracer(self.tracer).span(
+            "serving.handle",
+            tenant=request.tenant,
+            job=request.job.name,
+            cache_hit=cached is not None,
+        ):
+            if cached is not None:
+                response = self._hit_response(request, cached)
             else:
-                self._miss_bookkeeping(key, outcome, now)
-                responses[position] = self._miss_response(request, outcome)
+                response = self._miss_response(request, key, run_miss(request), now)
+        self._record_response(response)
+        return response
 
     def _hit_response(
         self, request: TuningRequest, cached: SubmissionResult
@@ -509,30 +412,36 @@ class TuningService:
             error=error,
         )
 
-    def _miss_bookkeeping(
-        self, key: Any, result: SubmissionResult, now: float
-    ) -> None:
-        if not result.degraded:
-            self.cache.put(key, result, now)
-            if result.profile_stored_as is not None:
+    def _miss_response(
+        self,
+        request: TuningRequest,
+        key: Any,
+        outcome: SubmissionResult | str,
+        now: float,
+    ) -> TuningResponse:
+        if isinstance(outcome, str):
+            get_registry(self.registry).counter(
+                "serving_pipeline_failures_total",
+                "requests that raised inside the tuning pipeline",
+            ).inc()
+            return self._failure_response(request, outcome)
+        if not outcome.degraded:
+            self.cache.put(key, outcome, now)
+            if outcome.profile_stored_as is not None:
                 # The miss path just enriched the store for this program:
                 # peers cached against the poorer store are stale.
                 self.cache.invalidate_job(key.job_signature, keep=key)
-
-    def _miss_response(
-        self, request: TuningRequest, result: SubmissionResult
-    ) -> TuningResponse:
         return TuningResponse(
             request_id=request.request_id,
             tenant=request.tenant,
             status="ok",
-            degraded=result.degraded,
+            degraded=outcome.degraded,
             service_seconds=(
-                result.sampling_seconds
+                outcome.sampling_seconds
                 + MATCH_OVERHEAD_SECONDS
                 + self.config.cache_lookup_cost_seconds
             ),
-            result=result,
+            result=outcome,
         )
 
     def remember(
@@ -697,63 +606,42 @@ class TuningService:
     def _lane_loop(
         self, index: int, work_queue: "queue.Queue[Any]", procpool: Any
     ) -> None:
-        run_misses: MissRunner = (
+        run_miss: MissRunner = (
             self._run_local
             if procpool is None
             else functools.partial(procpool.run, index)
         )
         while True:
-            window, last = self._take_window(work_queue)
-            self._serve_window(window, run_misses)
+            item = work_queue.get()
+            if item is _SENTINEL:
+                return
+            self._serve_queued(*item, run_miss)
             if procpool is not None and not procpool.alive(index):
                 self._retire_lane(work_queue)
                 return
-            if last:
-                return
 
-    def _take_window(
-        self, work_queue: "queue.Queue[Any]"
-    ) -> tuple[list[Any], bool]:
-        """Block for one request, then coalesce up to ``batch_max`` that
-        arrive within ``batch_window_seconds``.  The flag says a stop
-        sentinel was taken: serve the window, then exit."""
-        item = work_queue.get()
-        if item is _SENTINEL:
-            return [], True
-        window = [item]
-        deadline = time.monotonic() + self.config.batch_window_seconds
-        while len(window) < self.config.batch_max:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = work_queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                return window, True
-            window.append(item)
-        return window, False
-
-    def _serve_window(self, window: list[Any], run_misses: MissRunner) -> None:
-        """Shed what waited past its deadline, serve the rest, resolve
-        every future.  ``wait_seconds`` is the time spent queued."""
+    def _serve_queued(
+        self,
+        request: TuningRequest,
+        future: "Future[TuningResponse]",
+        enqueued_at: float,
+        run_miss: MissRunner,
+    ) -> None:
+        """Shed the request if it waited past its deadline, else serve it;
+        resolve its future either way.  ``wait_seconds`` is the time it
+        spent queued."""
         registry = get_registry(self.registry)
-        admitted: list[tuple[TuningRequest, Any, float]] = []
-        for request, future, enqueued_at in window:
-            wait = max(0.0, time.monotonic() - enqueued_at)
-            registry.histogram(
-                "serving_queue_wait_seconds",
-                "time requests spent queued before a worker took them",
-            ).observe(wait)
-            deadline = (
-                request.deadline_seconds
-                if request.deadline_seconds is not None
-                else self.config.deadline_seconds
-            )
-            if wait <= deadline:
-                admitted.append((request, future, wait))
-                continue
+        wait = max(0.0, time.monotonic() - enqueued_at)
+        registry.histogram(
+            "serving_queue_wait_seconds",
+            "time requests spent queued before a worker took them",
+        ).observe(wait)
+        deadline = (
+            request.deadline_seconds
+            if request.deadline_seconds is not None
+            else self.config.deadline_seconds
+        )
+        if wait > deadline:
             registry.counter(
                 "serving_shed_total",
                 "requests refused at admission, by reason",
@@ -768,17 +656,16 @@ class TuningService:
             )
             self._record_response(response)
             future.set_result(response)
-        try:
-            responses = self._serve([r for r, __, __ in admitted], None, run_misses)
-        except Exception as exc:  # noqa: BLE001 — a lane outlives any request
-            for __, future, __ in admitted:
-                future.set_exception(exc)
             return
-        for (__, future, wait), response in zip(admitted, responses):
-            response.wait_seconds = wait
-            with self._lock:
-                self.clock.advance(response.service_seconds)
-            future.set_result(response)
+        try:
+            response = self._serve(request, None, run_miss)
+        except Exception as exc:  # noqa: BLE001 — a lane outlives any request
+            future.set_exception(exc)
+            return
+        response.wait_seconds = wait
+        with self._lock:
+            self.clock.advance(response.service_seconds)
+        future.set_result(response)
 
     def _retire_lane(self, work_queue: "queue.Queue[Any]") -> None:
         """Take a lane out of service for good; the last lane to go fails

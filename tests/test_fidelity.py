@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments import ablations, fig1_3, fig4_1, fig6_1, fig6_3
+from repro.experiments import ablations, fig1_3, fig4_1, fig6_1, fig6_2, fig6_3
 from repro.experiments.common import ExperimentContext, collect_suite
 
 
@@ -75,6 +75,26 @@ def test_fig6_1_pstorm_matches_at_least_as_well_as_feature_selection(suite):
             other = cells[(baseline, state)]
             for side, (ours, theirs) in zip(("map", "reduce"), zip(pstorm, other)):
                 assert ours >= theirs, (state, side, baseline, ours, theirs)
+
+
+@pytest.mark.slow
+def test_fig6_2_pstorm_matches_at_least_as_well_as_every_gbrt_setting(suite):
+    """Fig 6.2: in every (state, side) cell PStorM's matching accuracy is
+    at least each GBRT setting's.  Here PStorM reads 1.0 (SD) and 0.929
+    (DD) against at most 0.696 for any setting; the paper's "GBRT 4 is
+    the strongest variant" does not hold here (GBRT 2 is), so it is not
+    gated.  Trains four GBRT matchers (~50 s), hence slow."""
+    rows = fig6_2.run(*suite, seed=0).rows
+    cells = {(approach, state): (map_acc, reduce_acc)
+             for approach, state, map_acc, reduce_acc in rows}
+    settings = sorted({approach for approach, __ in cells} - {"PStorM"})
+    assert settings == ["GBRT 1", "GBRT 2", "GBRT 3", "GBRT 4"], settings
+    for state in ("SD", "DD"):
+        pstorm = cells[("PStorM", state)]
+        for setting in settings:
+            other = cells[(setting, state)]
+            for side, (ours, theirs) in zip(("map", "reduce"), zip(pstorm, other)):
+                assert ours >= theirs, (state, side, setting, ours, theirs)
 
 
 def test_fig6_3_pstorm_beats_rbo_and_never_seen_jobs_track_sd(suite):

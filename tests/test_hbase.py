@@ -17,6 +17,7 @@ from repro.hbase import (
     serialize_filter,
 )
 from repro.hbase.region import Region
+from repro.observability import MetricsRegistry
 
 
 @pytest.fixture()
@@ -214,22 +215,24 @@ class TestFilters:
 
 
 class TestPushdownMetrics:
-    def test_pushdown_ships_fewer_rows(self, cluster, table):
+    def test_pushdown_ships_fewer_rows(self):
+        registry = MetricsRegistry()
+        cluster = HBaseCluster(
+            num_region_servers=2, split_threshold=16, registry=registry
+        )
+        table = cluster.create_table("t", ("f",))
         for i in range(50):
             table.put(f"k{i:02d}", "f", "v", i)
         filt = ColumnValueFilter("f", "v", "<", 5)
+        shipped = registry.counter("hbase_rows_shipped_total")
 
-        cluster.reset_metrics()
+        before = shipped.value
         matched = list(table.scan(scan_filter=filt, pushdown=True))
-        shipped_pushdown = sum(
-            s.metrics.rows_shipped for s in cluster.servers.values()
-        )
+        shipped_pushdown = shipped.value - before
 
-        cluster.reset_metrics()
+        before = shipped.value
         matched_client = list(table.scan(scan_filter=filt, pushdown=False))
-        shipped_client = sum(
-            s.metrics.rows_shipped for s in cluster.servers.values()
-        )
+        shipped_client = shipped.value - before
 
         assert [k for k, __ in matched] == [k for k, __ in matched_client]
         assert shipped_pushdown == 5

@@ -182,6 +182,32 @@ class TestCli:
         assert summary["hung_workers"] == 0
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "0"],
+            ["serve", "--queue-capacity", "0"],
+            ["serve", "--replication", "0"],
+            ["serve", "--shed-watermark", "100", "--queue-capacity", "4"],
+            ["loadgen", "--requests", "0"],
+            ["loadgen", "--deadline-seconds", "-1"],
+            ["loadgen", "--cache-capacity", "0"],
+        ],
+    )
+    def test_out_of_range_service_flag_exits_typed(self, capsys, argv):
+        """A knob the service's config or parts reject ends the verb with
+        one ``repro:`` line and status 2, before any serving starts."""
+        from repro.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: invalid configuration: ")
+        assert "Traceback" not in captured.err
+
+
 class TestConfigValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -283,10 +309,9 @@ class TestServiceFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["loadgen", "--batch-window", "0.5", "--region-servers", "3",
+            ["loadgen", "--region-servers", "3",
              "--shard-index", "--tuner", "surrogate"]
         )
-        assert args.batch_window_seconds == 0.5
         assert args.num_region_servers == 3
         assert args.shard_index is True
         assert args.tuner == "surrogate"
@@ -297,3 +322,45 @@ class TestServiceFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadgen", "--backend", "processes"])
         assert "--backend" in capsys.readouterr().err
+
+
+class TestLatencyResolution:
+    def test_warm_hits_resolve_off_the_tick_grid(self):
+        """Regression: warm p50/p99 used to clamp at the 0.01 tick because
+        every hit cost exactly CACHE_HIT_COST_SECONDS.  The lookup tax
+        puts hits at 0.0103 — representable only at full resolution."""
+        config = LoadConfig(requests=60, seed=7)
+        report = run_load(config, registry=MetricsRegistry())
+        hits = [
+            r
+            for r in report.responses
+            if r.status == "ok" and r.cache_hit
+        ]
+        assert hits
+        for response in hits:
+            assert response.service_seconds == pytest.approx(0.0103)
+        warm = _percentiles([r.service_seconds for r in hits])
+        assert warm["p50"] == 0.0103 != 0.01
+        assert warm["p99"] == 0.0103
+
+    def test_shed_retry_after_recorded_at_full_resolution(self):
+        config = LoadConfig(
+            requests=80,
+            seed=7,
+            arrival_rate=20.0,
+            service=replace(LOADGEN_SERVICE, workers=2),
+        )
+        report = run_load(config, registry=MetricsRegistry())
+        hints = [
+            r.retry_after_seconds
+            for r in report.responses
+            if r.status == "shed" and r.retry_after_seconds
+        ]
+        assert hints
+        # At least one hint lives off the 0.01 grid — rounding them at
+        # record time (the old bug) would snap every one onto it.
+        assert any(abs(h * 100 - round(h * 100)) > 1e-9 for h in hints)
+
+    def test_percentiles_keep_six_decimals(self):
+        assert _percentiles([0.0103, 0.0103, 0.0103])["p50"] == 0.0103
+        assert _percentiles([1e-6])["max"] == 1e-6

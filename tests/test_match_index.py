@@ -201,7 +201,7 @@ def ids_of(view, rows):
 def euclidean_ids(view, side, kind, probe, threshold, candidates=None):
     """The index's Euclidean stage over job ids, like the store's."""
     rows = None if candidates is None else rows_of(view, candidates)
-    return ids_of(view, view.euclidean_rows(side, kind, [probe], threshold, rows)[0])
+    return ids_of(view, view.euclidean_rows(side, kind, probe, threshold, rows))
 
 
 def assert_no_silent_fallback(registry, expected_hits):

@@ -269,43 +269,6 @@ class TestWorkerRuntime:
         assert entry["outbox"][0][0] == entry["result"]["profile_stored_as"]
         assert entry["generation"] == generation >= 0
 
-    def test_batch_task_serves_every_item(
-        self, published, cluster, wordcount, maponly_job, small_text
-    ):
-        __, publisher = published
-        runtime = WorkerRuntime(publisher.ctrl_name, cluster)
-        try:
-            payload = runtime.serve(
-                {
-                    "batch": [
-                        {
-                            "request_id": 1,
-                            "job": wordcount,
-                            "dataset": small_text,
-                        },
-                        {
-                            "request_id": 2,
-                            "job": maponly_job,
-                            "dataset": small_text,
-                        },
-                    ]
-                }
-            )
-        finally:
-            runtime.close()
-        entries = payload["batch"]
-        assert [e["request_id"] for e in entries] == [1, 2]
-        assert all(e["ok"] for e in entries)
-        # Exactly the miss-path writes ride the outbox (a later batch
-        # item may match an earlier item's fresh local profile).
-        stored = [
-            e["result"]["profile_stored_as"]
-            for e in entries
-            if e["result"]["profile_stored_as"]
-        ]
-        assert [job_id for job_id, __, __ in payload["outbox"]] == stored
-        assert stored  # at least the first item was a genuine miss
-
     def test_failure_entry_uses_thread_backend_error_format(
         self, published, cluster, small_text
     ):

@@ -418,6 +418,25 @@ class TestTuningServiceProcesses(_LaneCases):
         # wait_seconds is time spent queued, not time spent being served.
         assert response.wait_seconds < 0.5 * latency
 
+    def test_each_miss_is_one_dispatch(self, cluster, wordcount, small_text):
+        """One request is one worker task: k distinct misses add exactly
+        k dispatches, whichever lanes take them."""
+        registry = MetricsRegistry()
+        service = _lane_service(
+            cluster, self.backend, workers=2, registry=registry
+        )
+        jobs = [wordcount.with_params(round=n) for n in range(4)]
+        service.start()
+        try:
+            futures = [
+                service.submit_request(job, small_text, tenant="t") for job in jobs
+            ]
+            responses = [f.result(timeout=120.0) for f in futures]
+        finally:
+            assert service.stop(timeout=30.0)
+        assert all(r.ok for r in responses)
+        assert not any(r.cache_hit for r in responses)
+        assert registry.counter("serving_dispatches_total").value == len(jobs)
 
     def test_unpicklable_job_fails_instead_of_hanging(self, cluster, small_text):
         job = MapReduceJob(
