@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The Pig-Latin-style layer: write scripts, get tuned MR chains.
+"""The Pig-Latin-style layer: write scripts, get tuned MR jobs.
 
 Demonstrates §1's observation about query-language workloads: scripts
 compile onto shared generic operators, so PStorM matches new scripts
@@ -8,8 +8,7 @@ the lenient cost fallback hand-written jobs need.
 """
 
 from repro.core import PStorM
-from repro.core.workflows import run_chain
-from repro.dataflow import DataflowScript, compile_to_chain
+from repro.dataflow import DataflowScript, compile_script
 from repro.hadoop import HadoopEngine, ec2_cluster
 from repro.workloads import pigmix_dataset
 
@@ -32,27 +31,25 @@ def main() -> None:
     ]
     print("running the cluster's script history (profiles get stored)...")
     for script in history:
-        result = run_chain(pstorm, compile_to_chain(script), pages)
-        print(f"  {script.name:<18} {result.total_runtime_seconds/60:5.1f} min")
+        for job in compile_script(script):
+            result = pstorm.submit(job, pages)
+            print(f"  {job.name:<28} {result.runtime_seconds/60:5.1f} min")
 
     new_script = (
         DataflowScript("link-popularity")
         .project(0, 5, flatten=1)
         .group_by(1, aggregations=[("count", 0)])
-        .order_by(1, descending=True)
     )
+    jobs = compile_script(new_script)
     print(f"\nsubmitting a brand-new script: {new_script.name} "
-          f"({len(new_script.operators)} operators, "
-          f"{len(compile_to_chain(new_script))} MR stages)")
-    result = run_chain(pstorm, compile_to_chain(new_script), pages)
-    for stage in result.stages:
-        submission = stage.submission
-        path = submission.outcome.map_match.stage if submission.matched else "miss"
-        print(f"  {stage.stage.job.name:<28} "
-              f"{stage.runtime_seconds/60:5.1f} min  [{path}]")
+          f"({len(new_script.operators)} operators, {len(jobs)} MR job)")
+    for job in jobs:
+        result = pstorm.submit(job, pages)
+        path = result.outcome.map_match.stage if result.matched else "miss"
+        print(f"  {job.name:<28} {result.runtime_seconds/60:5.1f} min  [{path}]")
     print(
-        "\nEvery matched stage went through the static filters: generated "
-        "jobs share the generic operators' class names and CFGs — the §1 "
+        "\nA matched job went through the static filters: generated jobs "
+        "share the generic operators' class names and CFGs — the §1 "
         "argument for why query-language workloads suit PStorM so well."
     )
 

@@ -10,7 +10,6 @@ Subpackages:
 - :mod:`repro.core` — PStorM: feature vectors, profile store, matcher.
 - :mod:`repro.workloads` — the Table 6.1 benchmark jobs and datasets.
 - :mod:`repro.dataflow` — a mini Pig Latin over generic MR operators.
-- :mod:`repro.perfxplain` — performance-explanation engine (§2.3.2).
 - :mod:`repro.experiments` — drivers regenerating every table and figure.
 
 The most common entry points are re-exported here::

@@ -4,9 +4,7 @@ A :class:`FaultPlan` is a declarative description of the faults one
 experiment run should suffer: probabilistic per-operation faults
 (:class:`FaultSpec`) and deterministic region-server crash windows
 (:class:`ServerCrash`).  Plans are plain values with a JSON codec, so a
-chaos experiment is reproducible from a seed plus a small document — the
-same philosophy as the scheduler-side :class:`repro.hadoop.faults.FaultModel`,
-lifted to the serving path.
+chaos experiment is reproducible from a seed plus a small document.
 
 Time is *logical*: specs are scheduled against the injector's operation
 counter (one tick per substrate ``put``/``get``/``scan``), never against

@@ -5,8 +5,6 @@ Commands:
 - ``experiments [NAME ...]`` — regenerate the paper's tables/figures
   (default: all of them) and print the result tables.
 - ``demo`` — the tune-a-never-seen-job walkthrough (Fig 1.3 scenario).
-- ``explain JOB_A JOB_B`` — a PerfXplain query over a freshly profiled
-  mini-log of the named benchmark jobs.
 - ``list-jobs`` — the Table 6.1 benchmark inventory.
 - ``metrics`` — run a small smoke workload through the whole stack and
   print the collected metrics in Prometheus text format.
@@ -53,37 +51,6 @@ import typing
 from typing import Any, Callable, Sequence
 
 __all__ = ["main", "build_parser"]
-
-
-def _experiment_registry() -> dict[str, Callable]:
-    from .experiments import (
-        ablations, adoption, dataflow_similarity, fig1_3, fig4_1, fig4_3, fig4_5, fig4_6,
-        fig6_1, fig6_2, fig6_3, table6_1,
-    )
-
-    # run_all's order: the full report (no names) is RESULTS.txt.
-    return {
-        "table6_1": table6_1.run,
-        "fig1_3": fig1_3.run,
-        "fig4_1": fig4_1.run,
-        "fig4_3": fig4_3.run,
-        "fig4_5": fig4_5.run,
-        "fig4_6": fig4_6.run,
-        "fig6_1": fig6_1.run,
-        "fig6_2": fig6_2.run,
-        "fig6_3": fig6_3.run,
-        "pushdown": ablations.run_pushdown,
-        "store-models": ablations.run_store_models,
-        "param-features": ablations.run_param_features,
-        "filter-order": ablations.run_filter_order,
-        "thresholds": ablations.run_threshold_sensitivity,
-        "cluster-transfer": ablations.run_cluster_transfer,
-        "gbrt-weights": ablations.run_gbrt_weights,
-        "store-scalability": ablations.run_store_scalability,
-        "cfg-cost": ablations.run_cfg_cost_correlation,
-        "adoption": adoption.run,
-        "dataflow-similarity": dataflow_similarity.run,
-    }
 
 
 def _maybe_enable_chaos(args: argparse.Namespace):
@@ -145,9 +112,10 @@ def _maybe_emit_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments import REPORT
     from .experiments.common import ExperimentContext, collect_suite
 
-    registry = _experiment_registry()
+    registry = {experiment.name: experiment for experiment in REPORT}
     names = args.names or list(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -157,24 +125,21 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
     injector = _maybe_enable_chaos(args)
     ctx = ExperimentContext.create(args.seed, workers=getattr(args, "workers", 1))
-    needs_suite = {"fig6_1", "fig6_2", "fig6_3", "pushdown",
-                   "store-models", "thresholds", "gbrt-weights", "filter-order",
-                   "store-scalability", "cfg-cost"}
     if not args.names:
         print(f"PStorM reproduction — full experiment report (seed {args.seed})")
         print("Generated by: PYTHONPATH=src python -m repro experiments > RESULTS.txt")
         print("See EXPERIMENTS.md for the paper-vs-measured comparison per result.")
         print()
     records = None
-    if needs_suite & set(names):
+    if any(registry[name].takes_suite for name in names):
         print("profiling the benchmark suite...", file=sys.stderr)
         records = collect_suite(ctx, seed=args.seed)
     for name in names:
-        run = registry[name]
-        if name in needs_suite:
-            result = run(ctx, records, seed=args.seed)
+        experiment = registry[name]
+        if experiment.takes_suite:
+            result = experiment.run(ctx, records, seed=args.seed)
         else:
-            result = run(ctx, seed=args.seed)
+            result = experiment.run(ctx, seed=args.seed)
         print(result)
         print()
     _report_chaos(injector)
@@ -671,37 +636,10 @@ def _cmd_league(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from .experiments.common import ExperimentContext
-    from .perfxplain import ExecutionLog, PerfQuery, PerfXplain
-    from .workloads import standard_benchmark
-
-    wanted = {args.job_a, args.job_b}
-    ctx = ExperimentContext.create(args.seed)
-    log = ExecutionLog()
-    for entry in standard_benchmark(pigmix_queries=2):
-        profile, execution = ctx.profiler.profile_job(
-            entry.job, entry.dataset, seed=args.seed
-        )
-        log.add_execution(profile, execution)
-    missing = wanted - set(log.keys())
-    if missing:
-        print(f"unknown jobs: {', '.join(sorted(missing))}", file=sys.stderr)
-        print("known:", file=sys.stderr)
-        for key in log.keys():
-            print(f"  {key}", file=sys.stderr)
-        return 2
-
-    explainer = PerfXplain(log)
-    query = PerfQuery(args.job_a, args.job_b, expected=args.expected)
-    print(explainer.explain(query).render())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="PStorM reproduction: experiments, demos, explanations.",
+        description="PStorM reproduction: experiments, demos, and the tuning service.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     commands = parser.add_subparsers(
@@ -874,13 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_emit_metrics(league)
     league.set_defaults(handler=_cmd_league)
 
-    explain = commands.add_parser("explain", help="PerfXplain a job pair")
-    explain.add_argument("job_a", help="reference job key, e.g. word-count@wikipedia-35gb")
-    explain.add_argument("job_b", help="surprising job key")
-    explain.add_argument(
-        "--expected", default="similar", choices=("similar", "slower", "faster")
-    )
-    explain.set_defaults(handler=_cmd_explain)
     return parser
 
 

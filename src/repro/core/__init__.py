@@ -7,12 +7,7 @@ the GBRT alternative matcher (§4.4 / Appendix A), information-gain
 feature-selection baselines (§6.1.1), and the PStorM daemon (Chapter 3).
 """
 
-from .extensions import (
-    augment_with_call_graphs,
-    augment_with_params,
-    call_graph_signature,
-    extract_callee_names,
-)
+from .extensions import augment_with_params
 from .feature_selection import (
     NUMERIC_FEATURE_COLUMNS,
     NearestNeighborMatcher,
@@ -30,7 +25,6 @@ from .matcher import (
     ProfileMatcher,
     SideMatch,
     StaticsFirstMatcher,
-    explain_match,
 )
 from .pstorm import PStorM, SubmissionResult
 from .resilient import ResilientProfileStore
@@ -44,13 +38,9 @@ from .similarity import (
 from .store import ProfileStore
 from .store_models import OpenTsdbStore, TablePerTypeStore
 from .transfer import CalibrationRatios, calibration_ratios, transfer_profile
-from .workflows import ChainStage, StageResult, WorkflowResult, run_chain
 
 __all__ = [
-    "augment_with_call_graphs",
     "augment_with_params",
-    "call_graph_signature",
-    "extract_callee_names",
     "NUMERIC_FEATURE_COLUMNS",
     "NearestNeighborMatcher",
     "information_gain",
@@ -73,7 +63,6 @@ __all__ = [
     "SideMatch",
     "StaticsFirstMatcher",
     "ParamAwareMatcher",
-    "explain_match",
     "PStorM",
     "SubmissionResult",
     "ResilientProfileStore",
@@ -88,8 +77,4 @@ __all__ = [
     "CalibrationRatios",
     "calibration_ratios",
     "transfer_profile",
-    "ChainStage",
-    "StageResult",
-    "WorkflowResult",
-    "run_chain",
 ]

@@ -1,70 +1,19 @@
-"""Implemented future-work extensions (§7.2.1 and §7.2.2).
+"""Implemented future-work extension: user-parameter features (§7.2.1).
 
-**User-parameter features** (§7.2.1): the same program run with different
-user parameters (co-occurrence window sizes, grep search terms) produces
-incompatible profiles that the Table 4.3 statics cannot distinguish.
-:func:`augment_with_params` folds the job's user parameters into the
-static feature vector as ``PARAM_<name>`` entries, which the Jaccard
-filter then scores alongside the other categoricals.
-
-**Call-graph features** (§7.2.2): map/reduce functions with identical
-control flow can call different helper functions.  Static call-graph
-extraction is generally incomplete for dynamically-dispatched languages,
-as the thesis notes for Java; the Python equivalent here extracts the set
-of *statically visible callee names* from the byte code, recursing into
-locally defined helpers, as ``CALLGRAPH_MAP``/``CALLGRAPH_RED`` features.
+The same program run with different user parameters (co-occurrence
+window sizes, grep search terms) produces incompatible profiles that the
+Table 4.3 statics cannot distinguish.  :func:`augment_with_params` folds
+the job's user parameters into the static feature vector as
+``PARAM_<name>`` entries, which the Jaccard filter then scores alongside
+the other categoricals.
 """
 
 from __future__ import annotations
 
-import dis
-from types import CodeType
-from typing import Callable
-
 from ..analysis.static_features import StaticFeatures
 from ..hadoop.job import MapReduceJob
 
-__all__ = [
-    "extract_callee_names",
-    "call_graph_signature",
-    "augment_with_params",
-    "augment_with_call_graphs",
-]
-
-#: Instructions whose argval names a function being loaded for a call.
-_NAME_LOADS = {"LOAD_GLOBAL", "LOAD_METHOD", "LOAD_ATTR", "LOAD_NAME"}
-
-
-def extract_callee_names(fn: Callable, max_depth: int = 3) -> frozenset[str]:
-    """Statically visible callee names in a callable's byte code.
-
-    Walks the instruction stream, collecting names loaded via
-    ``LOAD_GLOBAL``/``LOAD_METHOD``/``LOAD_ATTR``, and recurses into
-    nested code objects (locally defined helpers) up to *max_depth*.
-    Dynamic dispatch (values bound at runtime) stays invisible — the
-    §7.2.2 caveat, faithfully reproduced.
-    """
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return frozenset()
-    return frozenset(_walk_code(code, max_depth))
-
-
-def _walk_code(code: CodeType, depth: int) -> set[str]:
-    names: set[str] = set()
-    for instruction in dis.get_instructions(code):
-        if instruction.opname in _NAME_LOADS and isinstance(instruction.argval, str):
-            names.add(instruction.argval)
-    if depth > 0:
-        for const in code.co_consts:
-            if isinstance(const, CodeType):
-                names |= _walk_code(const, depth - 1)
-    return names
-
-
-def call_graph_signature(fn: Callable) -> str:
-    """Canonical string form of the callee set (a categorical feature)."""
-    return ",".join(sorted(extract_callee_names(fn)))
+__all__ = ["augment_with_params"]
 
 
 def augment_with_params(
@@ -74,21 +23,6 @@ def augment_with_params(
     categorical = dict(static.categorical)
     for name, value in sorted(job.params.items()):
         categorical[f"PARAM_{name}"] = repr(value)
-    return StaticFeatures(
-        categorical=categorical,
-        map_cfg=static.map_cfg,
-        reduce_cfg=static.reduce_cfg,
-    )
-
-
-def augment_with_call_graphs(
-    static: StaticFeatures, job: MapReduceJob
-) -> StaticFeatures:
-    """§7.2.2: add call-graph signatures of the map/reduce functions."""
-    categorical = dict(static.categorical)
-    categorical["CALLGRAPH_MAP"] = call_graph_signature(job.mapper)
-    if job.reducer is not None:
-        categorical["CALLGRAPH_RED"] = call_graph_signature(job.reducer)
     return StaticFeatures(
         categorical=categorical,
         map_cfg=static.map_cfg,

@@ -60,7 +60,6 @@ __all__ = [
     "ParamAwareMatcher",
     "SideMatch",
     "MatchOutcome",
-    "explain_match",
 ]
 
 
@@ -480,37 +479,6 @@ class StaticsFirstMatcher(ProfileMatcher):
             winner = stages.tie_break(survivors, features.input_bytes, statics, side)
             return SideMatch(side, winner, "static", funnel)
         return SideMatch(side, None, "no-match", funnel)
-
-
-def explain_match(matcher: ProfileMatcher, features: JobFeatures) -> str:
-    """A human-readable trace of a match_job call.
-
-    Renders the per-side funnel — how many candidates survived each
-    Fig 4.4 stage — plus the winning donor and path, the view an operator
-    wants when asking "why did my job get *that* profile?".
-    """
-    outcome = matcher.match_job(features)
-    lines = [f"match trace for {features.job_name!r} "
-             f"(input {features.input_bytes / (1 << 30):.1f} GB)"]
-
-    sides = [("map", outcome.map_match)]
-    if outcome.reduce_match is not None:
-        sides.append(("reduce", outcome.reduce_match))
-    for side, match in sides:
-        lines.append(f"  {side} side:")
-        for stage, survivors in match.funnel.items():
-            lines.append(f"    after {stage:<14} {survivors} candidate(s)")
-        if match.matched:
-            lines.append(f"    -> {match.job_id} via {match.stage}")
-        else:
-            lines.append(f"    -> no match ({match.stage})")
-
-    if outcome.matched:
-        kind = "composite" if outcome.is_composite else "single-donor"
-        lines.append(f"  returned: {kind} profile {outcome.profile.job_name!r}")
-    else:
-        lines.append("  returned: nothing — the job will run instrumented")
-    return "\n".join(lines)
 
 
 class ParamAwareMatcher(ProfileMatcher):

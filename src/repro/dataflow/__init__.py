@@ -5,7 +5,7 @@ language share static structure (operators, formatters, CFGs) and differ
 only dynamically — the regime PStorM's matcher thrives in.
 """
 
-from .compiler import compile_script, compile_to_chain
+from .compiler import compile_script
 from .operators import (
     AGGREGATORS,
     COMPARATORS,
@@ -21,7 +21,6 @@ from .script import DataflowScript
 
 __all__ = [
     "compile_script",
-    "compile_to_chain",
     "AGGREGATORS",
     "COMPARATORS",
     "Aggregation",

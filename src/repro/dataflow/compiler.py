@@ -1,4 +1,4 @@
-"""Compile dataflow scripts into MR job chains.
+"""Compile dataflow scripts into MR jobs.
 
 Each stage of a script — a run of filters/projections closed by a
 blocking operator — becomes one :class:`MapReduceJob` whose mapper and
@@ -12,18 +12,15 @@ for Pig/Hive-generated jobs:
   agree across scripts;
 - only the *dynamic* features differ, which is what the matcher's
   dynamics-first design is built to exploit.
-
-Compiled chains plug into :func:`repro.core.workflows.run_chain`.
 """
 
 from __future__ import annotations
 
-from ..core.workflows import ChainStage
 from ..hadoop.job import MapReduceJob
 from .runtime import dataflow_map, dataflow_reduce
 from .script import DataflowScript
 
-__all__ = ["compile_script", "compile_to_chain"]
+__all__ = ["compile_script"]
 
 
 def compile_script(script: DataflowScript) -> list[MapReduceJob]:
@@ -48,12 +45,3 @@ def compile_script(script: DataflowScript) -> list[MapReduceJob]:
             )
         )
     return jobs
-
-
-def compile_to_chain(script: DataflowScript) -> list[ChainStage]:
-    """Lower a script to workflow stages (first reads the source, the
-    rest consume their predecessor's output)."""
-    jobs = compile_script(script)
-    stages = [ChainStage(jobs[0], input_from="source")]
-    stages.extend(ChainStage(job, input_from="previous") for job in jobs[1:])
-    return stages

@@ -1,8 +1,10 @@
 """Experiment drivers: one module per table/figure, plus ablations.
 
-Every driver exposes ``run(...) -> ExperimentResult``; ``run_all`` chains
-them and returns the formatted report the benchmarks print.
+Every driver returns an :class:`ExperimentResult`.  :data:`REPORT` lists
+them in report order; ``python -m repro experiments`` runs it.
 """
+
+from typing import Callable, NamedTuple
 
 from . import (
     ablations,
@@ -56,34 +58,43 @@ __all__ = [
     "collect_suite",
     "twin_of",
     "ExperimentResult",
-    "run_all",
+    "Experiment",
+    "REPORT",
 ]
 
 
-def run_all(seed: int = 0) -> list[ExperimentResult]:
-    """Run every experiment once, sharing the context and suite profiles."""
-    ctx = ExperimentContext.create(seed)
-    records = collect_suite(ctx, seed=seed)
-    results = [
-        table6_1.run(ctx, seed=seed),
-        fig1_3.run(ctx, seed=seed),
-        fig4_1.run(ctx, seed=seed),
-        fig4_3.run(ctx, seed=seed),
-        fig4_5.run(ctx, seed=seed),
-        fig4_6.run(ctx, seed=seed),
-        fig6_1.run(ctx, records, seed=seed),
-        fig6_2.run(ctx, records, seed=seed),
-        fig6_3.run(ctx, records, seed=seed),
-        ablations.run_pushdown(ctx, records, seed=seed),
-        ablations.run_store_models(ctx, records, seed=seed),
-        ablations.run_param_features(ctx, seed=seed),
-        ablations.run_filter_order(ctx, records, seed=seed),
-        ablations.run_threshold_sensitivity(ctx, records, seed=seed),
-        ablations.run_cluster_transfer(ctx, seed=seed),
-        ablations.run_gbrt_weights(ctx, records, seed=seed),
-        ablations.run_store_scalability(ctx, records, seed=seed),
-        ablations.run_cfg_cost_correlation(ctx, records, seed=seed),
-        adoption.run(ctx, seed=seed),
-        dataflow_similarity.run(ctx, seed=seed),
-    ]
-    return results
+class Experiment(NamedTuple):
+    """One driver of the report."""
+
+    #: The name ``python -m repro experiments NAME`` selects it by.
+    name: str
+    #: ``run(ctx, seed=...)``, or ``run(ctx, records, seed=...)`` when
+    #: :attr:`takes_suite`.
+    run: Callable[..., ExperimentResult]
+    #: Whether the driver reads the profiled Table 6.1 suite records.
+    takes_suite: bool
+
+
+#: Every driver, in the order of the full report (RESULTS.txt).
+REPORT: tuple[Experiment, ...] = (
+    Experiment("table6_1", table6_1.run, False),
+    Experiment("fig1_3", fig1_3.run, False),
+    Experiment("fig4_1", fig4_1.run, False),
+    Experiment("fig4_3", fig4_3.run, False),
+    Experiment("fig4_5", fig4_5.run, False),
+    Experiment("fig4_6", fig4_6.run, False),
+    Experiment("fig6_1", fig6_1.run, True),
+    Experiment("fig6_2", fig6_2.run, True),
+    Experiment("fig6_3", fig6_3.run, True),
+    Experiment("pushdown", ablations.run_pushdown, True),
+    Experiment("store-models", ablations.run_store_models, True),
+    Experiment("param-features", ablations.run_param_features, False),
+    Experiment("filter-order", ablations.run_filter_order, True),
+    Experiment("thresholds", ablations.run_threshold_sensitivity, True),
+    Experiment("cluster-transfer", ablations.run_cluster_transfer, False),
+    Experiment("gbrt-weights", ablations.run_gbrt_weights, True),
+    Experiment("store-scalability", ablations.run_store_scalability, True),
+    Experiment("cfg-cost", ablations.run_cfg_cost_correlation, True),
+    Experiment("adoption", adoption.run, False),
+    Experiment("dataflow-similarity", dataflow_similarity.run, False),
+)

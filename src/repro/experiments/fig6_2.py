@@ -90,7 +90,8 @@ def run(
         rows=rows,
         notes=(
             "Expected shape: PStorM at least matches the best GBRT setting "
-            "in every (state, side) cell; GBRT 4 (overfit) is the strongest "
-            "GBRT variant."
+            "in every (state, side) cell. The paper's strongest GBRT variant "
+            "is GBRT 4 (overfit); here it is GBRT 2, best in three of the "
+            "four cells."
         ),
     )

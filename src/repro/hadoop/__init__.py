@@ -18,8 +18,6 @@ from .context import TaskContext
 from .counters import FRAMEWORK_GROUP, Counters
 from .dataset import DEFAULT_SPLIT_BYTES, Dataset, FunctionRecordSource, InputSplit
 from .engine import HadoopEngine
-from .faults import FaultModel, FaultyScheduleResult, schedule_with_faults
-from .hdfs import BlockPlacement, LocalityStats, expected_locality, place_blocks
 from .job import MapReduceJob, default_partitioner
 from .tasks import (
     MAP_PHASES,
@@ -49,13 +47,6 @@ __all__ = [
     "FunctionRecordSource",
     "InputSplit",
     "HadoopEngine",
-    "FaultModel",
-    "FaultyScheduleResult",
-    "schedule_with_faults",
-    "BlockPlacement",
-    "LocalityStats",
-    "expected_locality",
-    "place_blocks",
     "MapReduceJob",
     "default_partitioner",
     "MAP_PHASES",

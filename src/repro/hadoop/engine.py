@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class HadoopEngine:
         self,
         cluster: ClusterSpec,
         representative_splits: int = 3,
-        locality_aware: bool = False,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         measurement_workers: int = 1,
@@ -95,10 +94,6 @@ class HadoopEngine:
         #: Threads used to measure uncached representative splits in
         #: parallel; 1 keeps measurement fully sequential.
         self.measurement_workers = max(1, measurement_workers)
-        #: When True, HDFS block placement is modelled and map tasks that
-        #: the locality-aware scheduler could not run node-local pay the
-        #: remote-read penalty on their READ phase.
-        self.locality_aware = locality_aware
         #: Observability sinks; None falls back to the module defaults.
         self.registry = registry
         self.tracer = tracer
@@ -338,12 +333,9 @@ class HadoopEngine:
                 else (np.zeros(1), np.zeros(1))
             )
         map_rates = self.cluster.draw_task_rates(len(task_ids), rng)
-        remote = None
-        if self.locality_aware and len(task_ids):
-            remote = self._remote_map_tasks(dataset, len(task_ids), rng)
         map_table = price_map_tasks(
             task_ids, split_bytes, measurements, fractions, job, config,
-            self.cluster, map_rates, profile, profiling_overhead, remote,
+            self.cluster, map_rates, profile, profiling_overhead,
         )
 
         if job.has_reducer and num_partitions:
@@ -461,93 +453,6 @@ class HadoopEngine:
                 end=schedule.runtime_seconds,
                 attrs={"tasks": len(reduce_table)},
             )
-
-    def _remote_map_tasks(
-        self, dataset: Dataset, num_tasks: int, rng: np.random.Generator
-    ) -> np.ndarray | None:
-        """Indices of the map tasks locality scheduling could not place
-        node-local (None when every task reads locally)."""
-        from .hdfs import expected_locality, place_blocks
-
-        placement = place_blocks(dataset.num_splits, self.cluster, seed=dataset.seed)
-        stats = expected_locality(placement, self.cluster, seed=dataset.seed)
-        remote_count = round(stats.remote_tasks / max(1, stats.total) * num_tasks)
-        if remote_count <= 0:
-            return None
-        return rng.choice(num_tasks, size=remote_count, replace=False)
-
-    def run_job_with_faults(
-        self,
-        job: MapReduceJob,
-        dataset: Dataset,
-        config: JobConfiguration | None = None,
-        fault_model: "FaultModel | None" = None,
-        seed: int = 0,
-    ) -> tuple[JobExecution, "FaultyScheduleResult", "FaultyScheduleResult | None"]:
-        """Execute *job* under task failures and speculative execution.
-
-        Returns the fault-free execution record plus the fault-adjusted
-        map-side and reduce-side schedules; the execution's
-        ``runtime_seconds`` is inflated by the serial delay failures add
-        on each side.
-        """
-        from .faults import FaultModel, schedule_with_faults
-        from .scheduler import _list_schedule
-
-        if fault_model is None:
-            fault_model = FaultModel()
-        registry = get_registry(self.registry)
-        tracer = get_tracer(self.tracer)
-        with tracer.span(
-            "hadoop.run_job_with_faults", job=job.name, dataset=dataset.name
-        ):
-            execution = self.run_job(job, dataset, config, seed=seed)
-            rng = np.random.default_rng((seed, 0xFA17))
-
-            map_durations = execution.map_table.durations
-            map_slots = self.cluster.total_map_slots
-            faulty_map = schedule_with_faults(
-                map_durations, map_slots, fault_model, rng
-            )
-            base_map = max(_list_schedule(map_durations, map_slots), default=0.0)
-            delay = faulty_map.makespan - base_map
-
-            faulty_reduce = None
-            if execution.num_reduce_tasks:
-                reduce_durations = execution.reduce_table.durations
-                reduce_slots = self.cluster.total_reduce_slots
-                faulty_reduce = schedule_with_faults(
-                    reduce_durations, reduce_slots, fault_model, rng
-                )
-                base_reduce = max(
-                    _list_schedule(reduce_durations, reduce_slots), default=0.0
-                )
-                delay += faulty_reduce.makespan - base_reduce
-
-            execution.runtime_seconds += max(0.0, delay)
-
-        registry.counter(
-            "hadoop_engine_faulty_jobs_total", "jobs run under the fault model"
-        ).inc()
-        failures = faulty_map.failures + (
-            faulty_reduce.failures if faulty_reduce else 0
-        )
-        speculative = faulty_map.speculative_attempts + (
-            faulty_reduce.speculative_attempts if faulty_reduce else 0
-        )
-        registry.counter(
-            "hadoop_engine_task_failures_total", "injected task failures"
-        ).inc(failures)
-        registry.counter(
-            "hadoop_engine_speculative_attempts_total",
-            "speculative task attempts launched",
-        ).inc(speculative)
-        registry.histogram(
-            "hadoop_engine_fault_delay_seconds",
-            "serial delay added by failures and speculation",
-            buckets=SIM_SECONDS_BUCKETS,
-        ).observe(max(0.0, delay))
-        return execution, faulty_map, faulty_reduce
 
     def clear_caches(self) -> None:
         """Drop all cached sample records, the measurements taken on them

@@ -390,7 +390,6 @@ def price_map_tasks(
     task_rates: TaskRates,
     profiled: bool = False,
     profiling_overhead: float = 0.0,
-    remote: np.ndarray | None = None,
 ) -> MapTaskTable:
     """Price a run's map tasks' phases as columns, one pass over all tasks.
 
@@ -403,9 +402,6 @@ def price_map_tasks(
         fractions: for each representative the tasks use, the output of
             :func:`partition_fractions` under this configuration's reducer
             count and combiner setting.
-        remote: indices of the tasks that read their split over the
-            network; their READ phase is re-priced at network plus local
-            disk rates instead of the HDFS read rate.
     """
     combine_enabled = config.use_combiner and job.has_combiner
     heaps = [node.task_heap_bytes for node in cluster.workers]
@@ -444,7 +440,7 @@ def price_map_tasks(
     # order, so every price rounds as it did for one task.
     # ------------------------------------------------------------------
     rates = task_rates.rates
-    read_hdfs, _, read_local, write_local, network, cpu, compress, decompress = rates
+    read_hdfs, _, read_local, write_local, _, cpu, compress, decompress = rates
     op_ns = cpu * OP_CPU_FRACTION
     input_records = column("input_records")
     read_s = (
@@ -485,12 +481,6 @@ def price_map_tasks(
     ])
     if profiled and profiling_overhead > 0:
         phases[1:6] *= 1.0 + profiling_overhead
-    if remote is not None:
-        # A remote read streams the block over the network instead of the
-        # local disks, so READ is re-priced at network+disk rates.
-        phases[1, remote] *= (network[remote] + read_local[remote]) / np.maximum(
-            1e-9, read_hdfs[remote]
-        )
 
     # A task's output per reduce partition: its representative's
     # fractions scaled by its volume, alike for every task of a group.

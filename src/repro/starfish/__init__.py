@@ -6,7 +6,6 @@ analytical runtime prediction, recursive-random-search cost-based
 optimization, and the Appendix B rule-based optimizer baseline.
 """
 
-from .analyzer import Bottleneck, analyze_profile
 from .cbo import CostBasedOptimizer, OptimizationResult
 from .profile import (
     MAP_COST_FEATURES,
@@ -21,13 +20,10 @@ from .profile import (
 from .profiler import StarfishProfiler, build_profile
 from .rbo import RboDecision, RuleBasedOptimizer
 from .sampler import Sampler, SampleResult
-from .visualizer import compare_phase_breakdowns, phase_breakdown, task_timeline
 from .whatif import BatchPrediction, WhatIfEngine, WhatIfPrediction
 
 __all__ = [
     "BatchPrediction",
-    "Bottleneck",
-    "analyze_profile",
     "CostBasedOptimizer",
     "OptimizationResult",
     "MAP_COST_FEATURES",
@@ -44,9 +40,6 @@ __all__ = [
     "RuleBasedOptimizer",
     "Sampler",
     "SampleResult",
-    "compare_phase_breakdowns",
-    "phase_breakdown",
-    "task_timeline",
     "WhatIfEngine",
     "WhatIfPrediction",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,8 +53,9 @@ class BatchPrediction:
 
     Every per-config field is a NumPy array of length ``len(self)``; the
     value at index ``i`` is bit-identical to the corresponding field of
-    ``WhatIfEngine.predict(profile, configs[i], data_bytes)`` (the property
-    tests in ``tests/test_whatif_batch.py`` enforce this).
+    ``WhatIfEngine.predict`` on the configuration in row ``i`` of the
+    candidate matrix (the property tests in ``tests/test_whatif_batch.py``
+    enforce this).
     """
 
     runtime_seconds: np.ndarray
@@ -68,23 +68,6 @@ class BatchPrediction:
 
     def __len__(self) -> int:
         return len(self.runtime_seconds)
-
-    def prediction(self, index: int) -> WhatIfPrediction:
-        """The scalar :class:`WhatIfPrediction` view of one candidate."""
-        num_reducers = int(self.num_reduce_tasks[index])
-        return WhatIfPrediction(
-            runtime_seconds=float(self.runtime_seconds[index]),
-            map_task_seconds=float(self.map_task_seconds[index]),
-            reduce_task_seconds=float(self.reduce_task_seconds[index]),
-            num_map_tasks=self.num_map_tasks,
-            num_reduce_tasks=num_reducers,
-            map_phases={k: float(v[index]) for k, v in self.map_phases.items()},
-            reduce_phases=(
-                {}
-                if num_reducers < 1
-                else {k: float(v[index]) for k, v in self.reduce_phases.items()}
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -117,59 +100,27 @@ class _ConfigColumns:
         "reduce_input_buffer_percent", "compress_output",
     )
 
-    #: Candidate-matrix column index per attribute (Table 2.1 order), for
-    #: :meth:`from_matrix`.  The one parameter the model never reads
-    #: (``min.num.spills.for.combine``) stays in the matrix but is skipped.
+    #: Candidate-matrix column index per attribute (Table 2.1 order).  The
+    #: one parameter the model never reads (``min.num.spills.for.combine``)
+    #: stays in the matrix but is skipped.
     MATRIX_COLUMNS: dict[str, int] = {
         spec.attribute: j for j, spec in enumerate(CONFIGURATION_SPACE)
     }
 
-    def __init__(self, configs: Sequence[JobConfiguration]) -> None:
-        self.n = len(configs)
-
-        def column(attribute: str, dtype) -> np.ndarray:
-            return np.fromiter(
-                (getattr(c, attribute) for c in configs), dtype=dtype, count=self.n
-            )
-
-        self.io_sort_mb = column("io_sort_mb", np.float64)
-        self.io_sort_record_percent = column("io_sort_record_percent", np.float64)
-        self.io_sort_spill_percent = column("io_sort_spill_percent", np.float64)
-        self.io_sort_factor = column("io_sort_factor", np.float64)
-        self.use_combiner = column("use_combiner", np.bool_)
-        self.compress_map_output = column("compress_map_output", np.bool_)
-        self.reduce_slowstart = column("reduce_slowstart", np.float64)
-        self.num_reduce_tasks = column("num_reduce_tasks", np.float64)
-        self.shuffle_input_buffer_percent = column(
-            "shuffle_input_buffer_percent", np.float64
-        )
-        self.shuffle_merge_percent = column("shuffle_merge_percent", np.float64)
-        self.inmem_merge_threshold = column("inmem_merge_threshold", np.float64)
-        self.reduce_input_buffer_percent = column(
-            "reduce_input_buffer_percent", np.float64
-        )
-        self.compress_output = column("compress_output", np.bool_)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "_ConfigColumns":
-        """Build columns straight from an ``(n, 14)`` candidate matrix.
+    def __init__(self, matrix: np.ndarray) -> None:
+        """Columns of an ``(n, 14)`` candidate matrix.
 
         The matrix stores one float64 column per parameter in Table 2.1
         order (booleans as 0.0/1.0), which is how the CBO generates whole
         candidate generations without materializing ``JobConfiguration``
         objects.  Values must already be legal (clamped).
         """
-        self = cls.__new__(cls)
         self.n = len(matrix)
-        index = cls.MATRIX_COLUMNS
-        for attribute in cls.__slots__:
-            if attribute == "n":
-                continue
-            column = np.ascontiguousarray(matrix[:, index[attribute]])
+        for attribute in self.__slots__[1:]:
+            column = np.ascontiguousarray(matrix[:, self.MATRIX_COLUMNS[attribute]])
             if attribute in ("use_combiner", "compress_map_output", "compress_output"):
                 column = column != 0.0
             setattr(self, attribute, column)
-        return self
 
 
 def _masked_log2(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -469,50 +420,28 @@ class WhatIfEngine:
     # ------------------------------------------------------------------
     # Batched prediction
     # ------------------------------------------------------------------
-    def predict_batch(
-        self,
-        profile: JobProfile,
-        configs: Iterable[JobConfiguration],
-        data_bytes: int | None = None,
-    ) -> BatchPrediction:
-        """Predict a whole generation of configurations column-wise.
-
-        Semantically equivalent to ``[self.predict(profile, c, data_bytes)
-        for c in configs]`` — and bit-identical to it, field by field — but
-        the spill/merge/shuffle arithmetic runs once over NumPy columns of
-        the candidate matrix instead of once per configuration, which is
-        what makes the CBO's generation scoring cheap.
-        """
-        configs = list(configs)
-        return self._predict_columns(profile, _ConfigColumns(configs), data_bytes)
-
     def predict_matrix(
         self,
         profile: JobProfile,
         matrix: np.ndarray,
         data_bytes: int | None = None,
     ) -> BatchPrediction:
-        """:meth:`predict_batch` over a raw ``(n, 14)`` candidate matrix.
+        """Predict a whole generation of candidate configurations.
 
-        Columns follow ``_ConfigColumns.MATRIX_COLUMNS`` (Table 2.1 order,
-        booleans as 0.0/1.0, values already clamped).  This is the CBO's
-        hot entry point: whole generations are priced without ever
-        materializing per-candidate ``JobConfiguration`` objects.
+        *matrix* is ``(n, 14)``, its columns following
+        ``_ConfigColumns.MATRIX_COLUMNS`` (Table 2.1 order, booleans as
+        0.0/1.0, values already clamped).  Row ``i`` is priced bit-identically
+        to :meth:`predict` on the same configuration, field by field, but the
+        spill/merge/shuffle arithmetic runs once over NumPy columns instead
+        of once per configuration, and no per-candidate
+        ``JobConfiguration`` is ever materialized.  This is how the CBO
+        scores its generations.
         """
-        return self._predict_columns(
-            profile, _ConfigColumns.from_matrix(matrix), data_bytes
-        )
-
-    def _predict_columns(
-        self,
-        profile: JobProfile,
-        cols: _ConfigColumns,
-        data_bytes: int | None,
-    ) -> BatchPrediction:
+        cols = _ConfigColumns(matrix)
         n = cols.n
         registry = get_registry(self.registry)
         registry.counter(
-            "whatif_batches_total", "predict_batch calls"
+            "whatif_batches_total", "predict_matrix calls"
         ).inc()
         registry.counter(
             "whatif_batch_predictions_total",
@@ -520,7 +449,7 @@ class WhatIfEngine:
         ).inc(n)
         registry.histogram(
             "whatif_batch_size",
-            "configurations per predict_batch call",
+            "configurations per predict_matrix call",
             buckets=COUNT_BUCKETS,
         ).observe(n)
         if data_bytes is None:

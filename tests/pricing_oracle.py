@@ -25,7 +25,6 @@ from repro.hadoop.config import JobConfiguration
 from repro.hadoop.counters import FRAMEWORK_GROUP, Counters
 from repro.hadoop.dataset import Dataset, InputSplit
 from repro.hadoop.engine import DEFAULT_PROFILING_OVERHEAD, HadoopEngine
-from repro.hadoop.hdfs import expected_locality, place_blocks
 from repro.hadoop.job import MapReduceJob
 from repro.hadoop.mapper_engine import (
     COLLECT_CPU_FRACTION,
@@ -659,9 +658,6 @@ def _reference_run_job_inner(
         )
         map_tasks.append(task)
 
-    if engine.locality_aware and map_tasks:
-        _reference_locality_penalty(engine, map_tasks, dataset, rng)
-
     reduce_tasks: list[ReduceTaskExecution] = []
     if job.has_reducer and num_partitions:
         reduce_measurement = engine.reduce_measurement(job, dataset, combined)
@@ -786,32 +782,6 @@ def _reference_schedule_trace(
             end=schedule.runtime_seconds,
             attrs={"tasks": len(reduce_tasks)},
         )
-
-
-def _reference_locality_penalty(
-    engine: HadoopEngine,
-    map_tasks: list[MapTaskExecution],
-    dataset: Dataset,
-    rng: np.random.Generator,
-) -> None:
-    """Charge remote reads on the tasks locality scheduling misses.
-
-    A remote read streams the block over the network instead of the
-    local disks, so its READ phase is re-priced at network+disk rates.
-    """
-    placement = place_blocks(dataset.num_splits, engine.cluster, seed=dataset.seed)
-    stats = expected_locality(placement, engine.cluster, seed=dataset.seed)
-    remote_count = round(stats.remote_tasks / max(1, stats.total) * len(map_tasks))
-    if remote_count <= 0:
-        return
-    remote_indices = rng.choice(len(map_tasks), size=remote_count, replace=False)
-    for index in remote_indices:
-        task = map_tasks[index]
-        rates = task.rates
-        penalty = (
-            rates.network_ns_per_byte + rates.read_local_ns_per_byte
-        ) / max(1e-9, rates.read_hdfs_ns_per_byte)
-        task.phase_times["READ"] *= penalty
 
 
 def reference_phase_totals(tasks, phases) -> dict[str, float]:

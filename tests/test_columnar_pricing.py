@@ -35,7 +35,6 @@ from repro.hadoop import (
     WorkerNode,
     ec2_cluster,
 )
-from repro.hadoop.hdfs import expected_locality, place_blocks
 from repro.hadoop.tasks import MAP_PHASES, REDUCE_PHASES
 from repro.observability import MetricsRegistry, Tracer
 from repro.observability.export import registry_to_dict
@@ -143,12 +142,11 @@ _configs = st.fixed_dictionaries(
 ).map(lambda attrs: JobConfiguration().with_params(**attrs))
 
 
-def _pair(cluster: ClusterSpec, locality: bool):
+def _pair(cluster: ClusterSpec):
     """Two fresh engines, each with its own registry and tracer."""
     return [
         HadoopEngine(
             cluster,
-            locality_aware=locality,
             registry=MetricsRegistry(),
             tracer=Tracer(capacity=100_000),
         )
@@ -165,13 +163,12 @@ class TestAgainstPerTaskEngine:
         map_task_ids=st.none()
         | st.lists(st.integers(0, DATASET.num_splits - 1), min_size=1, max_size=4),
         profile=st.booleans(),
-        locality=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_every_observable_bit_identical(
-        self, cluster, job, config, map_task_ids, profile, locality, seed
+        self, cluster, job, config, map_task_ids, profile, seed
     ):
-        engine, reference = _pair(cluster, locality)
+        engine, reference = _pair(cluster)
         kwargs = dict(map_task_ids=map_task_ids, profile=profile, seed=seed)
         got = engine.run_job(job, DATASET, config, **kwargs)
         want = reference_run_job(reference, job, DATASET, config, **kwargs)
@@ -181,21 +178,9 @@ class TestAgainstPerTaskEngine:
         )
         assert _spans(engine.tracer) == _spans(reference.tracer)
 
-    @pytest.mark.parametrize("job", JOBS, ids=lambda job: job.name)
-    def test_remote_reads_bit_identical(self, job):
-        cluster = CLUSTERS[0]
-        placement = place_blocks(DATASET.num_splits, cluster, seed=DATASET.seed)
-        assert expected_locality(placement, cluster, seed=DATASET.seed).remote_tasks
-        engine, reference = _pair(cluster, locality=True)
-        config = JobConfiguration(num_reduce_tasks=3)
-        for seed in range(3):
-            got = engine.run_job(job, DATASET, config, seed=seed)
-            want = reference_run_job(reference, job, DATASET, config, seed=seed)
-            assert_same_execution(got, want, config)
-
     def test_records_and_spans_carry_worker_node_ids(self):
         cluster = CLUSTERS[1]
-        engine, reference = _pair(cluster, locality=True)
+        engine, reference = _pair(cluster)
         config = JobConfiguration(num_reduce_tasks=6)
         got = engine.run_job(JOBS[0], DATASET, config, seed=5)
         want = reference_run_job(reference, JOBS[0], DATASET, config, seed=5)

@@ -10,7 +10,6 @@ from repro.dataflow import (
     OrderOp,
     ProjectOp,
     compile_script,
-    compile_to_chain,
     dataflow_map,
     dataflow_reduce,
 )
@@ -115,16 +114,6 @@ class TestCompiler:
         job = compile_script(DataflowScript("m").filter(1, "==", 1))[0]
         assert not job.has_reducer
 
-    def test_chain_wiring(self):
-        script = (
-            DataflowScript("c")
-            .group_by(0, aggregations=[("count", 0)])
-            .order_by(0)
-        )
-        chain = compile_to_chain(script)
-        assert chain[0].input_from == "source"
-        assert chain[1].input_from == "previous"
-
 
 class TestRuntime:
     def test_filter_and_project(self):
@@ -197,7 +186,6 @@ class TestRuntime:
 class TestEndToEnd:
     def test_compiled_chain_runs_through_pstorm(self, engine):
         from repro.core import PStorM
-        from repro.core.workflows import run_chain
         from repro.workloads import pigmix_dataset
 
         pstorm = PStorM(engine)
@@ -207,9 +195,12 @@ class TestEndToEnd:
             .project(0, 4)
             .group_by(0, aggregations=[("sum", 1)])
         )
-        result = run_chain(pstorm, compile_to_chain(script), pigmix_dataset(1))
-        assert len(result.stages) == 1
-        assert result.total_runtime_seconds > 0
+        jobs = compile_script(script)
+        assert len(jobs) == 1
+        first = pstorm.submit(jobs[0], pigmix_dataset(1))
+        assert not first.matched
+        assert first.runtime_seconds > 0
+        assert pstorm.submit(jobs[0], pigmix_dataset(1)).matched
 
     def test_generated_jobs_share_static_features(self, engine):
         from repro.analysis.static_features import extract_static_features

@@ -6,7 +6,6 @@ import pytest
 from repro.hadoop import (
     Dataset,
     FunctionRecordSource,
-    HadoopEngine,
     JobConfiguration,
     MapReduceJob,
     ec2_cluster,
@@ -120,15 +119,6 @@ class TestConfigurationBoundaries:
         assert spills_above == spills_at
 
 
-class TestPerfXplainBoundaries:
-    def test_tolerance_boundary_exact(self):
-        from repro.perfxplain import Relation, relative_performance
-
-        assert relative_performance(100.0, 125.0) == Relation.SIMILAR
-        assert relative_performance(100.0, 125.1) == Relation.SLOWER
-        assert relative_performance(125.1, 100.0) == Relation.FASTER
-
-
 class TestHBaseBoundaries:
     def test_scan_empty_table(self):
         from repro.hbase import HBaseCluster, PrefixFilter
@@ -147,26 +137,3 @@ class TestHBaseBoundaries:
         assert table.get("a") is None
         table.put("a", "f", "c", 2)
         assert table.get("a") == {"f": {"c": 2}}
-
-
-class TestVisualizerBoundaries:
-    def test_timeline_single_task(self, engine, maponly_job):
-        from repro.starfish import task_timeline
-
-        tiny = Dataset(
-            "one-split",
-            nominal_bytes=1 * MB,
-            source=FunctionRecordSource(lambda i, rng: [(0, "v")]),
-        )
-        execution = engine.run_job(maponly_job, tiny)
-        text = task_timeline(execution, 30, 30)
-        assert "m" in text
-
-
-class TestLocalitySampledRuns:
-    def test_locality_engine_handles_sampling(self, cluster, wordcount, small_text):
-        engine = HadoopEngine(cluster, locality_aware=True)
-        execution = engine.run_job(
-            wordcount, small_text, JobConfiguration(), map_task_ids=[0]
-        )
-        assert execution.num_map_tasks == 1

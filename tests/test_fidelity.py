@@ -112,6 +112,19 @@ def test_fig6_3_pstorm_beats_rbo_and_never_seen_jobs_track_sd(suite):
     assert rbo_of["inverted-index"] < 1, rbo_of
 
 
+def test_fig6_3_cooccurrence_pairs_has_the_largest_speedups(suite):
+    """Fig 6.3's "up to 9x" headline: of the four jobs, word co-occurrence
+    pairs has the largest RBO, PStorM SD, DD and NJ speedup (here 9.29,
+    12.35, 12.3 and 12.35)."""
+    rows = fig6_3.run(*suite, seed=0).rows
+    speedups = {job: (rbo, sd, dd, nj) for job, __, rbo, sd, dd, nj, __ in rows}
+    assert len(speedups) == 4, sorted(speedups)
+    headline = speedups.pop("word-cooccurrence-pairs")
+    for job, others in speedups.items():
+        for state, ours, theirs in zip(("RBO", "SD", "DD", "NJ"), headline, others):
+            assert ours > theirs, (state, job, ours, theirs)
+
+
 def test_pushdown_ships_a_small_fraction_of_the_rows_scanned(suite):
     """§5.3: with pushdown one match_job call ships at most a tenth of
     the rows it scans (here 56 of 1014); filtering client-side ships

@@ -1,88 +1,6 @@
-"""Tests for HDFS locality, store persistence, and the adoption driver."""
+"""Tests for store persistence and the adoption driver."""
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
-
-from repro.hadoop import ClusterSpec, ec2_cluster
-from repro.hadoop.hdfs import expected_locality, place_blocks
-
-
-class TestBlockPlacement:
-    def test_replication_count(self, cluster):
-        placement = place_blocks(20, cluster, replication=3, seed=1)
-        assert placement.num_blocks == 20
-        assert all(len(holders) == 3 for holders in placement.replicas)
-
-    def test_replicas_on_distinct_nodes(self, cluster):
-        placement = place_blocks(50, cluster, seed=2)
-        for holders in placement.replicas:
-            assert len(set(holders)) == len(holders)
-
-    def test_replication_capped_by_cluster_size(self):
-        tiny = ec2_cluster(num_workers=2)
-        placement = place_blocks(5, tiny, replication=3)
-        assert placement.replication == 2
-
-    def test_is_local_and_blocks_on(self, cluster):
-        placement = place_blocks(10, cluster, seed=3)
-        node = placement.replicas[0][0]
-        assert placement.is_local(0, node)
-        assert 0 in placement.blocks_on(node)
-
-    def test_deterministic_under_seed(self, cluster):
-        a = place_blocks(10, cluster, seed=4)
-        b = place_blocks(10, cluster, seed=4)
-        assert a.replicas == b.replicas
-
-    def test_negative_blocks_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            place_blocks(-1, cluster)
-
-    def test_replicas_name_node_ids(self, cluster):
-        renamed = ClusterSpec(
-            workers=tuple(
-                replace(node, node_id=100 + 7 * node.node_id)
-                for node in cluster.workers
-            )
-        )
-        placement = place_blocks(20, renamed, seed=8)
-        assert placement.replicas == tuple(
-            tuple(100 + 7 * node for node in holders)
-            for holders in place_blocks(20, cluster, seed=8).replicas
-        )
-        assert expected_locality(placement, renamed, seed=8) == expected_locality(
-            place_blocks(20, cluster, seed=8), cluster, seed=8
-        )
-
-
-class TestLocality:
-    def test_all_tasks_scheduled(self, cluster):
-        placement = place_blocks(100, cluster, seed=5)
-        stats = expected_locality(placement, cluster, seed=5)
-        assert stats.total == 100
-
-    def test_mostly_local_with_three_replicas(self, cluster):
-        placement = place_blocks(200, cluster, replication=3, seed=6)
-        stats = expected_locality(placement, cluster, seed=6)
-        assert stats.local_fraction > 0.8
-
-    def test_single_replica_less_local(self, cluster):
-        three = expected_locality(place_blocks(200, cluster, 3, seed=7), cluster, seed=7)
-        one = expected_locality(place_blocks(200, cluster, 1, seed=7), cluster, seed=7)
-        assert one.local_fraction <= three.local_fraction
-
-    def test_engine_locality_penalty_slows_reads(self, cluster, wordcount, small_text):
-        from repro.hadoop import HadoopEngine, JobConfiguration
-
-        plain = HadoopEngine(cluster).run_job(wordcount, small_text, JobConfiguration())
-        aware = HadoopEngine(cluster, locality_aware=True).run_job(
-            wordcount, small_text, JobConfiguration()
-        )
-        plain_read = plain.map_phase_totals()["READ"]
-        aware_read = aware.map_phase_totals()["READ"]
-        assert aware_read >= plain_read
 
 
 class TestPersistence:

@@ -105,23 +105,3 @@ class TestCrossClusterBootstrap:
         assert result.matched
         default = new_engine.run_job(wordcount, small_text, JobConfiguration())
         assert result.runtime_seconds < default.runtime_seconds
-
-
-class TestFaultyTunedRuns:
-    def test_tuning_benefit_survives_failures(self, engine, wordcount, small_text):
-        """Tuned configurations keep their edge under a fault model."""
-        from repro.hadoop import FaultModel
-        from repro.starfish import CostBasedOptimizer, StarfishProfiler, WhatIfEngine
-
-        profiler = StarfishProfiler(engine)
-        profile, __ = profiler.profile_job(wordcount, small_text)
-        best = CostBasedOptimizer(WhatIfEngine(engine.cluster), seed=1).optimize(profile)
-
-        model = FaultModel(task_failure_probability=0.1)
-        default_run, __, __ = engine.run_job_with_faults(
-            wordcount, small_text, JobConfiguration(), fault_model=model, seed=5
-        )
-        tuned_run, __, __ = engine.run_job_with_faults(
-            wordcount, small_text, best.best_config, fault_model=model, seed=5
-        )
-        assert tuned_run.runtime_seconds < default_run.runtime_seconds

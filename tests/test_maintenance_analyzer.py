@@ -1,12 +1,10 @@
-"""Tests for store maintenance (eviction) and the bottleneck analyzer."""
+"""Tests for store maintenance (eviction)."""
 
 import pytest
 
 from repro.core.features import extract_job_features
 from repro.core.maintenance import FifoEviction, LruEviction, MaintainedStore
 from repro.core.store import ProfileStore
-from repro.hadoop.config import JobConfiguration
-from repro.starfish.analyzer import analyze_profile
 
 
 def _profile_and_static(engine, profiler, sampler, job, dataset):
@@ -131,40 +129,6 @@ class TestMaintainedStoreComposition:
         store = build_store(records, capacity=1)
         assert isinstance(store, ResilientProfileStore)
         assert len(store) == 1
-
-
-class TestAnalyzer:
-    def test_single_reducer_job_surfaces_reduce_side(self, profiler, wordcount, small_text):
-        profile, __ = profiler.profile_job(
-            wordcount, small_text, JobConfiguration(num_reduce_tasks=1)
-        )
-        bottlenecks = analyze_profile(profile, top_k=5)
-        assert bottlenecks
-        assert any(b.side == "reduce" and b.share > 0.2 for b in bottlenecks)
-        assert all(0 < b.share <= 1 for b in bottlenecks)
-
-    def test_levers_mention_tunable_params(self, profiler, wordcount, small_text):
-        profile, __ = profiler.profile_job(wordcount, small_text)
-        bottlenecks = analyze_profile(profile, top_k=5)
-        all_levers = {lever for b in bottlenecks for lever in b.levers}
-        assert all_levers & {"mapred.reduce.tasks", "io.sort.mb",
-                             "mapred.compress.map.output"}
-
-    def test_map_only_profile(self, profiler, maponly_job, small_text):
-        profile, __ = profiler.profile_job(maponly_job, small_text)
-        bottlenecks = analyze_profile(profile)
-        assert all(b.side == "map" for b in bottlenecks)
-
-    def test_shares_descending(self, profiler, wordcount, small_text):
-        profile, __ = profiler.profile_job(wordcount, small_text)
-        shares = [b.share for b in analyze_profile(profile, top_k=6)]
-        assert shares == sorted(shares, reverse=True)
-
-    def test_render_readable(self, profiler, wordcount, small_text):
-        profile, __ = profiler.profile_job(wordcount, small_text)
-        text = analyze_profile(profile)[0].render()
-        assert "s/task" in text
-        assert "tune:" in text
 
 
 class TestStaticsFirstMatcher:

@@ -1,4 +1,4 @@
-"""Tests for the match-trace API and the end-to-end §7.2.1 matcher."""
+"""Tests for the end-to-end §7.2.1 matcher."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core import (
     ParamAwareMatcher,
     ProfileMatcher,
     ProfileStore,
-    explain_match,
     extract_job_features,
 )
 
@@ -18,27 +17,6 @@ def make_features(engine, sampler):
         return extract_job_features(job, dataset, sample.profile, engine)
 
     return build
-
-
-class TestExplainMatch:
-    def test_trace_mentions_funnel_and_winner(
-        self, engine, profiler, make_features, wordcount, small_text
-    ):
-        store = ProfileStore()
-        profile, __ = profiler.profile_job(wordcount, small_text)
-        store.put(profile, make_features(wordcount, small_text).static)
-        matcher = ProfileMatcher(store)
-        trace = explain_match(matcher, make_features(wordcount, small_text))
-        assert "map side" in trace
-        assert "after dynamic" in trace
-        assert "wordcount-test@small-text" in trace
-        assert "single-donor" in trace
-
-    def test_trace_for_empty_store(self, make_features, wordcount, small_text):
-        matcher = ProfileMatcher(ProfileStore())
-        trace = explain_match(matcher, make_features(wordcount, small_text))
-        assert "no match" in trace
-        assert "run instrumented" in trace
 
 
 class TestParamAwareMatching:

@@ -1,17 +1,12 @@
-"""Tests for the §5.2 alternative store models and §7.2 extensions."""
+"""Tests for the §5.2 alternative store models and the §7.2.1 extension."""
 
 import pytest
 
-from repro.core.extensions import (
-    augment_with_call_graphs,
-    augment_with_params,
-    call_graph_signature,
-    extract_callee_names,
-)
+from repro.core.extensions import augment_with_params
 from repro.core.similarity import jaccard_index
 from repro.core.store_models import OpenTsdbStore, TablePerTypeStore
 from repro.analysis.static_features import extract_static_features
-from repro.workloads.jobs import cooccurrence_pairs_job, grep_job, word_count_job
+from repro.workloads.jobs import cooccurrence_pairs_job, grep_job
 
 
 class TestOpenTsdbStore:
@@ -45,36 +40,6 @@ class TestTablePerTypeStore:
     def test_two_tables_double_store_objects(self):
         store = TablePerTypeStore()
         assert store.total_store_objects() == 2
-
-
-class TestCallGraphs:
-    def test_extracts_callee_names(self):
-        names = extract_callee_names(word_count_job().mapper)
-        assert "split" in names
-        assert "emit" in names
-
-    def test_non_python_callable_empty(self):
-        assert extract_callee_names(len) == frozenset()
-
-    def test_signature_is_sorted_and_stable(self):
-        a = call_graph_signature(word_count_job().mapper)
-        b = call_graph_signature(word_count_job().mapper)
-        assert a == b
-        parts = a.split(",")
-        assert parts == sorted(parts)
-
-    def test_different_helpers_different_signatures(self):
-        wc = call_graph_signature(word_count_job().mapper)
-        cooc = call_graph_signature(cooccurrence_pairs_job().mapper)
-        assert wc != cooc
-
-    def test_augment_with_call_graphs(self):
-        job = word_count_job()
-        static = extract_static_features(job)
-        extended = augment_with_call_graphs(static, job)
-        assert "CALLGRAPH_MAP" in extended.categorical
-        assert "CALLGRAPH_RED" in extended.categorical
-        assert extended.map_side()["CALLGRAPH_MAP"] == call_graph_signature(job.mapper)
 
 
 class TestParamFeatures:

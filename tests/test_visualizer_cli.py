@@ -1,4 +1,4 @@
-"""Tests for the visualizer and the CLI."""
+"""Tests for the CLI."""
 
 import os
 import subprocess
@@ -10,57 +10,6 @@ import pytest
 import repro
 from repro.chaos import set_default_injector
 from repro.cli import EXIT_CRASHED, build_parser, main
-from repro.hadoop import JobConfiguration
-from repro.starfish.visualizer import (
-    compare_phase_breakdowns,
-    phase_breakdown,
-    task_timeline,
-)
-
-
-@pytest.fixture()
-def execution(engine, wordcount, small_text):
-    return engine.run_job(wordcount, small_text, JobConfiguration(num_reduce_tasks=2))
-
-
-class TestVisualizer:
-    def test_phase_breakdown_mentions_all_phases(self, execution):
-        text = phase_breakdown(execution)
-        for phase in ("READ", "MAP", "COLLECT", "SHUFFLE", "REDUCE"):
-            assert phase in text
-        assert execution.job_name in text
-
-    def test_phase_breakdown_totals_mode(self, execution):
-        per_task = phase_breakdown(execution, per_task=True)
-        totals = phase_breakdown(execution, per_task=False)
-        assert "s/task" in per_task
-        assert "s total" in totals
-
-    def test_map_only_breakdown(self, engine, maponly_job, small_text):
-        execution = engine.run_job(maponly_job, small_text)
-        text = phase_breakdown(execution)
-        assert "reduce phases" not in text
-
-    def test_compare_breakdowns(self, engine, wordcount, small_text, execution):
-        other = engine.run_job(wordcount, small_text, JobConfiguration())
-        text = compare_phase_breakdowns(execution, other)
-        assert "map:MAP" in text
-        assert "red:SHUFFLE" in text
-
-    def test_task_timeline_shape(self, execution, cluster):
-        text = task_timeline(
-            execution, cluster.total_map_slots, cluster.total_reduce_slots
-        )
-        assert "m" in text
-        assert "r" in text
-        assert "runtime" in text
-
-    def test_timeline_rows_bounded(self, execution, cluster):
-        text = task_timeline(
-            execution, cluster.total_map_slots, cluster.total_reduce_slots,
-            max_rows=6,
-        )
-        assert len(text.splitlines()) <= 8  # header + ≤6 rows + slack
 
 
 class TestCli:
@@ -83,10 +32,6 @@ class TestCli:
         assert main(["experiments", "fig4_6"]) == 0
         out = capsys.readouterr().out
         assert "Figure 4.6" in out
-
-    def test_explain_unknown_job(self, capsys):
-        code = main(["explain", "nope@never", "also@never"])
-        assert code == 2
 
     def test_seed_flag_parsed(self):
         args = build_parser().parse_args(["--seed", "7", "list-jobs"])

@@ -138,36 +138,31 @@ class TestBatchBitIdentity:
         data_bytes=data_sizes,
     )
     def test_predict_batch_matches_scalar(self, profile, configs, data_bytes):
+        """Every row of ``predict_matrix`` equals ``predict`` on its
+        configuration, field by field."""
         engine = WhatIfEngine(CLUSTER)
-        batch = engine.predict_batch(profile, configs, data_bytes)
+        batch = engine.predict_matrix(profile, _as_matrix(configs), data_bytes)
         assert len(batch) == len(configs)
         for index, config in enumerate(configs):
             scalar = engine.predict(profile, config, data_bytes)
-            batched = batch.prediction(index)
-            assert batched.runtime_seconds == scalar.runtime_seconds
-            assert batched.map_task_seconds == scalar.map_task_seconds
-            assert batched.reduce_task_seconds == scalar.reduce_task_seconds
-            assert batched.num_map_tasks == scalar.num_map_tasks
-            assert batched.num_reduce_tasks == scalar.num_reduce_tasks
-            assert batched.map_phases == scalar.map_phases
-            assert batched.reduce_phases == scalar.reduce_phases
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        profile=job_profiles(),
-        configs=st.lists(configurations(), min_size=1, max_size=6),
-        data_bytes=data_sizes,
-    )
-    def test_predict_matrix_matches_batch(self, profile, configs, data_bytes):
-        engine = WhatIfEngine(CLUSTER)
-        from_configs = engine.predict_batch(profile, configs, data_bytes)
-        from_matrix = engine.predict_matrix(profile, _as_matrix(configs), data_bytes)
-        assert list(from_matrix.runtime_seconds) == list(
-            from_configs.runtime_seconds
-        )
-        assert list(from_matrix.reduce_task_seconds) == list(
-            from_configs.reduce_task_seconds
-        )
+            assert batch.runtime_seconds[index] == scalar.runtime_seconds
+            assert batch.map_task_seconds[index] == scalar.map_task_seconds
+            assert batch.reduce_task_seconds[index] == scalar.reduce_task_seconds
+            assert batch.num_map_tasks == scalar.num_map_tasks
+            assert batch.num_reduce_tasks[index] == scalar.num_reduce_tasks
+            assert {
+                phase: float(values[index])
+                for phase, values in batch.map_phases.items()
+            } == scalar.map_phases
+            reduce_phases = (
+                {
+                    phase: float(values[index])
+                    for phase, values in batch.reduce_phases.items()
+                }
+                if scalar.num_reduce_tasks
+                else {}
+            )
+            assert reduce_phases == scalar.reduce_phases
 
 
 class TestCboEquivalence:
